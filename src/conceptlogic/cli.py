@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ConceptLogicError
 from .formats import export_dot, load_context, structured_lines
@@ -37,28 +36,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _SORTS = {"1": SORT1, "2": SORT2}
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation parameters shared by the command handlers."""
-
-    command: str
-    context_path: str | None = None
-    kind: str | None = None
-    cls: str | None = None
-    side: str | None = None
-    formula: str | None = None
-    sort: str | None = None
-    premises: list[str] = field(default_factory=list)
-    conclusion: str | None = None
-    assigns: list[str] = field(default_factory=list)
-    script: str | None = None
-    system: str | None = None
-    suite: str = "all"
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    format: str = "text"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,11 +130,11 @@ def _emit_structured(out, payload: dict) -> None:
         print(line.lstrip("."), file=out)
 
 
-def _cmd_concepts(cfg: RunConfig, out) -> int:
-    ctx = load_context(cfg.context_path)
-    kind = ConceptKind(cfg.kind)
+def _cmd_concepts(args: argparse.Namespace, out) -> int:
+    ctx = load_context(args.context)
+    kind = ConceptKind(args.kind)
     concepts = enumerate_concepts(ctx, kind)
-    if cfg.format == "structured":
+    if args.format == "structured":
         _emit_structured(out, {"kind": kind.value, "concepts": _concept_payload(ctx, concepts)})
     else:
         print(f"kind={kind.value} count={len(concepts)}", file=out)
@@ -170,14 +147,14 @@ def _cmd_concepts(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_lattice(cfg: RunConfig, out) -> int:
-    ctx = load_context(cfg.context_path)
-    kind = ConceptKind(cfg.kind)
+def _cmd_lattice(args: argparse.Namespace, out) -> int:
+    ctx = load_context(args.context)
+    kind = ConceptKind(args.kind)
     lattice = build_lattice(enumerate_concepts(ctx, kind), kind, ctx)
-    if cfg.format == "dot":
+    if args.format == "dot":
         out.write(export_dot(lattice))
         return EXIT_OK
-    if cfg.format == "structured":
+    if args.format == "structured":
         payload = {
             "kind": kind.value,
             "concepts": _concept_payload(ctx, lattice.concepts),
@@ -200,10 +177,10 @@ def _cmd_lattice(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _parse_assignments(cfg: RunConfig, f, frame):
+def _parse_assignments(args: argparse.Namespace, f):
     by_name = {v.name: v for v in variables(f)}
     assignments = {}
-    for item in cfg.assigns:
+    for item in args.assign:
         if "=" not in item:
             raise ConceptLogicError(f"assignment {item!r} is not VAR=worlds")
         name, worlds = item.split("=", 1)
@@ -221,21 +198,21 @@ def _parse_assignments(cfg: RunConfig, f, frame):
     return Valuation(assignments)
 
 
-def _cmd_eval(cfg: RunConfig, out) -> int:
-    ctx = load_context(cfg.context_path)
+def _cmd_eval(args: argparse.Namespace, out) -> int:
+    ctx = load_context(args.context)
     frame = context_to_frame(ctx)
-    f = parse_formula(cfg.formula, _SORTS[cfg.sort])
-    val = _parse_assignments(cfg, f, frame)
+    f = parse_formula(args.formula, _SORTS[args.sort])
+    val = _parse_assignments(args, f)
     ts = truth_set(Model(frame, val), f)
     print(_set_names(ts, frame.carrier(f.sort)), file=out)
     return EXIT_OK
 
 
-def _cmd_valid(cfg: RunConfig, out) -> int:
-    ctx = load_context(cfg.context_path)
+def _cmd_valid(args: argparse.Namespace, out) -> int:
+    ctx = load_context(args.context)
     frame = context_to_frame(ctx)
-    f = parse_formula(cfg.formula, _SORTS[cfg.sort])
-    counter = falsify(frame, f, cfg.budget)
+    f = parse_formula(args.formula, _SORTS[args.sort])
+    counter = falsify(frame, f, args.budget)
     if counter is None:
         print("valid", file=out)
         return EXIT_OK
@@ -243,13 +220,13 @@ def _cmd_valid(cfg: RunConfig, out) -> int:
     return EXIT_PROPERTY_FAILED
 
 
-def _cmd_consequence(cfg: RunConfig, out) -> int:
-    ctx = load_context(cfg.context_path)
+def _cmd_consequence(args: argparse.Namespace, out) -> int:
+    ctx = load_context(args.context)
     frame = context_to_frame(ctx)
-    sort = _SORTS[cfg.sort]
-    premises = [parse_formula(p, sort) for p in cfg.premises]
-    conclusion = parse_formula(cfg.conclusion, sort)
-    counter = consequence_countermodel(frame, premises, conclusion, cfg.budget)
+    sort = _SORTS[args.sort]
+    premises = [parse_formula(p, sort) for p in args.premises]
+    conclusion = parse_formula(args.conclusion, sort)
+    counter = consequence_countermodel(frame, premises, conclusion, args.budget)
     if counter is None:
         print("holds", file=out)
         return EXIT_OK
@@ -257,30 +234,30 @@ def _cmd_consequence(cfg: RunConfig, out) -> int:
     return EXIT_PROPERTY_FAILED
 
 
-def _cmd_translate(cfg: RunConfig, out) -> int:
-    f = parse_formula(cfg.formula, _SORTS[cfg.sort])
+def _cmd_translate(args: argparse.Namespace, out) -> int:
+    f = parse_formula(args.formula, _SORTS[args.sort])
     print(print_formula(translate_rho(f)), file=out)
     return EXIT_OK
 
 
-def _cmd_member(cfg: RunConfig, out) -> int:
-    ctx = load_context(cfg.context_path)
+def _cmd_member(args: argparse.Namespace, out) -> int:
+    ctx = load_context(args.context)
     frame = context_to_frame(ctx)
-    which = f"{cfg.cls.upper()}_{cfg.side}"
-    sort = SORT1 if cfg.side == "ext" else SORT2
-    f = parse_formula(cfg.formula, sort)
-    ok = member_class(f, which, frame, cfg.budget)
+    which = f"{args.cls.upper()}_{args.side}"
+    sort = SORT1 if args.side == "ext" else SORT2
+    f = parse_formula(args.formula, sort)
+    ok = member_class(f, which, frame, args.budget)
     print("true" if ok else "false", file=out)
     return EXIT_OK if ok else EXIT_PROPERTY_FAILED
 
 
-def _cmd_check_proof(cfg: RunConfig, out) -> int:
-    with open(cfg.script, "r", encoding="utf-8") as fh:
+def _cmd_check_proof(args: argparse.Namespace, out) -> int:
+    with open(args.script, "r", encoding="utf-8") as fh:
         text = fh.read()
-    script = parse_proof_script(text, default_system=cfg.system or "KB2")
-    if cfg.system and script.system_id.upper() != cfg.system.upper():
+    script = parse_proof_script(text, default_system=args.system or "KB2")
+    if args.system and script.system_id.upper() != args.system.upper():
         raise ConceptLogicError(
-            f"script declares system {script.system_id}, --system says {cfg.system}"
+            f"script declares system {script.system_id}, --system says {args.system}"
         )
     verdict = script.check()
     if verdict.accepted:
@@ -299,29 +276,29 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_verify(cfg: RunConfig, out) -> int:
-    ctx = load_context(cfg.context_path)
+def _cmd_verify(args: argparse.Namespace, out) -> int:
+    ctx = load_context(args.context)
     failed = False
-    if cfg.suite in ("yao", "all"):
+    if args.suite in ("yao", "all"):
         report = suite_yao(ctx)
         for clause in report.clauses:
             status = "pass" if clause.passed else f"fail ({clause.detail})"
             print(f"{clause.clause}: {status}", file=out)
         failed |= not report.passed
-    if cfg.suite in ("translation", "all"):
-        report = suite_translation(ctx, cfg.seed)
+    if args.suite in ("translation", "all"):
+        report = suite_translation(ctx, args.seed)
         for line in _report_lines(report):
             print(f"translation {line}", file=out)
         failed |= not report.passed
-    if cfg.suite in ("lattice", "all"):
-        for kind, report in zip(("pc", "oc", "fc"), suite_lattice(ctx, cfg.budget)):
+    if args.suite in ("lattice", "all"):
+        for kind, report in zip(("pc", "oc", "fc"), suite_lattice(ctx, args.budget)):
             status = "pass" if report.passed else "fail"
             print(f"lattice {kind}: {status}", file=out)
             for check in report.failures():
                 print(f"  {check.name}: fail ({check.detail})", file=out)
             failed |= not report.passed
-    if cfg.suite in ("iso", "all"):
-        report = suite_iso(ctx, cfg.budget)
+    if args.suite in ("iso", "all"):
+        report = suite_iso(ctx, args.budget)
         status = "pass" if report.passed else "fail"
         print(f"iso: {status}", file=out)
         for check in report.failures():
@@ -352,31 +329,16 @@ def run_cli(argv, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cfg = RunConfig(
-        command=args.command,
-        context_path=getattr(args, "context", None),
-        kind=getattr(args, "kind", None),
-        cls=getattr(args, "cls", None),
-        side=getattr(args, "side", None),
-        formula=getattr(args, "formula", None),
-        sort=getattr(args, "sort", None),
-        premises=list(getattr(args, "premises", [])),
-        conclusion=getattr(args, "conclusion", None),
-        assigns=list(getattr(args, "assign", [])),
-        script=getattr(args, "script", None),
-        system=getattr(args, "system", None),
-        suite=getattr(args, "suite", "all"),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        seed=getattr(args, "seed", 0),
-        format=getattr(args, "format", "text"),
-    )
     try:
-        return _HANDLERS[cfg.command](cfg, out)
+        return _HANDLERS[args.command](args, out)
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=err)
         return EXIT_BUDGET
     except (ConceptLogicError, OSError) as exc:
         print(f"error: {exc}", file=err)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: formula nested too deeply", file=err)
         return EXIT_USAGE
 
 

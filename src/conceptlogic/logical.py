@@ -115,7 +115,11 @@ def member_pair(
     pair: LogicalConceptPair, frame: SortedFrame, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Both side memberships plus the two linking biconditionals."""
-    return all(frame_valid(frame, c, budget) for c in _pair_conditions(pair))
+    return _member(FrameEvaluator(frame, _universe([pair]), budget), pair)
+
+
+def _member(ev: FrameEvaluator, pair: LogicalConceptPair) -> bool:
+    return all(ev.valid(c) for c in _pair_conditions(pair))
 
 
 def generate_pair(seed: Formula, kind: ConceptKind) -> LogicalConceptPair:
@@ -203,8 +207,14 @@ def equiv_pairs(
     """
     if a.kind != b.kind:
         raise SortMismatchError(a.kind.name, b.kind.name, "equiv_pairs")
-    by_extent = frame_valid(frame, Iff(a.extent, b.extent), budget)
-    by_intent = frame_valid(frame, Iff(a.intent, b.intent), budget)
+    return _equivalent(FrameEvaluator(frame, _universe([a, b]), budget), a, b)
+
+
+def _equivalent(
+    ev: FrameEvaluator, a: LogicalConceptPair, b: LogicalConceptPair
+) -> bool:
+    by_extent = ev.equivalent(a.extent, b.extent)
+    by_intent = ev.equivalent(a.intent, b.intent)
     if by_extent != by_intent:
         raise InternalConsistencyError(
             "extent and intent equivalence disagree; a pair is outside its class"
@@ -271,25 +281,6 @@ class VerificationReport:
         self.checks.append(LawCheck(name, passed, detail))
 
 
-class _PairChecker:
-    """Evaluator-backed membership/equivalence for one frame and variable set."""
-
-    def __init__(self, frame: SortedFrame, universe: Iterable[Var], budget: int):
-        self.ev = FrameEvaluator(frame, list(universe), budget)
-
-    def member(self, pair: LogicalConceptPair) -> bool:
-        return all(self.ev.valid(c) for c in _pair_conditions(pair))
-
-    def equivalent(self, a: LogicalConceptPair, b: LogicalConceptPair) -> bool:
-        by_extent = self.ev.equivalent(a.extent, b.extent)
-        by_intent = self.ev.equivalent(a.intent, b.intent)
-        if by_extent != by_intent:
-            raise InternalConsistencyError(
-                "extent and intent equivalence disagree; a pair is outside its class"
-            )
-        return by_extent
-
-
 def _universe(pairs: Iterable[LogicalConceptPair]) -> set[Var]:
     out: set[Var] = set()
     for p in pairs:
@@ -324,15 +315,15 @@ def verify_quotient_lattice(
     if any(p.kind != kind for p in pairs):
         report.add("input kinds", False, "pair of a different class supplied")
         return report
-    chk = _PairChecker(frame, _universe(pairs), budget)
+    ev = FrameEvaluator(frame, _universe(pairs), budget)
     for i, p in enumerate(pairs):
-        if not chk.member(p):
+        if not _member(ev, p):
             report.add("membership", False, f"input pair {i} is not in {kind.name}")
             return report
     report.add("membership", True, f"{len(pairs)} pairs in class")
 
     def eq(x, y):
-        return chk.equivalent(x, y)
+        return _equivalent(ev, x, y)
 
     def record(name: str, witnesses: list[str]) -> None:
         report.add(name, not witnesses, "; ".join(witnesses[:3]))
@@ -341,7 +332,7 @@ def verify_quotient_lattice(
     for name, op in (("meet", quotient_meet), ("join", quotient_join)):
         for i, a in enumerate(pairs):
             for j in range(i, len(pairs)):
-                if not chk.member(op(a, pairs[j])):
+                if not _member(ev, op(a, pairs[j])):
                     bad.append(f"{name}({i},{j}) leaves the class")
     record("operation closure", bad)
 
@@ -393,7 +384,7 @@ def verify_quotient_lattice(
     bad = []
     for i, a in enumerate(pairs[: min(3, len(pairs))]):
         for variant in _equivalent_variants(a):
-            if not chk.member(variant) or not eq(variant, a):
+            if not _member(ev, variant) or not eq(variant, a):
                 bad.append(f"variant of {i} is not an equivalent member")
                 continue
             for j, b in enumerate(pairs):
@@ -438,11 +429,11 @@ def verify_isomorphisms(
     frame0 = context_to_frame(ctx)
     frame1 = context_to_frame(complement_context(ctx))
     universe = _universe(pairs_fc)
-    chk0 = _PairChecker(frame0, universe, budget)
-    chk1 = _PairChecker(frame1, universe, budget)
+    ev0 = FrameEvaluator(frame0, universe, budget)
+    ev1 = FrameEvaluator(frame1, universe, budget)
 
     for i, p in enumerate(pairs_fc):
-        if not chk0.member(p):
+        if not _member(ev0, p):
             report.add("membership", False, f"input pair {i} not in FC on the context")
             return report
     h_im = [_map_h(p) for p in pairs_fc]
@@ -450,20 +441,20 @@ def verify_isomorphisms(
 
     report.add(
         "h into PC of complement",
-        all(chk1.member(p) for p in h_im),
+        all(_member(ev1, p) for p in h_im),
     )
     report.add(
         "f into OC of complement",
-        all(chk1.member(p) for p in f_im),
+        all(_member(ev1, p) for p in f_im),
     )
 
     ok = True
     n = len(pairs_fc)
     for i in range(n):
         for j in range(i + 1, n):
-            src = chk0.equivalent(pairs_fc[i], pairs_fc[j])
-            via_h = chk1.equivalent(h_im[i], h_im[j])
-            via_f = chk1.equivalent(f_im[i], f_im[j])
+            src = _equivalent(ev0, pairs_fc[i], pairs_fc[j])
+            via_h = _equivalent(ev1, h_im[i], h_im[j])
+            via_f = _equivalent(ev1, f_im[i], f_im[j])
             if src != via_h or via_h != via_f:
                 ok = False
     report.add("equivalence preserved and reflected (injectivity)", ok)
@@ -472,12 +463,12 @@ def verify_isomorphisms(
     for i in range(n):
         for j in range(n):
             a, b = pairs_fc[i], pairs_fc[j]
-            if not chk1.equivalent(
-                _map_h(quotient_meet(a, b)), quotient_meet(h_im[i], h_im[j])
+            if not _equivalent(
+                ev1, _map_h(quotient_meet(a, b)), quotient_meet(h_im[i], h_im[j])
             ):
                 ok = False
-            if not chk1.equivalent(
-                _map_h(quotient_join(a, b)), quotient_join(h_im[i], h_im[j])
+            if not _equivalent(
+                ev1, _map_h(quotient_join(a, b)), quotient_join(h_im[i], h_im[j])
             ):
                 ok = False
     report.add("h preserves meets and joins", ok)
@@ -486,12 +477,12 @@ def verify_isomorphisms(
     for i in range(n):
         for j in range(n):
             a, b = h_im[i], h_im[j]
-            if not chk1.equivalent(
-                _map_f(quotient_meet(a, b)), quotient_join(f_im[i], f_im[j])
+            if not _equivalent(
+                ev1, _map_f(quotient_meet(a, b)), quotient_join(f_im[i], f_im[j])
             ):
                 ok = False
-            if not chk1.equivalent(
-                _map_f(quotient_join(a, b)), quotient_meet(f_im[i], f_im[j])
+            if not _equivalent(
+                ev1, _map_f(quotient_join(a, b)), quotient_meet(f_im[i], f_im[j])
             ):
                 ok = False
     report.add("f swaps meets with joins", ok)
@@ -500,12 +491,12 @@ def verify_isomorphisms(
     for i in range(n):
         for j in range(n):
             a, b = pairs_fc[i], pairs_fc[j]
-            if not chk1.equivalent(
-                _map_f(_map_h(quotient_meet(a, b))), quotient_join(f_im[i], f_im[j])
+            if not _equivalent(
+                ev1, _map_f(_map_h(quotient_meet(a, b))), quotient_join(f_im[i], f_im[j])
             ):
                 ok = False
-            if not chk1.equivalent(
-                _map_f(_map_h(quotient_join(a, b))), quotient_meet(f_im[i], f_im[j])
+            if not _equivalent(
+                ev1, _map_f(_map_h(quotient_join(a, b))), quotient_meet(f_im[i], f_im[j])
             ):
                 ok = False
     report.add("composite inverts the lattice", ok)

@@ -10,7 +10,8 @@ the refutation form: from not-phi infer window-phi).
 Formulas are compared after normalization into the {bot, not, and, diamond,
 box} core, so scripts may use the defined connectives freely.  Propositional
 tautologies are decided by truth table on the propositional skeleton, with
-maximal modal subformulas abstracted as atoms.
+maximal modal subformulas abstracted as atoms; the rows are evaluated
+together as bit columns.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .parser import parse_with_declarations, print_formula
 from .semantics import (
     DEFAULT_BUDGET,
     SortedFrame,
+    _index_bit,
     frame_valid,
     global_consequence,
     local_consequence,
@@ -73,37 +75,43 @@ def _skeleton_atoms(f: Formula, atoms: list[Formula]) -> None:
         _skeleton_atoms(f.right, atoms)
 
 
-def _eval_skeleton(f: Formula, env: Mapping[Formula, bool]) -> bool:
+def _eval_skeleton(f: Formula, env: Mapping[Formula, int], full: int) -> int:
+    """Truth-table column of ``f``: bit r is its value in row r."""
     if isinstance(f, (Var, Dia, Box)):
         return env[f]
     if isinstance(f, Bot):
-        return False
+        return 0
     if isinstance(f, Top):
-        return True
+        return full
     if isinstance(f, Neg):
-        return not _eval_skeleton(f.arg, env)
+        return full ^ _eval_skeleton(f.arg, env, full)
+    left = _eval_skeleton(f.left, env, full)
+    right = _eval_skeleton(f.right, env, full)
     if isinstance(f, And):
-        return _eval_skeleton(f.left, env) and _eval_skeleton(f.right, env)
+        return left & right
     if isinstance(f, Imp):
-        return (not _eval_skeleton(f.left, env)) or _eval_skeleton(f.right, env)
+        return (full ^ left) | right
     if isinstance(f, Iff):
-        return _eval_skeleton(f.left, env) == _eval_skeleton(f.right, env)
+        return full ^ left ^ right
     # Or only appears pre-normalization
-    return _eval_skeleton(f.left, env) or _eval_skeleton(f.right, env)
+    return left | right
 
 
 def is_tautology(f: Formula) -> bool:
-    """Truth-table tautology test on the propositional skeleton of ``f``."""
+    """Truth-table tautology test on the propositional skeleton of ``f``.
+
+    All 2^k rows are evaluated at once: atom i's column has bit r set iff
+    bit i of r is, and the skeleton is a tautology iff its column is full.
+    """
     atoms: list[Formula] = []
     _skeleton_atoms(f, atoms)
     k = len(atoms)
     if k > MAX_TAUTOLOGY_ATOMS:
         raise BudgetExceededError(1 << k, 1 << MAX_TAUTOLOGY_ATOMS)
-    for bits in range(1 << k):
-        env = {atom: bool(bits >> i & 1) for i, atom in enumerate(atoms)}
-        if not _eval_skeleton(f, env):
-            return False
-    return True
+    rows = 1 << k
+    env = {atom: _index_bit(i, 0, rows) for i, atom in enumerate(atoms)}
+    full = (1 << rows) - 1
+    return _eval_skeleton(f, env, full) == full
 
 
 @dataclass(frozen=True)
@@ -163,16 +171,21 @@ def match_axiom(
     f: Formula, system: ProofSystem
 ) -> tuple[str, dict[Var, Formula]] | None:
     """First scheme (in declaration order) that ``f`` instantiates, if any."""
-    nf = normalize(f)
-    for scheme in system.schemes:
+    for scheme, binding in _matches(normalize(f), system.schemes):
+        return scheme.name, binding
+    return None
+
+
+def _matches(nf: Formula, schemes: Iterable[AxiomScheme]):
+    """Yield (scheme, binding) for every scheme the normalized ``nf`` instantiates."""
+    for scheme in schemes:
         if scheme.pattern is None:
             if is_tautology(nf):
-                return scheme.name, {}
+                yield scheme, {}
             continue
         binding: dict[Var, Formula] = {}
         if _match(scheme.normalized(), nf, binding):
-            return scheme.name, binding
-    return None
+            yield scheme, binding
 
 
 def _k_scheme(mod: Modality, position: int) -> AxiomScheme:
@@ -351,31 +364,39 @@ def check_proof(
 
 
 def _check_axiom(nf: Formula, j: AxiomRef, system: ProofSystem, index: int) -> Verdict:
+    schemes = system.schemes
+    if j.name is not None:
+        schemes = tuple(s for s in schemes if s.name == j.name)
+        if not schemes:
+            return _reject(index, f"system {system.id} has no scheme {j.name!r}")
+    refusal = None
+    for scheme, binding in _matches(nf, schemes):
+        why = _substitution_refusal(j.subst, binding, scheme)
+        if why is None:
+            return Verdict(True)
+        refusal = refusal or why
+    if refusal is not None:
+        return _reject(index, refusal)
     if j.name is None:
-        if match_axiom(nf, system) is None:
-            return _reject(index, "matches no axiom scheme")
-        return Verdict(True)
-    candidates = [s for s in system.schemes if s.name == j.name]
-    if not candidates:
-        return _reject(index, f"system {system.id} has no scheme {j.name!r}")
-    for scheme in candidates:
-        if scheme.pattern is None:
-            if is_tautology(nf):
-                return Verdict(True)
-            return _reject(index, "not a propositional tautology")
-        binding: dict[Var, Formula] = {}
-        if not _match(scheme.normalized(), nf, binding):
-            continue
-        if j.subst is not None:
-            declared = dict(j.subst)
-            for mv, got in binding.items():
-                want = declared.get(mv.name)
-                if want is not None and normalize(want) != got:
-                    return _reject(
-                        index, f"substitution for {mv.name} does not reproduce the line"
-                    )
-        return Verdict(True)
+        return _reject(index, "matches no axiom scheme")
+    if schemes[0].pattern is None:
+        return _reject(index, "not a propositional tautology")
     return _reject(index, f"not an instance of scheme {j.name!r}")
+
+
+def _substitution_refusal(
+    subst: tuple[tuple[str, Formula], ...] | None,
+    binding: dict[Var, Formula],
+    scheme: AxiomScheme,
+) -> str | None:
+    """Why a declared substitution does not fit a matched scheme, if it does not."""
+    bound = {mv.name: got for mv, got in binding.items()}
+    for name, want in subst or ():
+        if name not in bound:
+            return f"substitution entry {name} names no metavariable of scheme {scheme.name}"
+        if normalize(want) != bound[name]:
+            return f"substitution for {name} does not reproduce the line"
+    return None
 
 
 def _check_mp(nf: Formula, j: MPRef, earlier: list[Formula], index: int) -> Verdict:

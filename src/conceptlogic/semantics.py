@@ -1,17 +1,29 @@
 """Many-sorted relational frames, models, truth sets, and exhaustive validity.
 
-Truth sets are computed as bitmasks over a carrier (bit i = i-th world of
-that sort).  Frame validity and local consequence enumerate all valuations
-of the variables occurring in the formulas, refusing explicitly when the
-assignment count exceeds the budget.  Everything here is pure and
-immutable-by-convention; models can be shared freely.
+One evaluator computes every truth value here, bit-sliced over valuations:
+a formula's truth is one int per world of its sort, whose bit k is its
+truth at that world under the k-th valuation.  Connectives are word
+operations; a diamond is the OR over successor tuples of the AND of the
+argument slices, a box is its dual, and a window box is the complement of
+the OR of the argument slices over non-successors.  ``truth_set`` is the
+case of one valuation; ``FrameEvaluator`` keeps the slices over a whole
+valuation space for repeated checks.
+
+Frame validity and consequence enumerate all valuations of the variables
+occurring in the formulas, refusing explicitly when the assignment count
+exceeds the budget.  Valuations are numbered in ``itertools.product`` order
+over the variables sorted by (sort, name), each ranging over its world masks,
+so the last variable takes the low bits; the space is streamed in
+fixed-size blocks with early exit, and the reported countermodel is the
+lowest failing valuation, then its lowest failing world.  Everything here is
+pure and immutable-by-convention; models can be shared freely.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .context import FormalContext, SortedSubset, iter_bits
 from .errors import (
@@ -91,28 +103,17 @@ class SortedFrame:
         self.bidirectional = bidirectional
         if bidirectional:
             self._check_converses()
-        # successor masks for unary modalities: per result-world bitmask of
-        # argument worlds; n-ary modalities keep tuple lists instead
-        self._succ_masks: dict[str, list[int]] = {}
-        self._succ_tuples: dict[str, list[list[tuple[int, ...]]]] = {}
+        # per modality and result world: the related argument-index tuples
+        self._succ: dict[str, list[list[tuple[int, ...]]]] = {}
         for m in sig.modalities:
-            size = len(self.carriers[m.result_sort])
-            if m.arity == 1:
-                masks = [0] * size
-                arg_index = self._index[m.arg_sorts[0]]
-                for w, w1 in self.relations[m.name]:
-                    masks[self._index[m.result_sort][w]] |= 1 << arg_index[w1]
-                self._succ_masks[m.name] = masks
-            else:
-                tuples: list[list[tuple[int, ...]]] = [[] for _ in range(size)]
-                for entry in self.relations[m.name]:
-                    w, rest = entry[0], entry[1:]
-                    tuples[self._index[m.result_sort][w]].append(
-                        tuple(
-                            self._index[s][u] for u, s in zip(rest, m.arg_sorts)
-                        )
-                    )
-                self._succ_tuples[m.name] = tuples
+            table: list[list[tuple[int, ...]]] = [
+                [] for _ in self.carriers[m.result_sort]
+            ]
+            for entry in self.relations[m.name]:
+                table[self._index[m.result_sort][entry[0]]].append(
+                    tuple(self._index[s][u] for u, s in zip(entry[1:], m.arg_sorts))
+                )
+            self._succ[m.name] = table
 
     def _check_converses(self) -> None:
         for m in self.sig.modalities:
@@ -137,9 +138,6 @@ class SortedFrame:
 
     def carrier_size(self, sort: str) -> int:
         return len(self.carrier(sort))
-
-    def full_mask(self, sort: str) -> int:
-        return (1 << self.carrier_size(sort)) - 1
 
     def world_index(self, sort: str, world: str) -> int:
         try:
@@ -261,84 +259,130 @@ def complement_frame(frame: SortedFrame) -> SortedFrame:
     return SortedFrame(frame.carriers, relations, frame.sig, frame.bidirectional)
 
 
-def truth_set(model: Model, f: Formula, _cache: dict | None = None) -> SortedSubset:
+# Valuations per slice block when a scan streams the valuation space.
+_BLOCK = 1 << 12
+
+
+def _index_bit(bit: int, base: int, width: int) -> int:
+    """Slice of bit ``bit`` of the indices ``base .. base + width - 1``.
+
+    ``width`` is a power of two and ``base`` a multiple of it, so a high bit
+    is constant over the block and a low bit repeats with period
+    ``2 << bit``; the pattern is doubled up to the width by shifts.
+    """
+    half = 1 << bit
+    if half >= width:
+        return (1 << width) - 1 if base >> bit & 1 else 0
+    column = ((1 << half) - 1) << half
+    span = 2 * half
+    while span < width:
+        column |= column << span
+        span *= 2
+    return column
+
+
+class _Slices:
+    """The formula evaluator: memoized truth slices over a block of valuations.
+
+    ``self(f)`` lists one int per world of ``f``'s sort, whose bit k is the
+    truth of ``f`` at that world under the block's k-th valuation.  The memo
+    starts out holding the variables' slices.
+    """
+
+    def __init__(self, frame: SortedFrame, width: int, var_slices: dict[Var, list[int]]):
+        self.frame = frame
+        self.full = (1 << width) - 1
+        self.memo: dict[Formula, list[int]] = dict(var_slices)
+
+    def __call__(self, f: Formula) -> list[int]:
+        hit = self.memo.get(f)
+        if hit is not None:
+            return hit
+        full = self.full
+        if isinstance(f, Var):
+            raise ValuationError(
+                f"variable {f.name!r} of sort {f.sort} is outside the evaluated variables"
+            )
+        if isinstance(f, Bot):
+            out = [0] * self.frame.carrier_size(f.sort)
+        elif isinstance(f, Top):
+            out = [full] * self.frame.carrier_size(f.sort)
+        elif isinstance(f, Neg):
+            out = [full ^ a for a in self(f.arg)]
+        elif isinstance(f, And):
+            out = [a & b for a, b in zip(self(f.left), self(f.right))]
+        elif isinstance(f, Or):
+            out = [a | b for a, b in zip(self(f.left), self(f.right))]
+        elif isinstance(f, Imp):
+            out = [(full ^ a) | b for a, b in zip(self(f.left), self(f.right))]
+        elif isinstance(f, Iff):
+            out = [full ^ a ^ b for a, b in zip(self(f.left), self(f.right))]
+        elif isinstance(f, (Dia, Box)):
+            out = self._modal(f, [self(a) for a in f.args])
+        else:
+            raise TypeError(f"unknown formula node {f!r}")
+        self.memo[f] = out
+        return out
+
+    def _modal(self, f: Dia | Box, args: list[list[int]]) -> list[int]:
+        full = self.full
+        table = self.frame._succ[f.mod.name]
+        if f.mod.window:
+            # sufficiency: no world outside the successors satisfies the argument
+            (arg,) = args
+            out = []
+            for succ in table:
+                related = {u for (u,) in succ}
+                seen = 0
+                for u, a in enumerate(arg):
+                    if u not in related:
+                        seen |= a
+                out.append(full ^ seen)
+            return out
+        box = isinstance(f, Box)
+        if box:  # box is the dual of the diamond of the complements
+            args = [[full ^ a for a in arg] for arg in args]
+        out = []
+        for succ in table:
+            some = 0
+            for t in succ:
+                every = full
+                for arg, u in zip(args, t):
+                    every &= arg[u]
+                some |= every
+            out.append(full ^ some if box else some)
+        return out
+
+
+def _block_slices(
+    frame: SortedFrame, vs: Sequence[Var], base: int, width: int
+) -> dict[Var, list[int]]:
+    """Variable slices for valuations ``base .. base + width - 1`` of ``vs``.
+
+    Valuations are numbered in ``itertools.product`` order over ``vs`` with
+    each variable ranging over its world masks, so the last variable takes
+    the low bits of the index and world i of a variable is one index bit.
+    """
+    out = {}
+    bit = 0
+    for v in reversed(vs):
+        n = frame.carrier_size(v.sort)
+        out[v] = [_index_bit(bit + i, base, width) for i in range(n)]
+        bit += n
+    return out
+
+
+def truth_set(model: Model, f: Formula) -> SortedSubset:
     """All worlds of sort(f) where the formula holds."""
-    mask = _truth_mask(model, f, {} if _cache is None else _cache)
-    sort = f.sort
-    return SortedSubset(sort, mask, model.frame.carrier_size(sort))
-
-
-def _truth_mask(model: Model, f: Formula, cache: dict) -> int:
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
     frame = model.frame
-    if isinstance(f, Var):
-        mask = model.var_mask(f)
-    elif isinstance(f, Bot):
-        mask = 0
-    elif isinstance(f, Top):
-        mask = frame.full_mask(f.sort)
-    elif isinstance(f, Neg):
-        mask = frame.full_mask(f.sort) ^ _truth_mask(model, f.arg, cache)
-    elif isinstance(f, And):
-        mask = _truth_mask(model, f.left, cache) & _truth_mask(model, f.right, cache)
-    elif isinstance(f, Or):
-        mask = _truth_mask(model, f.left, cache) | _truth_mask(model, f.right, cache)
-    elif isinstance(f, Imp):
-        full = frame.full_mask(f.sort)
-        mask = (full ^ _truth_mask(model, f.left, cache)) | _truth_mask(
-            model, f.right, cache
-        )
-    elif isinstance(f, Iff):
-        full = frame.full_mask(f.sort)
-        mask = full ^ _truth_mask(model, f.left, cache) ^ _truth_mask(
-            model, f.right, cache
-        )
-    elif isinstance(f, (Dia, Box)):
-        mask = _modal_mask(model, f, cache)
-    else:
-        raise TypeError(f"unknown formula node {f!r}")
-    cache[f] = mask
-    return mask
-
-
-def _modal_mask(model: Model, f: Dia | Box, cache: dict) -> int:
-    frame = model.frame
-    mod = f.mod
-    size = frame.carrier_size(mod.result_sort)
-    if mod.arity == 1:
-        arg = _truth_mask(model, f.args[0], cache)
-        succ = frame._succ_masks[mod.name]
-        if isinstance(f, Box) and mod.window:
-            # sufficiency: every world satisfying the argument is related
-            return _collect(size, lambda w: arg & ~succ[w] == 0)
-        if isinstance(f, Dia):
-            return _collect(size, lambda w: succ[w] & arg != 0)
-        return _collect(size, lambda w: succ[w] & ~arg == 0)
-    arg_masks = [_truth_mask(model, a, cache) for a in f.args]
-    tuples = frame._succ_tuples[mod.name]
-    if isinstance(f, Dia):
-        return _collect(
-            size,
-            lambda w: any(
-                all(m >> i & 1 for m, i in zip(arg_masks, t)) for t in tuples[w]
-            ),
-        )
-    return _collect(
-        size,
-        lambda w: all(
-            any(m >> i & 1 for m, i in zip(arg_masks, t)) for t in tuples[w]
-        ),
-    )
-
-
-def _collect(size: int, pred) -> int:
+    var_slices = {}
+    for v in _sorted_variables([f]):
+        mask = model.var_mask(v)
+        var_slices[v] = [mask >> i & 1 for i in range(frame.carrier_size(v.sort))]
     mask = 0
-    for w in range(size):
-        if pred(w):
-            mask |= 1 << w
-    return mask
+    for i, bit in enumerate(_Slices(frame, 1, var_slices)(f)):
+        mask |= bit << i
+    return SortedSubset(f.sort, mask, frame.carrier_size(f.sort))
 
 
 def satisfies(model: Model, world: str, f: Formula) -> bool:
@@ -361,28 +405,6 @@ def _assignment_count(frame: SortedFrame, vs: Sequence[Var]) -> int:
     return count
 
 
-def _iter_valuations(frame: SortedFrame, vs: Sequence[Var]):
-    """Yield variable-mask dicts covering every valuation of ``vs``."""
-    ranges = [range(1 << frame.carrier_size(v.sort)) for v in vs]
-    for combo in itertools.product(*ranges):
-        yield dict(zip(vs, combo))
-
-
-class _MaskModel(Model):
-    """Model whose valuation is a prebuilt mask dict (internal fast path)."""
-
-    def __init__(self, frame: SortedFrame, masks: dict[Var, int]):
-        self.frame = frame
-        self.masks = masks
-        self.valuation = None  # type: ignore[assignment]
-
-    def var_mask(self, v: Var) -> int:
-        try:
-            return self.masks[v]
-        except KeyError:
-            raise ValuationError(f"variable {v.name!r} of sort {v.sort} is unassigned")
-
-
 @dataclass(frozen=True)
 class Countermodel:
     """A falsifying valuation plus a world, reported on validity failure."""
@@ -397,31 +419,50 @@ class Countermodel:
         return f"{'; '.join(parts) or 'empty valuation'} falsifies at world {self.world}"
 
 
-def _mask_to_worlds(frame: SortedFrame, sort: str, mask: int) -> tuple[str, ...]:
-    carrier = frame.carrier(sort)
-    return tuple(carrier[i] for i in iter_bits(mask))
+def _scan(
+    frame: SortedFrame,
+    formulas: Sequence[Formula],
+    budget: int,
+    sort: str,
+    failures: Callable[[_Slices], list[int]],
+) -> Countermodel | None:
+    """The lowest failing valuation, then its lowest failing world of ``sort``.
+
+    ``failures(ev)`` maps a block evaluator to one slice per world of
+    ``sort`` marking the valuations that fail there.  The space of all
+    valuations of the formulas' variables is streamed in blocks of
+    ``_BLOCK`` and the scan stops at the first block with a failure.
+    """
+    vs = _sorted_variables(formulas)
+    count = _assignment_count(frame, vs)
+    if count > budget:
+        raise BudgetExceededError(count, budget)
+    width = min(count, _BLOCK)
+    for base in range(0, count, width):
+        bad = failures(_Slices(frame, width, _block_slices(frame, vs, base, width)))
+        any_bad = 0
+        for b in bad:
+            any_bad |= b
+        if not any_bad:
+            continue
+        lowest = any_bad & -any_bad
+        world = next(w for w, b in enumerate(bad) if b & lowest)
+        index = base + lowest.bit_length() - 1
+        assignments = []
+        for v in reversed(vs):
+            carrier = frame.carrier(v.sort)
+            mask = index & ((1 << len(carrier)) - 1)
+            assignments.append((v, tuple(carrier[i] for i in iter_bits(mask))))
+            index >>= len(carrier)
+        return Countermodel(tuple(reversed(assignments)), frame.carrier(sort)[world])
+    return None
 
 
 def falsify(
     frame: SortedFrame, f: Formula, budget: int = DEFAULT_BUDGET
 ) -> Countermodel | None:
     """Search all valuations for a countermodel; None means frame-valid."""
-    vs = _sorted_variables([f])
-    count = _assignment_count(frame, vs)
-    if count > budget:
-        raise BudgetExceededError(count, budget)
-    full = frame.full_mask(f.sort)
-    for masks in _iter_valuations(frame, vs):
-        model = _MaskModel(frame, masks)
-        got = _truth_mask(model, f, {})
-        if got != full:
-            missing = (full ^ got) & -(full ^ got)  # lowest failing world
-            world = frame.carrier(f.sort)[missing.bit_length() - 1]
-            assignments = tuple(
-                (v, _mask_to_worlds(frame, v.sort, m)) for v, m in masks.items()
-            )
-            return Countermodel(assignments, world)
-    return None
+    return _scan(frame, [f], budget, f.sort, lambda ev: [ev.full ^ a for a in ev(f)])
 
 
 def frame_valid(frame: SortedFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
@@ -439,30 +480,14 @@ def consequence_countermodel(
     for p in premises:
         if p.sort != conclusion.sort:
             raise SortMismatchError(conclusion.sort, p.sort, "local consequence")
-    vs = _sorted_variables([*premises, conclusion])
-    count = _assignment_count(frame, vs)
-    if count > budget:
-        raise BudgetExceededError(count, budget)
-    full = frame.full_mask(conclusion.sort)
-    for masks in _iter_valuations(frame, vs):
-        model = _MaskModel(frame, masks)
-        cache: dict = {}
-        holds_premises = full
+
+    def failures(ev: _Slices) -> list[int]:
+        held = [ev.full] * frame.carrier_size(conclusion.sort)
         for p in premises:
-            holds_premises &= _truth_mask(model, p, cache)
-            if not holds_premises:
-                break
-        if not holds_premises:
-            continue
-        bad = holds_premises & ~_truth_mask(model, conclusion, cache)
-        if bad:
-            lowest = bad & -bad
-            world = frame.carrier(conclusion.sort)[lowest.bit_length() - 1]
-            assignments = tuple(
-                (v, _mask_to_worlds(frame, v.sort, m)) for v, m in masks.items()
-            )
-            return Countermodel(assignments, world)
-    return None
+            held = [h & a for h, a in zip(held, ev(p))]
+        return [h & ~c for h, c in zip(held, ev(conclusion))]
+
+    return _scan(frame, [*premises, conclusion], budget, conclusion.sort, failures)
 
 
 def local_consequence(
@@ -487,31 +512,27 @@ def global_consequence(
     notion preserved by derivations that generalize over premise-derived
     lines (generalization moves between the sorts).
     """
-    vs = _sorted_variables([*premises, conclusion])
-    count = _assignment_count(frame, vs)
-    if count > budget:
-        raise BudgetExceededError(count, budget)
-    for masks in _iter_valuations(frame, vs):
-        model = _MaskModel(frame, masks)
-        cache: dict = {}
-        if any(
-            _truth_mask(model, p, cache) != frame.full_mask(p.sort) for p in premises
-        ):
-            continue
-        if _truth_mask(model, conclusion, cache) != frame.full_mask(conclusion.sort):
-            return False
-    return True
+
+    def failures(ev: _Slices) -> list[int]:
+        held = ev.full
+        for p in premises:
+            for a in ev(p):
+                held &= a
+        return [held & ~c for c in ev(conclusion)]
+
+    return _scan(frame, [*premises, conclusion], budget, conclusion.sort, failures) is None
 
 
 class FrameEvaluator:
-    """Vectorized truth-set signatures over all valuations of a fixed variable set.
+    """Truth slices over every valuation of a fixed variable set, memoized.
 
-    For a frame and a variable universe, ``signature(f)`` is the tuple of
-    truth masks of ``f`` across every valuation in a canonical order.  Two
-    formulas (built over those variables) are frame-equivalent iff their
-    signatures are equal; a formula is frame-valid iff its signature is all
-    full masks.  Signatures are memoized per subformula, which makes large
-    families of overlapping checks cheap.
+    For a frame and a variable universe, ``signature(f)`` holds one int per
+    world of ``f``'s sort whose bit k is the truth of ``f`` there under the
+    k-th valuation (``itertools.product`` order).  Two formulas built over
+    those variables are frame-equivalent iff their signatures are equal; a
+    formula is frame-valid iff every slice is full.  The memo spans all
+    checks made with one evaluator, which makes large families of
+    overlapping checks cheap.
     """
 
     def __init__(
@@ -525,80 +546,16 @@ class FrameEvaluator:
         self.count = _assignment_count(frame, self.vars)
         if self.count > budget:
             raise BudgetExceededError(self.count, budget)
-        self._var_sigs: dict[Var, tuple[int, ...]] = {}
-        stride = 1
-        for v in self.vars:
-            n = 1 << frame.carrier_size(v.sort)
-            period = stride * n
-            sig = tuple(
-                (idx % period) // stride for idx in range(self.count)
-            )
-            self._var_sigs[v] = sig
-            stride = period
-        self._memo: dict[Formula, tuple[int, ...]] = {}
+        self._slices = _Slices(
+            frame, self.count, _block_slices(frame, self.vars, 0, self.count)
+        )
 
     def signature(self, f: Formula) -> tuple[int, ...]:
-        hit = self._memo.get(f)
-        if hit is not None:
-            return hit
-        frame = self.frame
-        if isinstance(f, Var):
-            if f not in self._var_sigs:
-                raise ValuationError(
-                    f"variable {f.name!r} of sort {f.sort} is outside the evaluator's universe"
-                )
-            sig = self._var_sigs[f]
-        elif isinstance(f, Bot):
-            sig = (0,) * self.count
-        elif isinstance(f, Top):
-            sig = (frame.full_mask(f.sort),) * self.count
-        elif isinstance(f, Neg):
-            full = frame.full_mask(f.sort)
-            sig = tuple(full ^ m for m in self.signature(f.arg))
-        elif isinstance(f, And):
-            sig = tuple(
-                a & b for a, b in zip(self.signature(f.left), self.signature(f.right))
-            )
-        elif isinstance(f, Or):
-            sig = tuple(
-                a | b for a, b in zip(self.signature(f.left), self.signature(f.right))
-            )
-        elif isinstance(f, Imp):
-            full = frame.full_mask(f.sort)
-            sig = tuple(
-                (full ^ a) | b
-                for a, b in zip(self.signature(f.left), self.signature(f.right))
-            )
-        elif isinstance(f, Iff):
-            full = frame.full_mask(f.sort)
-            sig = tuple(
-                full ^ a ^ b
-                for a, b in zip(self.signature(f.left), self.signature(f.right))
-            )
-        elif isinstance(f, (Dia, Box)) and f.mod.arity == 1:
-            succ = frame._succ_masks[f.mod.name]
-            size = frame.carrier_size(f.mod.result_sort)
-            arg_sig = self.signature(f.args[0])
-            if isinstance(f, Box) and f.mod.window:
-                sig = tuple(
-                    _collect(size, lambda w: arg & ~succ[w] == 0) for arg in arg_sig
-                )
-            elif isinstance(f, Dia):
-                sig = tuple(
-                    _collect(size, lambda w: succ[w] & arg != 0) for arg in arg_sig
-                )
-            else:
-                sig = tuple(
-                    _collect(size, lambda w: succ[w] & ~arg == 0) for arg in arg_sig
-                )
-        else:
-            raise SortMismatchError("unary modality", "polyadic", "FrameEvaluator")
-        self._memo[f] = sig
-        return sig
+        return tuple(self._slices(f))
 
     def valid(self, f: Formula) -> bool:
-        full = self.frame.full_mask(f.sort)
-        return all(m == full for m in self.signature(f))
+        full = self._slices.full
+        return all(a == full for a in self.signature(f))
 
     def equivalent(self, f: Formula, g: Formula) -> bool:
         if f.sort != g.sort:

@@ -7,9 +7,12 @@ it is used to check.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from conceptlogic import FormalContext
+from conceptlogic.semantics import Countermodel
+from conceptlogic.syntax import And, Bot, Box, Dia, Iff, Imp, Neg, Or, Top, Var, variables
 
 
 def incident(ctx: FormalContext, g: str, m: str) -> bool:
@@ -99,4 +102,99 @@ def k0() -> FormalContext:
     """The 2x2 fixture used throughout the examples."""
     return FormalContext.from_pairs(
         ("g1", "g2"), ("m1", "m2"), [("g1", "m1"), ("g2", "m1"), ("g2", "m2")]
+    )
+
+
+# --- per-valuation reference evaluator -----------------------------------------
+#
+# Truth sets are plain sets of world names, valuations are enumerated one at
+# a time in itertools.product order over the (sort, name)-sorted variables,
+# and each variable ranges over the subsets of its carrier in mask order
+# (world i <-> bit i).  Countermodels are therefore the first failing
+# valuation in that order, then the first failing world in carrier order.
+
+
+def extension(frame, val, f) -> set[str]:
+    """Worlds of f's sort where f holds under ``val`` (Var -> set of names)."""
+    carrier = frame.carrier(f.sort)
+    if isinstance(f, Var):
+        return set(val[f])
+    if isinstance(f, Bot):
+        return set()
+    if isinstance(f, Top):
+        return set(carrier)
+    if isinstance(f, Neg):
+        return set(carrier) - extension(frame, val, f.arg)
+    if isinstance(f, (And, Or, Imp, Iff)):
+        left = extension(frame, val, f.left)
+        right = extension(frame, val, f.right)
+        if isinstance(f, And):
+            return left & right
+        if isinstance(f, Or):
+            return left | right
+        if isinstance(f, Imp):
+            return (set(carrier) - left) | right
+        return {w for w in carrier if (w in left) == (w in right)}
+    args = [extension(frame, val, a) for a in f.args]
+    rel = frame.relations[f.mod.name]
+    out = set()
+    for w in carrier:
+        succ = [t[1:] for t in rel if t[0] == w]
+        if isinstance(f, Box) and f.mod.window:
+            holds = all((w, u) in rel for u in args[0])
+        elif isinstance(f, Dia):
+            holds = any(all(u in a for u, a in zip(t, args)) for t in succ)
+        else:
+            holds = all(any(u in a for u, a in zip(t, args)) for t in succ)
+        if holds:
+            out.add(w)
+    return out
+
+
+def valuations(frame, formulas):
+    """Every valuation of the formulas' variables, in product order."""
+    vs = sorted(set().union(*(variables(f) for f in formulas)), key=lambda v: (v.sort, v.name))
+    choices = []
+    for v in vs:
+        carrier = frame.carrier(v.sort)
+        choices.append(
+            [
+                tuple(w for i, w in enumerate(carrier) if m >> i & 1)
+                for m in range(1 << len(carrier))
+            ]
+        )
+    for combo in itertools.product(*choices):
+        yield tuple(zip(vs, combo))
+
+
+def falsify(frame, f):
+    return consequence_countermodel(frame, [], f)
+
+
+def consequence_countermodel(frame, premises, conclusion):
+    for assignments in valuations(frame, [*premises, conclusion]):
+        val = dict(assignments)
+        held = set(frame.carrier(conclusion.sort))
+        for p in premises:
+            held &= extension(frame, val, p)
+        got = extension(frame, val, conclusion)
+        for w in frame.carrier(conclusion.sort):
+            if w in held and w not in got:
+                return Countermodel(assignments, w)
+    return None
+
+
+def global_consequence(frame, premises, conclusion) -> bool:
+    for assignments in valuations(frame, [*premises, conclusion]):
+        val = dict(assignments)
+        if all(extension(frame, val, p) == set(frame.carrier(p.sort)) for p in premises):
+            if extension(frame, val, conclusion) != set(frame.carrier(conclusion.sort)):
+                return False
+    return True
+
+
+def equivalent(frame, f, g) -> bool:
+    return all(
+        extension(frame, dict(a), f) == extension(frame, dict(a), g)
+        for a in valuations(frame, [f, g])
     )

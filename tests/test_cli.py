@@ -2,11 +2,16 @@
 
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from conceptlogic.cli import run_cli
+from conceptlogic.formats import load_context
+from conceptlogic.semantics import context_to_frame
+from conceptlogic.suites import random_valuation
+from conceptlogic.syntax import var1
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -93,6 +98,13 @@ class TestExitCodes:
         code, _, err = invoke(["check-proof", str(script), "--system", "KB2"])
         assert code == 2 and "declares system" in err
 
+    def test_deep_nesting_is_usage_error(self):
+        code, out, err = invoke(
+            ["valid", "--formula", "~" * 1200 + "p", "--sort", "1", str(DATA / "k0.cxt")]
+        )
+        assert code == 2 and out == ""
+        assert err == "error: formula nested too deeply\n"
+
 
 class TestEvalAssignments:
     def test_unassigned_variable_rejected(self):
@@ -134,6 +146,15 @@ class TestEvalAssignments:
 
 
 class TestVerifySuites:
+    def test_random_valuation_ignores_variable_order(self):
+        # the translation suite draws a valuation for a set of variables,
+        # whose iteration order varies with the interpreter's hash seed
+        frame = context_to_frame(load_context(str(DATA / "mixed5.cxt")))
+        p, q = var1("p"), var1("q")
+        first = random_valuation(random.Random(0), frame, [p, q])
+        second = random_valuation(random.Random(0), frame, [q, p])
+        assert dict(first.items()) == dict(second.items())
+
     @pytest.mark.parametrize("suite", ["yao", "translation", "lattice", "iso"])
     def test_individual_suites_pass_on_k0(self, suite):
         code, out, _ = invoke(

@@ -222,6 +222,19 @@ class TestCheckProof:
         bad = [ProofLine(1, inst, AxiomRef("B1", (("ph1", P),)))]
         assert not check_proof(bad, [], kf).accepted
 
+    def test_substitution_entry_must_name_a_metavariable(self):
+        script = parse_proof_script("system: KB2\nvar p : 1\n1 | p -> p | axiom | zz = p\n")
+        verdict = script.check()
+        assert not verdict.accepted and verdict.line == 1
+        assert verdict.reason == "substitution entry zz names no metavariable of scheme PL"
+
+    def test_unnamed_axiom_substitution_checked(self):
+        text = "system: KB2\nvar p : 1\nvar q : 1\n1 | p -> box- dia p | axiom | ph = {}\n"
+        verdict = parse_proof_script(text.format("q")).check()
+        assert not verdict.accepted and verdict.line == 1
+        assert verdict.reason == "substitution for ph does not reproduce the line"
+        assert parse_proof_script(text.format("p")).check().accepted
+
     def test_unknown_scheme_name(self):
         kf = system_KF()
         lines = [ProofLine(1, Imp(P, P), AxiomRef("K_dia"))]
