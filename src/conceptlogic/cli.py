@@ -267,13 +267,15 @@ def _cmd_check_proof(args: argparse.Namespace, out) -> int:
     return EXIT_PROPERTY_FAILED
 
 
-def _report_lines(report) -> list[str]:
-    lines = []
-    for check in report.checks:
-        status = "pass" if check.passed else "fail"
-        suffix = f" ({check.detail})" if check.detail else ""
-        lines.append(f"{check.name}: {status}{suffix}")
-    return lines
+def _check_line(check) -> str:
+    status = "pass" if check.passed else "fail"
+    return f"{check.name}: {status} ({check.detail})" if check.detail else f"{check.name}: {status}"
+
+
+def _print_failures(heading: str, report, out) -> None:
+    print(f"{heading}: {'pass' if report.passed else 'fail'}", file=out)
+    for check in report.failures():
+        print(f"  {_check_line(check)}", file=out)
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
@@ -287,22 +289,16 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         failed |= not report.passed
     if args.suite in ("translation", "all"):
         report = suite_translation(ctx, args.seed)
-        for line in _report_lines(report):
-            print(f"translation {line}", file=out)
+        for check in report.checks:
+            print(f"translation {_check_line(check)}", file=out)
         failed |= not report.passed
     if args.suite in ("lattice", "all"):
         for kind, report in zip(("pc", "oc", "fc"), suite_lattice(ctx, args.budget)):
-            status = "pass" if report.passed else "fail"
-            print(f"lattice {kind}: {status}", file=out)
-            for check in report.failures():
-                print(f"  {check.name}: fail ({check.detail})", file=out)
+            _print_failures(f"lattice {kind}", report, out)
             failed |= not report.passed
     if args.suite in ("iso", "all"):
         report = suite_iso(ctx, args.budget)
-        status = "pass" if report.passed else "fail"
-        print(f"iso: {status}", file=out)
-        for check in report.failures():
-            print(f"  {check.name}: fail ({check.detail})", file=out)
+        _print_failures("iso", report, out)
         failed |= not report.passed
     return EXIT_PROPERTY_FAILED if failed else EXIT_OK
 

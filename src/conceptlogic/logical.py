@@ -28,9 +28,11 @@ from .errors import InternalConsistencyError, SortMismatchError
 from .lattices import ConceptKind
 from .semantics import (
     DEFAULT_BUDGET,
+    Check,
     FrameEvaluator,
     SortedFrame,
     context_to_frame,
+    equivalence_check,
     frame_valid,
 )
 from .syntax import (
@@ -80,16 +82,17 @@ class LogicalConceptPair:
 CLASS_SIDES = ("PC_ext", "PC_int", "OC_ext", "OC_int", "FC_ext", "FC_int")
 
 
-def _side_biconditional(f: Formula, which: str) -> Formula:
+def _side_condition(f: Formula, which: str) -> tuple[Formula, Formula]:
+    """The two sides of the biconditional defining one family's members."""
     kind = ConceptKind[which[:2]]
     fwd, bwd = _FORWARD[kind], _BACKWARD[kind]
     if which.endswith("_ext"):
         if f.sort != SORT1:
             raise SortMismatchError(SORT1, f.sort, which)
-        return Iff(bwd(fwd(f)), f)
+        return bwd(fwd(f)), f
     if f.sort != SORT2:
         raise SortMismatchError(SORT2, f.sort, which)
-    return Iff(fwd(bwd(f)), f)
+    return fwd(bwd(f)), f
 
 
 def member_class(
@@ -98,16 +101,16 @@ def member_class(
     """Exact membership in one of the six extent/intent formula families."""
     if which not in CLASS_SIDES:
         raise ValueError(f"which must be one of {CLASS_SIDES}, got {which!r}")
-    return frame_valid(frame, _side_biconditional(f, which), budget)
+    return frame_valid(frame, Iff(*_side_condition(f, which)), budget)
 
 
-def _pair_conditions(pair: LogicalConceptPair) -> list[Formula]:
+def _pair_conditions(pair: LogicalConceptPair) -> list[tuple[Formula, Formula]]:
     fwd, bwd = _FORWARD[pair.kind], _BACKWARD[pair.kind]
     return [
-        _side_biconditional(pair.extent, f"{pair.kind.name}_ext"),
-        _side_biconditional(pair.intent, f"{pair.kind.name}_int"),
-        Iff(pair.extent, bwd(pair.intent)),
-        Iff(fwd(pair.extent), pair.intent),
+        _side_condition(pair.extent, f"{pair.kind.name}_ext"),
+        _side_condition(pair.intent, f"{pair.kind.name}_int"),
+        (pair.extent, bwd(pair.intent)),
+        (fwd(pair.extent), pair.intent),
     ]
 
 
@@ -115,11 +118,10 @@ def member_pair(
     pair: LogicalConceptPair, frame: SortedFrame, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Both side memberships plus the two linking biconditionals."""
-    return _member(FrameEvaluator(frame, _universe([pair]), budget), pair)
-
-
-def _member(ev: FrameEvaluator, pair: LogicalConceptPair) -> bool:
-    return all(ev.valid(c) for c in _pair_conditions(pair))
+    checks = _Campaign(frame, [pair], budget)
+    verdict = checks.member(pair)
+    checks.run()
+    return verdict()
 
 
 def generate_pair(seed: Formula, kind: ConceptKind) -> LogicalConceptPair:
@@ -207,19 +209,10 @@ def equiv_pairs(
     """
     if a.kind != b.kind:
         raise SortMismatchError(a.kind.name, b.kind.name, "equiv_pairs")
-    return _equivalent(FrameEvaluator(frame, _universe([a, b]), budget), a, b)
-
-
-def _equivalent(
-    ev: FrameEvaluator, a: LogicalConceptPair, b: LogicalConceptPair
-) -> bool:
-    by_extent = ev.equivalent(a.extent, b.extent)
-    by_intent = ev.equivalent(a.intent, b.intent)
-    if by_extent != by_intent:
-        raise InternalConsistencyError(
-            "extent and intent equivalence disagree; a pair is outside its class"
-        )
-    return by_extent
+    checks = _Campaign(frame, [a, b], budget)
+    verdict = checks.equivalent(a, b)
+    checks.run()
+    return verdict()
 
 
 def quotient_meet(
@@ -255,6 +248,13 @@ def _same_kind(a: LogicalConceptPair, b: LogicalConceptPair) -> ConceptKind:
     return a.kind
 
 
+# each quotient operation with its dual, as the campaigns name them
+_OPS = (
+    ("meet", quotient_meet, "join", quotient_join),
+    ("join", quotient_join, "meet", quotient_meet),
+)
+
+
 # --- verification campaigns ----------------------------------------------------
 
 
@@ -281,11 +281,60 @@ class VerificationReport:
         self.checks.append(LawCheck(name, passed, detail))
 
 
-def _universe(pairs: Iterable[LogicalConceptPair]) -> set[Var]:
-    out: set[Var] = set()
-    for p in pairs:
-        out |= variables(p.extent) | variables(p.intent)
-    return out
+# A verdict is read after its campaign has run; a law lists one witness label
+# per verdict and fails with the labels of the verdicts that do not hold.
+Verdict = Callable[[], bool]
+Law = tuple[str, list[tuple[str, Verdict]]]
+
+
+class _Campaign:
+    """Checks on one frame: listed first, then decided by one scan.
+
+    ``member`` and ``equivalent`` list the checks behind one verdict and
+    return it; its value can be read once ``run`` has scanned the valuations
+    of the pairs' variables.
+    """
+
+    def __init__(
+        self, frame: SortedFrame, pairs: Iterable[LogicalConceptPair], budget: int
+    ):
+        universe: set[Var] = set()
+        for p in pairs:
+            universe |= variables(p.extent) | variables(p.intent)
+        self.scanner = FrameEvaluator(frame, universe, budget)
+        self.checks: list[Check] = []
+        self.failed: list[bool] = []
+
+    def _add(self, f: Formula, g: Formula) -> int:
+        self.checks.append(equivalence_check(f, g))
+        return len(self.checks) - 1
+
+    def member(self, pair: LogicalConceptPair) -> Verdict:
+        ids = [self._add(f, g) for f, g in _pair_conditions(pair)]
+        return lambda: not any(self.failed[i] for i in ids)
+
+    def equivalent(self, a: LogicalConceptPair, b: LogicalConceptPair) -> Verdict:
+        by_extent = self._add(a.extent, b.extent)
+        by_intent = self._add(a.intent, b.intent)
+
+        def verdict() -> bool:
+            if self.failed[by_extent] != self.failed[by_intent]:
+                raise InternalConsistencyError(
+                    "extent and intent equivalence disagree; a pair is outside its class"
+                )
+            return not self.failed[by_extent]
+
+        return verdict
+
+    def run(self) -> None:
+        self.failed = [c is not None for c in self.scanner.scan(self.checks)]
+
+
+def _add_laws(report: VerificationReport, laws: Sequence[Law]) -> None:
+    """One check per law, naming its first three failing witnesses."""
+    for name, entries in laws:
+        witnesses = [label for label, holds in entries if not holds()]
+        report.add(name, not witnesses, "; ".join(witnesses[:3]))
 
 
 def _equivalent_variants(pair: LogicalConceptPair) -> list[LogicalConceptPair]:
@@ -315,84 +364,73 @@ def verify_quotient_lattice(
     if any(p.kind != kind for p in pairs):
         report.add("input kinds", False, "pair of a different class supplied")
         return report
-    ev = FrameEvaluator(frame, _universe(pairs), budget)
-    for i, p in enumerate(pairs):
-        if not _member(ev, p):
+    checks = _Campaign(frame, pairs, budget)
+    members = [checks.member(p) for p in pairs]
+    eq = checks.equivalent
+    n = len(pairs)
+    closure, idempotence, commutativity, associativity, absorption = [], [], [], [], []
+    for name, op, _, _ in _OPS:
+        for i, a in enumerate(pairs):
+            for j in range(i, n):
+                closure.append(
+                    (f"{name}({i},{j}) leaves the class", checks.member(op(a, pairs[j])))
+                )
+    for i, a in enumerate(pairs):
+        for name, op, _, _ in _OPS:
+            idempotence.append((f"{name}({i},{i}) not equivalent to {i}", eq(op(a, a), a)))
+        for j in range(i + 1, n):
+            b = pairs[j]
+            for name, op, _, _ in _OPS:
+                commutativity.append((f"{name}({i},{j}) != {name}({j},{i})", eq(op(a, b), op(b, a))))
+            for k in range(j + 1, n):
+                c = pairs[k]
+                for name, op, _, _ in _OPS:
+                    associativity.append(
+                        (f"{name} not associative at ({i},{j},{k})", eq(op(op(a, b), c), op(a, op(b, c))))
+                    )
+        for j, b in enumerate(pairs):
+            for name, op, dual_name, dual in _OPS:
+                absorption.append(
+                    (f"{i} {name} ({i} {dual_name} {j}) != {i}", eq(op(a, dual(a, b)), a))
+                )
+
+    well_defined = []
+    for i, a in enumerate(pairs[: min(3, n)]):
+        for variant in _equivalent_variants(a):
+            in_class, same = checks.member(variant), eq(variant, a)
+
+            def variant_ok(in_class=in_class, same=same) -> bool:
+                return in_class() and same()
+
+            well_defined.append((f"variant of {i} is not an equivalent member", variant_ok))
+            for j, b in enumerate(pairs):
+                for name, op, _, _ in _OPS:
+                    # laws on a variant that is not an equivalent member are moot
+                    law = eq(op(variant, b), op(a, b))
+                    well_defined.append(
+                        (
+                            f"{name}(variant({i}),{j}) != {name}({i},{j})",
+                            lambda ok=variant_ok, law=law: not ok() or law(),
+                        )
+                    )
+
+    checks.run()
+    for i, member in enumerate(members):
+        if not member():
             report.add("membership", False, f"input pair {i} is not in {kind.name}")
             return report
-    report.add("membership", True, f"{len(pairs)} pairs in class")
-
-    def eq(x, y):
-        return _equivalent(ev, x, y)
-
-    def record(name: str, witnesses: list[str]) -> None:
-        report.add(name, not witnesses, "; ".join(witnesses[:3]))
-
-    bad: list[str] = []
-    for name, op in (("meet", quotient_meet), ("join", quotient_join)):
-        for i, a in enumerate(pairs):
-            for j in range(i, len(pairs)):
-                if not _member(ev, op(a, pairs[j])):
-                    bad.append(f"{name}({i},{j}) leaves the class")
-    record("operation closure", bad)
-
-    bad = []
-    for i, a in enumerate(pairs):
-        if not eq(quotient_meet(a, a), a):
-            bad.append(f"meet({i},{i}) not equivalent to {i}")
-        if not eq(quotient_join(a, a), a):
-            bad.append(f"join({i},{i}) not equivalent to {i}")
-    record("idempotence", bad)
-
-    bad = []
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            a, b = pairs[i], pairs[j]
-            if not eq(quotient_meet(a, b), quotient_meet(b, a)):
-                bad.append(f"meet({i},{j}) != meet({j},{i})")
-            if not eq(quotient_join(a, b), quotient_join(b, a)):
-                bad.append(f"join({i},{j}) != join({j},{i})")
-    record("commutativity", bad)
-
-    bad = []
-    n = len(pairs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                a, b, c = pairs[i], pairs[j], pairs[k]
-                if not eq(
-                    quotient_meet(quotient_meet(a, b), c),
-                    quotient_meet(a, quotient_meet(b, c)),
-                ):
-                    bad.append(f"meet not associative at ({i},{j},{k})")
-                if not eq(
-                    quotient_join(quotient_join(a, b), c),
-                    quotient_join(a, quotient_join(b, c)),
-                ):
-                    bad.append(f"join not associative at ({i},{j},{k})")
-    record("associativity", bad)
-
-    bad = []
-    for i, a in enumerate(pairs):
-        for j, b in enumerate(pairs):
-            if not eq(quotient_meet(a, quotient_join(a, b)), a):
-                bad.append(f"{i} meet ({i} join {j}) != {i}")
-            if not eq(quotient_join(a, quotient_meet(a, b)), a):
-                bad.append(f"{i} join ({i} meet {j}) != {i}")
-    record("absorption", bad)
-
-    bad = []
-    for i, a in enumerate(pairs[: min(3, len(pairs))]):
-        for variant in _equivalent_variants(a):
-            if not _member(ev, variant) or not eq(variant, a):
-                bad.append(f"variant of {i} is not an equivalent member")
-                continue
-            for j, b in enumerate(pairs):
-                if not eq(quotient_meet(variant, b), quotient_meet(a, b)):
-                    bad.append(f"meet(variant({i}),{j}) != meet({i},{j})")
-                if not eq(quotient_join(variant, b), quotient_join(a, b)):
-                    bad.append(f"join(variant({i}),{j}) != join({i},{j})")
-    record("well-definedness", bad)
+    report.add("membership", True, f"{n} pairs in class")
+    _add_laws(
+        report,
+        [
+            ("operation closure", closure),
+            ("idempotence", idempotence),
+            ("commutativity", commutativity),
+            ("associativity", associativity),
+            ("absorption", absorption),
+            ("well-definedness", well_defined),
+        ],
+    )
     return report
 
 
@@ -426,78 +464,70 @@ def verify_isomorphisms(
     if any(p.kind is not ConceptKind.FC for p in pairs_fc):
         report.add("input kinds", False, "expected formal-concept pairs")
         return report
-    frame0 = context_to_frame(ctx)
-    frame1 = context_to_frame(complement_context(ctx))
-    universe = _universe(pairs_fc)
-    ev0 = FrameEvaluator(frame0, universe, budget)
-    ev1 = FrameEvaluator(frame1, universe, budget)
-
-    for i, p in enumerate(pairs_fc):
-        if not _member(ev0, p):
-            report.add("membership", False, f"input pair {i} not in FC on the context")
-            return report
+    on_k = _Campaign(context_to_frame(ctx), pairs_fc, budget)
+    on_kc = _Campaign(context_to_frame(complement_context(ctx)), pairs_fc, budget)
+    members = [on_k.member(p) for p in pairs_fc]
     h_im = [_map_h(p) for p in pairs_fc]
     f_im = [_map_f(p) for p in h_im]
-
-    report.add(
-        "h into PC of complement",
-        all(_member(ev1, p) for p in h_im),
-    )
-    report.add(
-        "f into OC of complement",
-        all(_member(ev1, p) for p in f_im),
-    )
-
-    ok = True
     n = len(pairs_fc)
+
+    h_into = [(f"h({i}) is not in PC", on_kc.member(p)) for i, p in enumerate(h_im)]
+    f_into = [(f"f(h({i})) is not in OC", on_kc.member(p)) for i, p in enumerate(f_im)]
+
+    injective = []
     for i in range(n):
         for j in range(i + 1, n):
-            src = _equivalent(ev0, pairs_fc[i], pairs_fc[j])
-            via_h = _equivalent(ev1, h_im[i], h_im[j])
-            via_f = _equivalent(ev1, f_im[i], f_im[j])
-            if src != via_h or via_h != via_f:
-                ok = False
-    report.add("equivalence preserved and reflected (injectivity)", ok)
+            verdicts = (
+                on_k.equivalent(pairs_fc[i], pairs_fc[j]),
+                on_kc.equivalent(h_im[i], h_im[j]),
+                on_kc.equivalent(f_im[i], f_im[j]),
+            )
+            injective.append(
+                (
+                    f"equivalence of ({i},{j}) not kept by h and f",
+                    lambda vs=verdicts: len({v() for v in vs}) == 1,
+                )
+            )
 
-    ok = True
+    h_hom, f_swap, composite = [], [], []
     for i in range(n):
         for j in range(n):
             a, b = pairs_fc[i], pairs_fc[j]
-            if not _equivalent(
-                ev1, _map_h(quotient_meet(a, b)), quotient_meet(h_im[i], h_im[j])
-            ):
-                ok = False
-            if not _equivalent(
-                ev1, _map_h(quotient_join(a, b)), quotient_join(h_im[i], h_im[j])
-            ):
-                ok = False
-    report.add("h preserves meets and joins", ok)
+            for name, op, dual_name, dual in _OPS:
+                h_hom.append(
+                    (
+                        f"h({name}({i},{j})) != {name}(h({i}),h({j}))",
+                        on_kc.equivalent(_map_h(op(a, b)), op(h_im[i], h_im[j])),
+                    )
+                )
+                f_swap.append(
+                    (
+                        f"f({name}(h({i}),h({j}))) != {dual_name}(f(h({i})),f(h({j})))",
+                        on_kc.equivalent(_map_f(op(h_im[i], h_im[j])), dual(f_im[i], f_im[j])),
+                    )
+                )
+                composite.append(
+                    (
+                        f"f(h({name}({i},{j}))) != {dual_name}(f(h({i})),f(h({j})))",
+                        on_kc.equivalent(_map_f(_map_h(op(a, b))), dual(f_im[i], f_im[j])),
+                    )
+                )
 
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            a, b = h_im[i], h_im[j]
-            if not _equivalent(
-                ev1, _map_f(quotient_meet(a, b)), quotient_join(f_im[i], f_im[j])
-            ):
-                ok = False
-            if not _equivalent(
-                ev1, _map_f(quotient_join(a, b)), quotient_meet(f_im[i], f_im[j])
-            ):
-                ok = False
-    report.add("f swaps meets with joins", ok)
-
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            a, b = pairs_fc[i], pairs_fc[j]
-            if not _equivalent(
-                ev1, _map_f(_map_h(quotient_meet(a, b))), quotient_join(f_im[i], f_im[j])
-            ):
-                ok = False
-            if not _equivalent(
-                ev1, _map_f(_map_h(quotient_join(a, b))), quotient_meet(f_im[i], f_im[j])
-            ):
-                ok = False
-    report.add("composite inverts the lattice", ok)
+    on_k.run()
+    for i, member in enumerate(members):
+        if not member():
+            report.add("membership", False, f"input pair {i} not in FC on the context")
+            return report
+    on_kc.run()
+    _add_laws(
+        report,
+        [
+            ("h into PC of complement", h_into),
+            ("f into OC of complement", f_into),
+            ("equivalence preserved and reflected (injectivity)", injective),
+            ("h preserves meets and joins", h_hom),
+            ("f swaps meets with joins", f_swap),
+            ("composite inverts the lattice", composite),
+        ],
+    )
     return report

@@ -349,12 +349,14 @@ def parse_formula(
 
     ``expected_sort`` (``"s1"``/``"s2"`` or ``1``/``2``) pins the root sort;
     without it the sort must be inferable from modalities or declared
-    variables.  ``declarations`` pre-declares variable sorts by name.
+    variables.  ``declarations`` maps variable names to sorts: it
+    pre-declares them, and the sorts solved for new variables are bound into
+    it, so a caller can share one table across several formulas.
     """
     expected = _normalize_sort(expected_sort)
     tokens = _tokenize(text)
     cst = _Parser(tokens, len(text)).parse()
-    table = dict(declarations or {})
+    table = {} if declarations is None else declarations
     solver = _SortSolver(sig, table)
     result = solver.solve(cst, expected)
     if result is None:
@@ -363,25 +365,6 @@ def parse_formula(
             "or supply expected_sort"
         )
     return _build_ast(cst, result, sig, table)
-
-
-def parse_with_declarations(
-    text: str,
-    sig: Signature,
-    declarations: dict[str, str],
-    expected_sort=None,
-) -> Formula:
-    """Like ``parse_formula`` but mutates ``declarations`` with new bindings."""
-    expected = _normalize_sort(expected_sort)
-    tokens = _tokenize(text)
-    cst = _Parser(tokens, len(text)).parse()
-    solver = _SortSolver(sig, declarations)
-    result = solver.solve(cst, expected)
-    if result is None:
-        raise FormulaSyntaxError(
-            "cannot infer the formula's sort; declare a variable sort with ':1'/':2'"
-        )
-    return _build_ast(cst, result, sig, declarations)
 
 
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, ProofScriptError, SignatureError
-from .parser import parse_with_declarations, print_formula
+from .parser import parse_formula, print_formula
 from .semantics import (
     DEFAULT_BUDGET,
     SortedFrame,
@@ -603,7 +603,7 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
             body = stripped.split(":", 1)[1].strip()
             try:
                 premises.append(
-                    parse_with_declarations(body, ensure_sig(), declarations)
+                    parse_formula(body, None, ensure_sig(), declarations)
                 )
             except Exception as exc:
                 raise ProofScriptError(f"bad premise formula: {exc}", lineno)
@@ -618,7 +618,7 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
         except ValueError:
             raise ProofScriptError(f"bad line index {parts[0]!r}", lineno)
         try:
-            formula = parse_with_declarations(parts[1], ensure_sig(), declarations)
+            formula = parse_formula(parts[1], None, ensure_sig(), declarations)
         except Exception as exc:
             raise ProofScriptError(f"bad formula: {exc}", lineno)
         justification = _parse_rule(
@@ -655,7 +655,7 @@ def _parse_rule(
                 mv, body = item.split("=", 1)
                 try:
                     pairs.append(
-                        (mv.strip(), parse_with_declarations(body.strip(), sig, declarations))
+                        (mv.strip(), parse_formula(body.strip(), None, sig, declarations))
                     )
                 except Exception as exc:
                     raise ProofScriptError(f"bad substitution formula: {exc}", lineno)

@@ -6,16 +6,17 @@ truth at that world under the k-th valuation.  Connectives are word
 operations; a diamond is the OR over successor tuples of the AND of the
 argument slices, a box is its dual, and a window box is the complement of
 the OR of the argument slices over non-successors.  ``truth_set`` is the
-case of one valuation; ``FrameEvaluator`` keeps the slices over a whole
-valuation space for repeated checks.
+case of one valuation.
 
-Frame validity and consequence enumerate all valuations of the variables
-occurring in the formulas, refusing explicitly when the assignment count
-exceeds the budget.  Valuations are numbered in ``itertools.product`` order
-over the variables sorted by (sort, name), each ranging over its world masks,
-so the last variable takes the low bits; the space is streamed in
-fixed-size blocks with early exit, and the reported countermodel is the
-lowest failing valuation, then its lowest failing world.  Everything here is
+Every exhaustive check runs on one scanner, ``FrameEvaluator``: it
+enumerates all valuations of a variable set, refusing explicitly when the
+assignment count exceeds the budget.  Valuations are numbered in
+``itertools.product`` order over the variables sorted by (sort, name), each
+ranging over its world masks, so the last variable takes the low bits.  The
+space is streamed in fixed-size blocks, each evaluated once for a whole list
+of checks; a check's reported countermodel is its lowest failing valuation,
+then its lowest failing world, and the scan stops once every check has
+failed.  Validity and consequence are one-check scans.  Everything here is
 pure and immutable-by-convention; models can be shared freely.
 """
 
@@ -260,7 +261,7 @@ def complement_frame(frame: SortedFrame) -> SortedFrame:
 
 
 # Valuations per slice block when a scan streams the valuation space.
-_BLOCK = 1 << 12
+_BLOCK = 1 << 16
 
 
 def _index_bit(bit: int, base: int, width: int) -> int:
@@ -419,50 +420,109 @@ class Countermodel:
         return f"{'; '.join(parts) or 'empty valuation'} falsifies at world {self.world}"
 
 
-def _scan(
-    frame: SortedFrame,
-    formulas: Sequence[Formula],
-    budget: int,
-    sort: str,
-    failures: Callable[[_Slices], list[int]],
-) -> Countermodel | None:
-    """The lowest failing valuation, then its lowest failing world of ``sort``.
+# A check maps a block evaluator to one slice per world of its sort, marking
+# the valuations of the block that fail there.  ``_Slices`` is named by a
+# string: typing caches subscripted ``Callable``s, and a cached class would
+# keep this module alive after it is imported afresh.
+Check = tuple[str, Callable[["_Slices"], list[int]]]
 
-    ``failures(ev)`` maps a block evaluator to one slice per world of
-    ``sort`` marking the valuations that fail there.  The space of all
-    valuations of the formulas' variables is streamed in blocks of
-    ``_BLOCK`` and the scan stops at the first block with a failure.
+
+def validity_check(f: Formula) -> Check:
+    """Fails where ``f`` is false."""
+    return f.sort, lambda ev: [ev.full ^ a for a in ev(f)]
+
+
+def equivalence_check(f: Formula, g: Formula) -> Check:
+    """Fails where ``f`` and ``g`` differ."""
+    if f.sort != g.sort:
+        raise SortMismatchError(f.sort, g.sort, "equivalence check")
+    return f.sort, lambda ev: [a ^ b for a, b in zip(ev(f), ev(g))]
+
+
+class FrameEvaluator:
+    """The exhaustive scanner: decides a list of checks over every valuation.
+
+    For a frame and a variable universe, ``scan(checks)`` streams the space
+    of all valuations of the universe in blocks of ``_BLOCK``, with one
+    ``_Slices`` memo per block shared by every check, and returns for each
+    check its lowest failing valuation, then its lowest failing world, or
+    ``None`` if it never fails.  A check that has failed is not evaluated
+    again, and the scan stops once every check has failed.  The budget
+    refusal happens at construction.
     """
-    vs = _sorted_variables(formulas)
-    count = _assignment_count(frame, vs)
-    if count > budget:
-        raise BudgetExceededError(count, budget)
-    width = min(count, _BLOCK)
-    for base in range(0, count, width):
-        bad = failures(_Slices(frame, width, _block_slices(frame, vs, base, width)))
-        any_bad = 0
-        for b in bad:
-            any_bad |= b
-        if not any_bad:
-            continue
+
+    def __init__(
+        self,
+        frame: SortedFrame,
+        variable_universe: Iterable[Var],
+        budget: int = DEFAULT_BUDGET,
+    ):
+        self.frame = frame
+        self.vars = sorted(set(variable_universe), key=lambda v: (v.sort, v.name))
+        self.count = _assignment_count(frame, self.vars)
+        if self.count > budget:
+            raise BudgetExceededError(self.count, budget)
+        self.width = min(self.count, _BLOCK)
+
+    def scan(self, checks: Sequence[Check]) -> list[Countermodel | None]:
+        found: list[Countermodel | None] = [None] * len(checks)
+        pending = list(range(len(checks)))
+        for base in range(0, self.count, self.width):
+            if not pending:
+                break
+            bad = self.signature(base, [checks[i] for i in pending])
+            still = []
+            for i, slices in zip(pending, bad):
+                any_bad = 0
+                for b in slices:
+                    any_bad |= b
+                if any_bad:
+                    found[i] = self._countermodel(checks[i][0], base, slices, any_bad)
+                else:
+                    still.append(i)
+            pending = still
+        return found
+
+    def signature(self, base: int, checks: Sequence[Check]) -> list[list[int]]:
+        """Each check's failure slices on the block of valuations from ``base``."""
+        ev = _Slices(
+            self.frame, self.width, _block_slices(self.frame, self.vars, base, self.width)
+        )
+        return [failures(ev) for _, failures in checks]
+
+    def _countermodel(
+        self, sort: str, base: int, bad: list[int], any_bad: int
+    ) -> Countermodel:
         lowest = any_bad & -any_bad
         world = next(w for w, b in enumerate(bad) if b & lowest)
         index = base + lowest.bit_length() - 1
         assignments = []
-        for v in reversed(vs):
-            carrier = frame.carrier(v.sort)
+        for v in reversed(self.vars):
+            carrier = self.frame.carrier(v.sort)
             mask = index & ((1 << len(carrier)) - 1)
             assignments.append((v, tuple(carrier[i] for i in iter_bits(mask))))
             index >>= len(carrier)
-        return Countermodel(tuple(reversed(assignments)), frame.carrier(sort)[world])
-    return None
+        return Countermodel(tuple(reversed(assignments)), self.frame.carrier(sort)[world])
+
+    def valid(self, f: Formula) -> bool:
+        return self.scan([validity_check(f)])[0] is None
+
+    def equivalent(self, f: Formula, g: Formula) -> bool:
+        return self.scan([equivalence_check(f, g)])[0] is None
+
+
+def _one_check(
+    frame: SortedFrame, formulas: Sequence[Formula], budget: int, check: Check
+) -> Countermodel | None:
+    """Scan the valuations of the formulas' variables for one check."""
+    return FrameEvaluator(frame, _sorted_variables(formulas), budget).scan([check])[0]
 
 
 def falsify(
     frame: SortedFrame, f: Formula, budget: int = DEFAULT_BUDGET
 ) -> Countermodel | None:
     """Search all valuations for a countermodel; None means frame-valid."""
-    return _scan(frame, [f], budget, f.sort, lambda ev: [ev.full ^ a for a in ev(f)])
+    return _one_check(frame, [f], budget, validity_check(f))
 
 
 def frame_valid(frame: SortedFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
@@ -487,7 +547,7 @@ def consequence_countermodel(
             held = [h & a for h, a in zip(held, ev(p))]
         return [h & ~c for h, c in zip(held, ev(conclusion))]
 
-    return _scan(frame, [*premises, conclusion], budget, conclusion.sort, failures)
+    return _one_check(frame, [*premises, conclusion], budget, (conclusion.sort, failures))
 
 
 def local_consequence(
@@ -520,44 +580,5 @@ def global_consequence(
                 held &= a
         return [held & ~c for c in ev(conclusion)]
 
-    return _scan(frame, [*premises, conclusion], budget, conclusion.sort, failures) is None
-
-
-class FrameEvaluator:
-    """Truth slices over every valuation of a fixed variable set, memoized.
-
-    For a frame and a variable universe, ``signature(f)`` holds one int per
-    world of ``f``'s sort whose bit k is the truth of ``f`` there under the
-    k-th valuation (``itertools.product`` order).  Two formulas built over
-    those variables are frame-equivalent iff their signatures are equal; a
-    formula is frame-valid iff every slice is full.  The memo spans all
-    checks made with one evaluator, which makes large families of
-    overlapping checks cheap.
-    """
-
-    def __init__(
-        self,
-        frame: SortedFrame,
-        variable_universe: Sequence[Var],
-        budget: int = DEFAULT_BUDGET,
-    ):
-        self.frame = frame
-        self.vars = sorted(set(variable_universe), key=lambda v: (v.sort, v.name))
-        self.count = _assignment_count(frame, self.vars)
-        if self.count > budget:
-            raise BudgetExceededError(self.count, budget)
-        self._slices = _Slices(
-            frame, self.count, _block_slices(frame, self.vars, 0, self.count)
-        )
-
-    def signature(self, f: Formula) -> tuple[int, ...]:
-        return tuple(self._slices(f))
-
-    def valid(self, f: Formula) -> bool:
-        full = self._slices.full
-        return all(a == full for a in self.signature(f))
-
-    def equivalent(self, f: Formula, g: Formula) -> bool:
-        if f.sort != g.sort:
-            raise SortMismatchError(f.sort, g.sort, "equivalence check")
-        return self.signature(f) == self.signature(g)
+    check = (conclusion.sort, failures)
+    return _one_check(frame, [*premises, conclusion], budget, check) is None

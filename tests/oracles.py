@@ -198,3 +198,26 @@ def equivalent(frame, f, g) -> bool:
         extension(frame, dict(a), f) == extension(frame, dict(a), g)
         for a in valuations(frame, [f, g])
     )
+
+
+def scan(frame, pairs):
+    """Per pair (f, g), the first valuation, then world, where f and g differ.
+
+    Valuations range over the variables of all the pairs together; g = None
+    stands for truth everywhere, so (f, None) asks for a countermodel to f.
+    """
+    formulas = [h for pair in pairs for h in pair if h is not None]
+    found = [None] * len(pairs)
+    for assignments in valuations(frame, formulas):
+        val = dict(assignments)
+        for i, (f, g) in enumerate(pairs):
+            if found[i] is not None:
+                continue
+            carrier = frame.carrier(f.sort)
+            left = extension(frame, val, f)
+            right = set(carrier) if g is None else extension(frame, val, g)
+            for w in carrier:
+                if (w in left) != (w in right):
+                    found[i] = Countermodel(assignments, w)
+                    break
+    return found

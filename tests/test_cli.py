@@ -2,18 +2,24 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conceptlogic.cli import run_cli
-from conceptlogic.formats import load_context
+from conceptlogic import FormalContext, logical
+from conceptlogic.cli import _check_line, run_cli
+from conceptlogic.formats import load_context, serialize_cxt
+from conceptlogic.logical import LawCheck
 from conceptlogic.semantics import context_to_frame
 from conceptlogic.suites import random_valuation
 from conceptlogic.syntax import var1
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 GOLDEN = DATA / "golden"
 
 with open(GOLDEN / "manifest.json") as fh:
@@ -162,3 +168,44 @@ class TestVerifySuites:
         )
         assert code == 0, out
         assert "fail" not in out
+
+    def test_failed_iso_law_names_its_witnesses(self, monkeypatch):
+        # with f the identity the images stay property-oriented, so f
+        # cannot swap meets with joins
+        monkeypatch.setattr(logical, "_map_f", lambda pair: pair)
+        code, out, _ = invoke(["verify", "--suite", "iso", str(DATA / "k0.cxt")])
+        assert code == 1
+        assert (
+            "  f swaps meets with joins: fail (f(meet(h(0),h(1))) != "
+            "join(f(h(0)),f(h(1)));"
+        ) in out
+        assert "()" not in out
+
+    def test_check_without_detail_prints_no_parentheses(self):
+        assert _check_line(LawCheck("law", False)) == "law: fail"
+        assert _check_line(LawCheck("law", True, "3 pairs")) == "law: pass (3 pairs)"
+
+    def test_lattice_suite_on_ten_objects_stays_small(self, tmp_path):
+        # p and q over ten objects give 2^20 valuations, the default budget;
+        # the suite streams them, so its peak does not grow with the space
+        rng = random.Random(1)
+        objects = tuple(f"g{i}" for i in range(1, 11))
+        attributes = ("m1", "m2", "m3")
+        pairs = [(g, m) for g in objects for m in attributes if rng.random() < 0.5]
+        path = tmp_path / "ten.cxt"
+        path.write_text(serialize_cxt(FormalContext.from_pairs(objects, attributes, pairs)))
+        # a fresh parent process, so its children's peak is this run's alone
+        probe = (
+            "import resource, subprocess, sys\n"
+            "done = subprocess.run([sys.executable, '-m', 'conceptlogic.cli', 'verify',"
+            " '--suite', 'lattice', sys.argv[1]], capture_output=True)\n"
+            "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, peak_kib = map(int, done.stdout.split())
+        assert code == 0
+        assert peak_kib < 60 * 1024  # ru_maxrss is in KiB on Linux

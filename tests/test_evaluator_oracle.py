@@ -9,18 +9,21 @@ import random
 
 import pytest
 
-from conceptlogic import FormalContext
+from conceptlogic import FormalContext, semantics
 from conceptlogic.semantics import (
     _BLOCK,
+    Countermodel,
     FrameEvaluator,
     Model,
     SortedFrame,
     Valuation,
     consequence_countermodel,
     context_to_frame,
+    equivalence_check,
     falsify,
     global_consequence,
     truth_set,
+    validity_check,
 )
 from conceptlogic.syntax import (
     FULL,
@@ -153,12 +156,12 @@ def test_polyadic_frame(seed):
 
 
 def test_countermodel_in_a_later_block():
-    # Only g5 has an attribute, so the formula fails exactly when p holds at
-    # g5.  With p first in (sort, name) order its mask takes the high bits:
-    # the first failing valuation is p = {g5}, q = r = x = {} at index
-    # 16 << 11 (x, r and q hold the 11 low bits), past the first block.
+    # Only g4 has an attribute, so the formula fails exactly when p holds at
+    # g4.  With p first in (sort, name) order its mask takes the high bits:
+    # x, r and q hold the 13 low bits, so the first failing valuation is
+    # p = {g4}, q = r = x = {} at index 8 << 13, the first of the second block.
     ctx = FormalContext.from_pairs(
-        tuple(f"g{i}" for i in range(1, 6)), ("m1",), [("g5", "m1")]
+        tuple(f"g{i}" for i in range(1, 7)), ("m1",), [("g4", "m1")]
     )
     frame = context_to_frame(ctx)
     p, q, r = (Var(n, SORT1) for n in "pqr")
@@ -166,17 +169,91 @@ def test_countermodel_in_a_later_block():
     noise = And(Or(q, Neg(q)), Or(r, Neg(Dia(FULL.modality("dia-"), (x,)))))
     has_attr = Dia(FULL.modality("dia-"), (Top(SORT2),))
     f = Neg(And(And(p, has_attr), noise))
-    assert space(frame, [f]) == 1 << 16 > _BLOCK
-    assert 16 << 11 >= _BLOCK
+    assert space(frame, [f]) == 1 << 19
+    assert 8 << 13 == _BLOCK
     want = oracles.falsify(frame, f)
-    assert want.assignments[0] == (p, ("g5",)) and want.world == "g5"
+    assert want == Countermodel(((p, ("g4",)), (q, ()), (r, ()), (x, ())), "g4")
     assert falsify(frame, f) == want
     assert consequence_countermodel(frame, [Or(q, Neg(q))], f) == want
-    assert consequence_countermodel(frame, [q], f) == (
-        oracles.consequence_countermodel(frame, [q], f)
+    # the premise q must hold at g4 too, which adds q's bit for g4 (bit 10)
+    assert consequence_countermodel(frame, [q], f) == Countermodel(
+        ((p, ("g4",)), (q, ("g4",)), (r, ()), (x, ())), "g4"
     )
     assert global_consequence(frame, [Imp(p, Neg(has_attr))], f)
     assert not global_consequence(frame, [Dia(FULL.modality("dia"), (r,))], f)
     ev = FrameEvaluator(frame, [p, q, r, x])
     assert not ev.valid(f)
     assert ev.valid(Imp(And(p, has_attr), Or(Neg(noise), Neg(f))))
+
+
+def as_check(pair):
+    f, g = pair
+    return validity_check(f) if g is None else equivalence_check(f, g)
+
+
+def valuation_index(frame, counter):
+    """Position of a countermodel's valuation in product order."""
+    index = 0
+    for v, worlds in counter.assignments:
+        carrier = frame.carrier(v.sort)
+        index = index << len(carrier) | sum(1 << carrier.index(w) for w in worlds)
+    return index
+
+
+def test_multi_check_scan_fails_in_different_blocks(monkeypatch):
+    # Blocks of 16 over p, q on five objects: 64 blocks.  Only g5 has an
+    # attribute; p takes the high five bits and q the low five.
+    monkeypatch.setattr(semantics, "_BLOCK", 1 << 4)
+    ctx = FormalContext.from_pairs(
+        tuple(f"g{i}" for i in range(1, 6)), ("m1",), [("g5", "m1")]
+    )
+    frame = context_to_frame(ctx)
+    p, q = Var("p", SORT1), Var("q", SORT1)
+    has_attr = Dia(FULL.modality("dia-"), (Top(SORT2),))
+    pairs = [
+        (Neg(And(p, has_attr)), None),  # p = {g5}: index 16 << 5, block 32
+        (Neg(And(q, has_attr)), None),  # q = {g5}: index 16, block 1
+        (p, q),  # q = {g1}: index 1, block 0
+        (And(p, q), And(q, p)),  # never fails
+        (Or(p, Neg(q)), Imp(q, p)),  # never fails
+    ]
+    want = oracles.scan(frame, pairs)
+    assert [valuation_index(frame, c) // 16 for c in want[:3]] == [32, 1, 0]
+    assert want[3:] == [None, None]
+
+    blocks = []
+    signature = FrameEvaluator.signature
+
+    def counted(self, base, checks):
+        blocks.append((base, len(checks)))
+        return signature(self, base, checks)
+
+    monkeypatch.setattr(FrameEvaluator, "signature", counted)
+    scanner = FrameEvaluator(frame, [p, q])
+    assert scanner.scan([as_check(pair) for pair in pairs]) == want
+    # a failed check is not evaluated again: 5 pending, then 4, then 3
+    assert blocks[:3] == [(0, 5), (16, 4), (32, 3)]
+    assert len(blocks) == 64 and blocks[-1] == (63 * 16, 2)
+    blocks.clear()
+    # with every check failed the scan stops after block 32
+    assert scanner.scan([as_check(pair) for pair in pairs[:3]]) == want[:3]
+    assert len(blocks) == 33
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_multi_check_scan_against_oracle(seed, monkeypatch):
+    monkeypatch.setattr(semantics, "_BLOCK", 1 << 1)
+    rng = random.Random(2000 + seed)
+    if seed % 2:
+        frame, sig = random_poly_frame(rng), POLY
+    else:
+        frame, sig = context_to_frame(oracles.random_context(rng, 3, 3)), FULL
+    sorts = list(frame.carriers)
+    formulas = draw(rng, frame, sig, [rng.choice(sorts) for _ in range(8)], 8)
+    pairs = []
+    for f in formulas:
+        partners = [g for g in formulas if g.sort == f.sort and g is not f]
+        pairs.append((f, rng.choice(partners) if partners and rng.random() < 0.5 else None))
+    universe = set().union(*(variables(f) for f in formulas))
+    got = FrameEvaluator(frame, universe).scan([as_check(pair) for pair in pairs])
+    assert got == oracles.scan(frame, pairs)

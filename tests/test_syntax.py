@@ -139,6 +139,12 @@ class TestParsing:
         f = parse_formula("p & q", None, declarations={"p": SORT2, "q": SORT2})
         assert f == And(var2("p"), var2("q"))
 
+    def test_declaration_table_collects_solved_sorts(self):
+        table = {}
+        parse_formula("p:1 & dia- x", None, declarations=table)
+        assert table == {"p": SORT1, "x": SORT2}
+        assert parse_formula("x", None, declarations=table) == var2("x")
+
     def test_unknown_sort_is_error(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p & q", None)
