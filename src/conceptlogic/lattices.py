@@ -3,9 +3,11 @@
 Formal concepts use the derivation pair (+, -); property-oriented concepts
 the (poss, nec_inv) adjunction; object-oriented concepts the (nec, poss_inv)
 adjunction.  Extent sets of FC/PC form closure systems and OC extents a
-kernel (union-closed) system, so enumeration runs a lectic next-closure scan
-over a genuine closure operator: on extents for FC/PC, on intents for OC.
-A brute-force fixpoint scan doubles as the oracle for small carriers.
+kernel (union-closed) system; intents are closed for FC/OC and open for PC.
+Enumeration runs a lectic next-closure scan over the smaller carrier, on a
+kernel system through complements; covers, meets, joins and the Yao checks
+also run on int masks over ``ctx.rows`` and ``ctx.cols``.  A brute-force
+fixpoint scan over ``closure`` is the oracle for small carriers.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .context import (
     SortedSubset,
     apply_operator,
     complement_context,
+    iter_bits,
 )
 from .errors import DimensionError, LatticeError, SortMismatchError
 
@@ -83,6 +86,46 @@ class SemanticConcept:
         return self.extent.members(ctx.objects), self.intent.members(ctx.attributes)
 
 
+# --- mask kernels -------------------------------------------------------------
+
+
+def _join_over(vectors: tuple[int, ...], mask: int) -> int:
+    """The OR of ``vectors[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= vectors[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _kernels(kind: ConceptKind, ctx: FormalContext) -> tuple[Callable[[int], int], ...]:
+    """The kind's forward (extent to intent) and backward operators on masks.
+
+    ``poss(A)`` ORs the rows of A, ``nec(A)`` keeps the attributes of no row
+    outside A, and ``A+`` ANDs the rows of A as the complement of the OR of
+    their complements.  The backward operators mirror these on the columns.
+    """
+    rows, cols = ctx.rows, ctx.cols
+    full_g, full_m = (1 << ctx.n_objects) - 1, (1 << ctx.n_attributes) - 1
+    if kind is ConceptKind.FC:
+        not_rows = tuple(full_m ^ r for r in rows)
+        not_cols = tuple(full_g ^ c for c in cols)
+        return (
+            lambda a: full_m & ~_join_over(not_rows, a),
+            lambda b: full_g & ~_join_over(not_cols, b),
+        )
+    if kind is ConceptKind.PC:
+        return (
+            lambda a: _join_over(rows, a),
+            lambda b: full_g & ~_join_over(cols, full_m & ~b),
+        )
+    return (
+        lambda a: full_m & ~_join_over(rows, full_g & ~a),
+        lambda b: _join_over(cols, b),
+    )
+
+
 def _next_closure_masks(n: int, clo: Callable[[int], int]) -> list[int]:
     """All fixpoints of a closure operator on subsets of {0..n-1}, lectic order."""
     out = []
@@ -103,49 +146,49 @@ def _next_closure_masks(n: int, clo: Callable[[int], int]) -> list[int]:
         current = nxt
 
 
+def _fixpoints(n: int, op: Callable[[int], int], closing: bool) -> list[int]:
+    """Fixpoints of a closure (``closing``) or interior operator on n-bit masks;
+    an interior operator is scanned as its complement-conjugate closure."""
+    if closing:
+        return _next_closure_masks(n, op)
+    full = (1 << n) - 1
+    return [full ^ m for m in _next_closure_masks(n, lambda c: full ^ op(full ^ c))]
+
+
+def _lectic_key(mask: int) -> str:
+    """Sorts like ``tuple(iter_bits(mask))``: bit i is character i, '1' for a
+    member and '2' otherwise, cut after the last member."""
+    return bin(mask)[:1:-1].replace("0", "2") if mask else ""
+
+
+def _concept_masks(ctx: FormalContext, kind: ConceptKind) -> list[tuple[int, int]]:
+    """(extent, intent) masks of the kind's concepts, scanned over the smaller
+    carrier and sorted as ``enumerate_concepts`` lists them."""
+    forward, backward = _kernels(kind, ctx)
+    if ctx.n_objects <= ctx.n_attributes:
+        closing = kind is not ConceptKind.OC
+        extents = _fixpoints(ctx.n_objects, lambda a: backward(forward(a)), closing)
+        pairs = [(a, forward(a)) for a in extents]
+    else:
+        closing = kind is not ConceptKind.PC
+        intents = _fixpoints(ctx.n_attributes, lambda b: forward(backward(b)), closing)
+        pairs = [(backward(b), b) for b in intents]
+    return sorted(pairs, key=lambda p: _lectic_key(p[0]))
+
+
 def _canonical_key(concept: SemanticConcept) -> tuple[int, ...]:
     return concept.extent.indices()
 
 
 def enumerate_concepts(ctx: FormalContext, kind: ConceptKind) -> list[SemanticConcept]:
-    """All concepts of the kind, sorted lexicographically by extent indices.
-
-    FC/PC enumerate the extent closure system; OC enumerates the intent
-    closure system (its extents are only union-closed) and maps back.
-    """
-    if kind in (ConceptKind.FC, ConceptKind.PC):
-        n = ctx.n_objects
-
-        def clo(mask: int) -> int:
-            sub = SortedSubset(SORT_OBJECTS, mask, n)
-            return closure(kind, "extent", sub, ctx).bits
-
-        extents = _next_closure_masks(n, clo)
-        concepts = [
-            SemanticConcept(
-                SortedSubset(SORT_OBJECTS, mask, n),
-                intent_of(kind, SortedSubset(SORT_OBJECTS, mask, n), ctx),
-                kind,
-            )
-            for mask in extents
-        ]
-    else:
-        n = ctx.n_attributes
-
-        def clo(mask: int) -> int:
-            sub = SortedSubset(SORT_ATTRIBUTES, mask, n)
-            return closure(kind, "intent", sub, ctx).bits
-
-        intents = _next_closure_masks(n, clo)
-        concepts = [
-            SemanticConcept(
-                extent_of(kind, SortedSubset(SORT_ATTRIBUTES, mask, n), ctx),
-                SortedSubset(SORT_ATTRIBUTES, mask, n),
-                kind,
-            )
-            for mask in intents
-        ]
-    return sorted(concepts, key=_canonical_key)
+    """All concepts of the kind, sorted lexicographically by extent indices."""
+    n_g, n_m = ctx.n_objects, ctx.n_attributes
+    return [
+        SemanticConcept(
+            SortedSubset(SORT_OBJECTS, e, n_g), SortedSubset(SORT_ATTRIBUTES, i, n_m), kind
+        )
+        for e, i in _concept_masks(ctx, kind)
+    ]
 
 
 def enumerate_concepts_bruteforce(
@@ -163,15 +206,69 @@ def enumerate_concepts_bruteforce(
     return sorted(concepts, key=_canonical_key)
 
 
+def _upper_covers(
+    keys: list[int], n: int, clo: Callable[[int], int], side: str
+) -> list[tuple[int, int]]:
+    """Covering pairs of a closure system on n bits, listed by its closed sets.
+
+    ``clo(key | 1 << g)`` for each g outside a closed set is a candidate; it
+    is an upper cover iff every g it adds produces it.  A missing bottom or
+    candidate means a missing concept, since covers reach all from the bottom.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+
+    def locate(closed: int) -> int:
+        if closed not in index:
+            raise LatticeError(
+                f"{side} {list(iter_bits(closed))} is missing: concept list incomplete"
+            )
+        return index[closed]
+
+    locate(clo(0))
+    out = []
+    for i, key in enumerate(keys):
+        hits: dict[int, int] = {}
+        rest = (1 << n) - 1 & ~key
+        while rest:
+            low = rest & -rest
+            candidate = clo(key | low)
+            hits[candidate] = hits.get(candidate, 0) + 1
+            rest ^= low
+        for candidate, count in hits.items():
+            j = locate(candidate)
+            if count == (candidate & ~key).bit_count():
+                out.append((i, j))
+    return sorted(out)
+
+
 @dataclass
 class ConceptLattice:
-    """Concepts of one kind ordered by extent inclusion, with meet/join tables."""
+    """Concepts of one kind ordered by extent inclusion, with their covers.
+
+    Meets and joins are found on demand from one half-derivation.
+    """
 
     kind: ConceptKind
     ctx: FormalContext
     concepts: list[SemanticConcept]
-    meet_table: list[list[int]] = field(repr=False, default_factory=list)
-    join_table: list[list[int]] = field(repr=False, default_factory=list)
+    _index: dict[int, int] = field(init=False, repr=False)
+    _backward: Callable[[int], int] = field(init=False, repr=False, compare=False)
+    _covers: list[tuple[int, int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        extents = [c.extent.bits for c in self.concepts]
+        self._index = {extent: i for i, extent in enumerate(extents)}
+        forward, backward = _kernels(self.kind, self.ctx)
+        self._backward = backward
+        if self.kind is ConceptKind.OC:
+            intents = [c.intent.bits for c in self.concepts]
+            self._covers = _upper_covers(
+                intents, self.ctx.n_attributes, lambda b: forward(backward(b)), "intent"
+            )
+        else:
+            self._covers = _upper_covers(
+                extents, self.ctx.n_objects, lambda a: backward(forward(a)), "extent"
+            )
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -180,10 +277,18 @@ class ConceptLattice:
         return self.concepts[i].extent.is_subset(self.concepts[j].extent)
 
     def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
+        a, b = self.concepts[i], self.concepts[j]
+        if self.kind is ConceptKind.OC:
+            return self._index[self._backward(a.intent.bits & b.intent.bits)]
+        return self._index[a.extent.bits & b.extent.bits]
 
     def join(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
+        a, b = self.concepts[i], self.concepts[j]
+        if self.kind is ConceptKind.OC:
+            return self._index[a.extent.bits | b.extent.bits]
+        if self.kind is ConceptKind.FC:
+            return self._index[self._backward(a.intent.bits & b.intent.bits)]
+        return self._index[self._backward(a.intent.bits | b.intent.bits)]
 
     @property
     def top(self) -> int:
@@ -195,84 +300,17 @@ class ConceptLattice:
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (i, j) with i strictly below j and nothing between."""
-        n = len(self.concepts)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq(i, j):
-                    continue
-                if any(
-                    k != i and k != j and self.leq(i, k) and self.leq(k, j)
-                    for k in range(n)
-                ):
-                    continue
-                out.append((i, j))
-        return out
+        return list(self._covers)
 
 
 def build_lattice(
     concepts: Iterable[SemanticConcept], kind: ConceptKind, ctx: FormalContext
 ) -> ConceptLattice:
-    """Order the full concept list and tabulate meets and joins.
-
-    Meet extent is the extent composite applied to the intersection and join
-    extent the composite applied to the union; for FC/PC the intersection is
-    already closed and for OC the union already open, so both laws are the
-    glb/lub.  A meet or join falling outside the supplied list reports an
-    incomplete concept set.
-    """
-    concepts = sorted(concepts, key=_canonical_key)
-    index = {c.extent.bits: i for i, c in enumerate(concepts)}
-    n = ctx.n_objects
-    lattice = ConceptLattice(kind, ctx, concepts)
-
-    def locate(mask: int, what: str) -> int:
-        ext = closure(kind, "extent", SortedSubset(SORT_OBJECTS, mask, n), ctx)
-        try:
-            return index[ext.bits]
-        except KeyError:
-            raise LatticeError(
-                f"{what} extent {sorted(ext.indices())} is missing: concept list incomplete"
-            )
-
-    size = len(concepts)
-    lattice.meet_table = [
-        [locate(concepts[i].extent.bits & concepts[j].extent.bits, "meet") for j in range(size)]
-        for i in range(size)
-    ]
-    lattice.join_table = [
-        [locate(concepts[i].extent.bits | concepts[j].extent.bits, "join") for j in range(size)]
-        for i in range(size)
-    ]
-    return lattice
-
-
-def check_lattice_laws(lattice: ConceptLattice) -> list[str]:
-    """Commutativity, associativity, absorption, idempotence; [] if all hold."""
-    failures = []
-    n = len(lattice)
-    rng = range(n)
-    for i in rng:
-        if lattice.meet(i, i) != i or lattice.join(i, i) != i:
-            failures.append(f"idempotence fails at {i}")
-    for i in rng:
-        for j in rng:
-            if lattice.meet(i, j) != lattice.meet(j, i):
-                failures.append(f"meet commutativity fails at ({i},{j})")
-            if lattice.join(i, j) != lattice.join(j, i):
-                failures.append(f"join commutativity fails at ({i},{j})")
-            if lattice.meet(i, lattice.join(i, j)) != i:
-                failures.append(f"absorption meet/join fails at ({i},{j})")
-            if lattice.join(i, lattice.meet(i, j)) != i:
-                failures.append(f"absorption join/meet fails at ({i},{j})")
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if lattice.meet(lattice.meet(i, j), k) != lattice.meet(i, lattice.meet(j, k)):
-                    failures.append(f"meet associativity fails at ({i},{j},{k})")
-                if lattice.join(lattice.join(i, j), k) != lattice.join(i, lattice.join(j, k)):
-                    failures.append(f"join associativity fails at ({i},{j},{k})")
-    return failures
+    """Order the full concept list and find its covers by upper neighbours:
+    FC/PC in the extent closure system, OC in the intent closure system,
+    whose order is the order by extent.  Raises ``LatticeError`` when the
+    list misses a concept."""
+    return ConceptLattice(kind, ctx, sorted(concepts, key=_canonical_key))
 
 
 @dataclass
@@ -293,48 +331,28 @@ class YaoReport:
 
 
 def _check_bijection(
-    source: list[SemanticConcept],
-    target: list[SemanticConcept],
-    image_of: Callable[[SemanticConcept], tuple[int, int]],
-    order_reversing: bool,
-    clause: str,
+    source: list[tuple[int, int]], target: list[tuple[int, int]], flip: tuple[int, int], clause: str
 ) -> IsoClauseResult:
-    """Verify a structural candidate map as a (dual) order isomorphism."""
-    target_index = {(c.extent.bits, c.intent.bits): i for i, c in enumerate(target)}
+    """Verify the candidate map ``(e, i) -> (e ^ flip[0], i ^ flip[1])`` on
+    concept masks as a bijection from the source onto the target concepts.
+
+    Both lattices are ordered by extent inclusion and the map keeps extents
+    (``flip[0] == 0``) or complements them, so a bijection preserves the
+    order or reverses it: it is a (dual) order isomorphism.
+    """
+    target_index = {pair: j for j, pair in enumerate(target)}
     mapping: list[tuple[int, int]] = []
-    for i, c in enumerate(source):
-        key = image_of(c)
-        if key not in target_index:
-            return IsoClauseResult(
-                clause,
-                False,
-                f"image of source concept {i} is not a target concept",
-            )
-        mapping.append((i, target_index[key]))
-    hit = {j for _, j in mapping}
-    if len(hit) != len(source) or len(source) != len(target):
+    for i, (extent, intent) in enumerate(source):
+        j = target_index.get((extent ^ flip[0], intent ^ flip[1]))
+        if j is None:
+            detail = f"image of source concept {i} is not a target concept"
+            return IsoClauseResult(clause, False, detail)
+        mapping.append((i, j))
+    if len(source) != len(target):
         return IsoClauseResult(
             clause, False, f"candidate map is not a bijection "
-            f"({len(source)} source, {len(target)} target, {len(hit)} images)"
+            f"({len(source)} source, {len(target)} target, {len(mapping)} images)"
         )
-    image = dict(mapping)
-    for i in range(len(source)):
-        for j in range(len(source)):
-            src_le = source[i].extent.is_subset(source[j].extent)
-            ti, tj = image[i], image[j]
-            tgt_le = target[ti].extent.is_subset(target[tj].extent)
-            expected = (
-                target[tj].extent.is_subset(target[ti].extent)
-                if order_reversing
-                else tgt_le
-            )
-            if src_le != expected:
-                word = "reverse" if order_reversing else "preserve"
-                return IsoClauseResult(
-                    clause,
-                    False,
-                    f"candidate map fails to {word} order at source pair ({i},{j})",
-                )
     return IsoClauseResult(clause, True, "structural map verified", tuple(mapping))
 
 
@@ -349,34 +367,15 @@ def verify_yao_isomorphisms(ctx: FormalContext) -> YaoReport:
     extent-complementing pairs.  Each clause exhibits its bijection.
     """
     cctx = complement_context(ctx)
-    fc = enumerate_concepts(ctx, ConceptKind.FC)
-    pc = enumerate_concepts(ctx, ConceptKind.PC)
-    oc = enumerate_concepts(ctx, ConceptKind.OC)
-    pc_c = enumerate_concepts(cctx, ConceptKind.PC)
-    oc_c = enumerate_concepts(cctx, ConceptKind.OC)
-
-    full_m = (1 << ctx.n_attributes) - 1
-    full_g = (1 << ctx.n_objects) - 1
-
-    a = _check_bijection(
-        fc,
-        pc_c,
-        lambda c: (c.extent.bits, c.intent.bits ^ full_m),
-        order_reversing=False,
-        clause="a",
-    )
-    b = _check_bijection(
-        pc,
-        oc,
-        lambda c: (c.extent.bits ^ full_g, c.intent.bits ^ full_m),
-        order_reversing=True,
-        clause="b",
-    )
-    cres = _check_bijection(
-        fc,
-        oc_c,
-        lambda c: (c.extent.bits ^ full_g, c.intent.bits),
-        order_reversing=True,
-        clause="c",
-    )
-    return YaoReport([a, b, cres])
+    fc = _concept_masks(ctx, ConceptKind.FC)
+    full_g, full_m = (1 << ctx.n_objects) - 1, (1 << ctx.n_attributes) - 1
+    return YaoReport([
+        _check_bijection(fc, _concept_masks(cctx, ConceptKind.PC), (0, full_m), "a"),
+        _check_bijection(
+            _concept_masks(ctx, ConceptKind.PC),
+            _concept_masks(ctx, ConceptKind.OC),
+            (full_g, full_m),
+            "b",
+        ),
+        _check_bijection(fc, _concept_masks(cctx, ConceptKind.OC), (full_g, 0), "c"),
+    ])

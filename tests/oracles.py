@@ -98,6 +98,53 @@ def random_context(rng: random.Random, max_objects: int = 6, max_attributes: int
     return FormalContext.from_pairs(objects, attributes, pairs)
 
 
+def covers(lattice) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) of a lattice by the O(n^3) definition on its extents."""
+    extents = [c.extent for c in lattice.concepts]
+    n = len(extents)
+
+    def leq(i, j):
+        return extents[i].is_subset(extents[j])
+
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq(i, j):
+                continue
+            if any(k != i and k != j and leq(i, k) and leq(k, j) for k in range(n)):
+                continue
+            out.append((i, j))
+    return out
+
+
+def check_lattice_laws(lattice) -> list[str]:
+    """Commutativity, associativity, absorption, idempotence; [] if all hold."""
+    failures = []
+    n = len(lattice)
+    rng = range(n)
+    for i in rng:
+        if lattice.meet(i, i) != i or lattice.join(i, i) != i:
+            failures.append(f"idempotence fails at {i}")
+    for i in rng:
+        for j in rng:
+            if lattice.meet(i, j) != lattice.meet(j, i):
+                failures.append(f"meet commutativity fails at ({i},{j})")
+            if lattice.join(i, j) != lattice.join(j, i):
+                failures.append(f"join commutativity fails at ({i},{j})")
+            if lattice.meet(i, lattice.join(i, j)) != i:
+                failures.append(f"absorption meet/join fails at ({i},{j})")
+            if lattice.join(i, lattice.meet(i, j)) != i:
+                failures.append(f"absorption join/meet fails at ({i},{j})")
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                if lattice.meet(lattice.meet(i, j), k) != lattice.meet(i, lattice.meet(j, k)):
+                    failures.append(f"meet associativity fails at ({i},{j},{k})")
+                if lattice.join(lattice.join(i, j), k) != lattice.join(i, lattice.join(j, k)):
+                    failures.append(f"join associativity fails at ({i},{j},{k})")
+    return failures
+
+
 def k0() -> FormalContext:
     """The 2x2 fixture used throughout the examples."""
     return FormalContext.from_pairs(

@@ -5,11 +5,22 @@ import random
 import pytest
 
 from conceptlogic import FormalContext, complement_context
+from conceptlogic.context import (
+    SORT_ATTRIBUTES,
+    SORT_OBJECTS,
+    OperatorKind,
+    SortedSubset,
+    apply_operator,
+    iter_bits,
+)
 from conceptlogic.errors import LatticeError, SortMismatchError
 from conceptlogic.lattices import (
     ConceptKind,
+    _check_bijection,
+    _concept_masks,
+    _kernels,
+    _lectic_key,
     build_lattice,
-    check_lattice_laws,
     closure,
     enumerate_concepts,
     enumerate_concepts_bruteforce,
@@ -110,6 +121,37 @@ class TestClosure:
                     assert sub.is_subset(once)  # closure side
 
 
+OPERATORS = {
+    ConceptKind.FC: (OperatorKind.PLUS, OperatorKind.MINUS),
+    ConceptKind.PC: (OperatorKind.POSS, OperatorKind.NEC_INV),
+    ConceptKind.OC: (OperatorKind.NEC, OperatorKind.POSS_INV),
+}
+
+
+class TestMaskKernels:
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_kernels_equal_operators_and_closures_on_every_subset(self, kind):
+        rng = random.Random(59)
+        forward_op, backward_op = OPERATORS[kind]
+        for _ in range(25):
+            ctx = oracles.random_context(rng, 5, 5)
+            forward, backward = _kernels(kind, ctx)
+            for mask in range(1 << ctx.n_objects):
+                sub = SortedSubset(SORT_OBJECTS, mask, ctx.n_objects)
+                assert forward(mask) == apply_operator(forward_op, sub, ctx).bits
+                assert backward(forward(mask)) == closure(kind, "extent", sub, ctx).bits
+            for mask in range(1 << ctx.n_attributes):
+                sub = SortedSubset(SORT_ATTRIBUTES, mask, ctx.n_attributes)
+                assert backward(mask) == apply_operator(backward_op, sub, ctx).bits
+                assert forward(backward(mask)) == closure(kind, "intent", sub, ctx).bits
+
+    def test_lectic_key_sorts_like_index_tuples(self):
+        masks = list(range(1 << 8))
+        assert sorted(masks, key=_lectic_key) == sorted(
+            masks, key=lambda m: tuple(iter_bits(m))
+        )
+
+
 class TestEnumeration:
     def test_k0_fc(self):
         ctx = k0()
@@ -186,7 +228,7 @@ class TestLattice:
         for _ in range(15):
             ctx = oracles.random_context(rng, 5, 5)
             lat = build_lattice(enumerate_concepts(ctx, kind), kind, ctx)
-            assert check_lattice_laws(lat) == []
+            assert oracles.check_lattice_laws(lat) == []
 
     def test_meet_join_agree_with_order(self):
         rng = random.Random(89)
@@ -219,6 +261,38 @@ class TestLattice:
         missing_bottom = [c for c in concepts if len(c.extent) > 0]
         with pytest.raises(LatticeError):
             build_lattice(missing_bottom, ConceptKind.PC, ctx)
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_incomplete_middle_reported(self, kind):
+        # every kind's lattice on the diagonal context is a diamond; without
+        # one of its middle concepts the rest is still a (3-chain) lattice
+        ctx = FormalContext.from_pairs(
+            ("g1", "g2"), ("m1", "m2"), [("g1", "m1"), ("g2", "m2")]
+        )
+        concepts = enumerate_concepts(ctx, kind)
+        assert len(concepts) == 4
+        for dropped in concepts:
+            if len(dropped.extent) != 1:
+                continue
+            with pytest.raises(LatticeError):
+                build_lattice([c for c in concepts if c != dropped], kind, ctx)
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_empty_list_reported(self, kind):
+        with pytest.raises(LatticeError):
+            build_lattice([], kind, k0())
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_covers_equal_oracle_randomized(self, kind):
+        rng = random.Random(92)
+        checked = 0
+        while checked < 30:
+            ctx = oracles.random_context(rng, 8, 8)
+            if min(ctx.n_objects, ctx.n_attributes) < 5:
+                continue
+            lat = build_lattice(enumerate_concepts(ctx, kind), kind, ctx)
+            assert lat.covers() == oracles.covers(lat)
+            checked += 1
 
     def test_intent_order_correspondence(self):
         # FC intents shrink as extents grow; PC/OC intents grow with extents
@@ -259,6 +333,18 @@ class TestYao:
         fc = enumerate_concepts(ctx, ConceptKind.FC)
         assert len(fc) == 1
         assert verify_yao_isomorphisms(ctx).passed
+
+    def test_failed_clause_names_its_witness(self):
+        ctx = k0()
+        fc = _concept_masks(ctx, ConceptKind.FC)
+        pc_c = _concept_masks(complement_context(ctx), ConceptKind.PC)
+        flip = (0, (1 << ctx.n_attributes) - 1)
+        assert _check_bijection(fc, pc_c, flip, "a").passed
+        missing = _check_bijection(fc, pc_c[1:], flip, "a")
+        assert not missing.passed and missing.mapping is None
+        assert missing.detail == "image of source concept 0 is not a target concept"
+        extra = _check_bijection(fc[1:], pc_c, flip, "a")
+        assert extra.detail == "candidate map is not a bijection (1 source, 2 target, 1 images)"
 
     def test_randomized_sweep(self):
         rng = random.Random(404)
