@@ -14,7 +14,7 @@ import sys
 
 from .errors import BudgetExceededError, ConceptLogicError
 from .formats import export_dot, load_context, structured_lines
-from .lattices import ConceptKind, build_lattice, enumerate_concepts
+from .lattices import ConceptKind, build_lattice, enumerate_concepts, verify_yao_isomorphisms
 from .logical import member_class
 from .parser import parse_formula, print_formula
 from .proofs import parse_proof_script
@@ -27,15 +27,13 @@ from .semantics import (
     falsify,
     truth_set,
 )
-from .suites import suite_iso, suite_lattice, suite_translation, suite_yao
-from .syntax import SORT1, SORT2, translate_rho, variables
+from .suites import suite_iso, suite_lattice, suite_translation
+from .syntax import translate_rho, variables
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-_SORTS = {"1": SORT1, "2": SORT2}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,8 +124,7 @@ def _concept_payload(ctx, concepts):
 
 
 def _emit_structured(out, payload: dict) -> None:
-    for line in structured_lines("", payload):
-        print(line.lstrip("."), file=out)
+    out.write("\n".join(structured_lines("", payload)) + "\n")
 
 
 def _cmd_concepts(args: argparse.Namespace, out) -> int:
@@ -201,7 +198,7 @@ def _parse_assignments(args: argparse.Namespace, f):
 def _cmd_eval(args: argparse.Namespace, out) -> int:
     ctx = load_context(args.context)
     frame = context_to_frame(ctx)
-    f = parse_formula(args.formula, _SORTS[args.sort])
+    f = parse_formula(args.formula, args.sort)
     val = _parse_assignments(args, f)
     ts = truth_set(Model(frame, val), f)
     print(_set_names(ts, frame.carrier(f.sort)), file=out)
@@ -211,7 +208,7 @@ def _cmd_eval(args: argparse.Namespace, out) -> int:
 def _cmd_valid(args: argparse.Namespace, out) -> int:
     ctx = load_context(args.context)
     frame = context_to_frame(ctx)
-    f = parse_formula(args.formula, _SORTS[args.sort])
+    f = parse_formula(args.formula, args.sort)
     counter = falsify(frame, f, args.budget)
     if counter is None:
         print("valid", file=out)
@@ -223,9 +220,8 @@ def _cmd_valid(args: argparse.Namespace, out) -> int:
 def _cmd_consequence(args: argparse.Namespace, out) -> int:
     ctx = load_context(args.context)
     frame = context_to_frame(ctx)
-    sort = _SORTS[args.sort]
-    premises = [parse_formula(p, sort) for p in args.premises]
-    conclusion = parse_formula(args.conclusion, sort)
+    premises = [parse_formula(p, args.sort) for p in args.premises]
+    conclusion = parse_formula(args.conclusion, args.sort)
     counter = consequence_countermodel(frame, premises, conclusion, args.budget)
     if counter is None:
         print("holds", file=out)
@@ -235,7 +231,7 @@ def _cmd_consequence(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace, out) -> int:
-    f = parse_formula(args.formula, _SORTS[args.sort])
+    f = parse_formula(args.formula, args.sort)
     print(print_formula(translate_rho(f)), file=out)
     return EXIT_OK
 
@@ -244,7 +240,7 @@ def _cmd_member(args: argparse.Namespace, out) -> int:
     ctx = load_context(args.context)
     frame = context_to_frame(ctx)
     which = f"{args.cls.upper()}_{args.side}"
-    sort = SORT1 if args.side == "ext" else SORT2
+    sort = "1" if args.side == "ext" else "2"
     f = parse_formula(args.formula, sort)
     ok = member_class(f, which, frame, args.budget)
     print("true" if ok else "false", file=out)
@@ -282,10 +278,9 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     ctx = load_context(args.context)
     failed = False
     if args.suite in ("yao", "all"):
-        report = suite_yao(ctx)
-        for clause in report.clauses:
-            status = "pass" if clause.passed else f"fail ({clause.detail})"
-            print(f"{clause.clause}: {status}", file=out)
+        report = verify_yao_isomorphisms(ctx)
+        for check in report.checks:
+            print(_check_line(check), file=out)
         failed |= not report.passed
     if args.suite in ("translation", "all"):
         report = suite_translation(ctx, args.seed)

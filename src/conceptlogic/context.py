@@ -15,8 +15,9 @@ from typing import Iterable, Iterator
 
 from .errors import DimensionError, SortMismatchError
 
-SORT_OBJECTS = "s1"
-SORT_ATTRIBUTES = "s2"
+# the two sorts: objects (sort 1) and attributes (sort 2)
+SORT1 = "s1"
+SORT2 = "s2"
 
 
 def _mask_from_indices(indices: Iterable[int]) -> int:
@@ -56,10 +57,6 @@ class SortedSubset:
             raise DimensionError(
                 f"bitmask {self.bits:#x} does not fit a carrier of size {self.size}"
             )
-
-    @classmethod
-    def from_indices(cls, sort: str, indices: Iterable[int], size: int) -> "SortedSubset":
-        return cls(sort, _mask_from_indices(indices), size)
 
     @classmethod
     def from_names(
@@ -189,23 +186,17 @@ class FormalContext:
         )
 
     def object_subset(self, names: Iterable[str] = ()) -> SortedSubset:
-        return SortedSubset.from_names(SORT_OBJECTS, names, self.objects)
+        return SortedSubset.from_names(SORT1, names, self.objects)
 
     def attribute_subset(self, names: Iterable[str] = ()) -> SortedSubset:
-        return SortedSubset.from_names(SORT_ATTRIBUTES, names, self.attributes)
-
-    def full_objects(self) -> SortedSubset:
-        return SortedSubset(SORT_OBJECTS, (1 << self.n_objects) - 1, self.n_objects)
-
-    def full_attributes(self) -> SortedSubset:
-        return SortedSubset(SORT_ATTRIBUTES, (1 << self.n_attributes) - 1, self.n_attributes)
+        return SortedSubset.from_names(SORT2, names, self.attributes)
 
     def carrier(self, sort: str) -> tuple[str, ...]:
-        if sort == SORT_OBJECTS:
+        if sort == SORT1:
             return self.objects
-        if sort == SORT_ATTRIBUTES:
+        if sort == SORT2:
             return self.attributes
-        raise SortMismatchError(f"{SORT_OBJECTS}|{SORT_ATTRIBUTES}", sort, "carrier lookup")
+        raise SortMismatchError(f"{SORT1}|{SORT2}", sort, "carrier lookup")
 
 
 class OperatorKind(Enum):
@@ -220,11 +211,11 @@ class OperatorKind(Enum):
 
     @property
     def input_sort(self) -> str:
-        return SORT_OBJECTS if self in _FORWARD else SORT_ATTRIBUTES
+        return SORT1 if self in _FORWARD else SORT2
 
     @property
     def output_sort(self) -> str:
-        return SORT_ATTRIBUTES if self in _FORWARD else SORT_OBJECTS
+        return SORT2 if self in _FORWARD else SORT1
 
 
 _FORWARD = {OperatorKind.PLUS, OperatorKind.POSS, OperatorKind.NEC}
@@ -238,7 +229,7 @@ def apply_operator(kind: OperatorKind, subset: SortedSubset, ctx: FormalContext)
     """
     if subset.sort != kind.input_sort:
         raise SortMismatchError(kind.input_sort, subset.sort, f"operator {kind.value}")
-    expected = ctx.n_objects if kind.input_sort == SORT_OBJECTS else ctx.n_attributes
+    expected = ctx.n_objects if kind.input_sort == SORT1 else ctx.n_attributes
     if subset.size != expected:
         raise DimensionError(
             f"subset sized for {subset.size}, carrier has {expected} elements"
@@ -271,7 +262,7 @@ def apply_operator(kind: OperatorKind, subset: SortedSubset, ctx: FormalContext)
         )
     else:  # pragma: no cover
         raise ValueError(kind)
-    out_size = ctx.n_attributes if kind.output_sort == SORT_ATTRIBUTES else ctx.n_objects
+    out_size = ctx.n_attributes if kind.output_sort == SORT2 else ctx.n_objects
     return SortedSubset(kind.output_sort, out, out_size)
 
 

@@ -11,36 +11,13 @@ byte-for-byte (CXT) or normalizes the cell style (CSV).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .context import FormalContext
 from .errors import CxtFormatError
 from .lattices import ConceptLattice
 
 
-@dataclass(frozen=True)
-class CxtDocument:
-    """The raw fields of a CXT file, before validation into a context."""
-
-    n_objects: int
-    n_attributes: int
-    objects: tuple[str, ...]
-    attributes: tuple[str, ...]
-    rows: tuple[str, ...]
-
-    def to_context(self) -> FormalContext:
-        matrix = []
-        for row in self.rows:
-            matrix.append([c == "X" for c in row])
-        return FormalContext.from_bools(self.objects, self.attributes, matrix)
-
-
 def parse_cxt(text: str) -> FormalContext:
     """Parse a Burmeister-style context document."""
-    return parse_cxt_document(text).to_context()
-
-
-def parse_cxt_document(text: str) -> CxtDocument:
     lines = text.splitlines()
 
     def get(i: int) -> str:
@@ -78,11 +55,11 @@ def parse_cxt_document(text: str) -> CxtDocument:
                 raise CxtFormatError(
                     f"incidence cells are 'X' or '.', found {c!r}", row_base + i + 1
                 )
-        rows.append(row)
+        rows.append([c == "X" for c in row])
     tail = lines[row_base + n_objects :]
     if any(t.strip() for t in tail):
         raise CxtFormatError("trailing content after incidence rows", row_base + n_objects + 1)
-    return CxtDocument(n_objects, n_attributes, objects, attributes, tuple(rows))
+    return FormalContext.from_bools(objects, attributes, rows)
 
 
 def serialize_cxt(ctx: FormalContext) -> str:

@@ -17,8 +17,8 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .context import (
-    SORT_ATTRIBUTES,
-    SORT_OBJECTS,
+    SORT1,
+    SORT2,
     FormalContext,
     OperatorKind,
     SortedSubset,
@@ -66,12 +66,12 @@ def closure(
     intent and OC extent maps are interior operators.  All are idempotent.
     """
     if side == "extent":
-        if subset.sort != SORT_OBJECTS:
-            raise SortMismatchError(SORT_OBJECTS, subset.sort, "extent closure")
+        if subset.sort != SORT1:
+            raise SortMismatchError(SORT1, subset.sort, "extent closure")
         return extent_of(kind, intent_of(kind, subset, ctx), ctx)
     if side == "intent":
-        if subset.sort != SORT_ATTRIBUTES:
-            raise SortMismatchError(SORT_ATTRIBUTES, subset.sort, "intent closure")
+        if subset.sort != SORT2:
+            raise SortMismatchError(SORT2, subset.sort, "intent closure")
         return intent_of(kind, extent_of(kind, subset, ctx), ctx)
     raise ValueError(f"side must be 'extent' or 'intent', got {side!r}")
 
@@ -185,7 +185,7 @@ def enumerate_concepts(ctx: FormalContext, kind: ConceptKind) -> list[SemanticCo
     n_g, n_m = ctx.n_objects, ctx.n_attributes
     return [
         SemanticConcept(
-            SortedSubset(SORT_OBJECTS, e, n_g), SortedSubset(SORT_ATTRIBUTES, i, n_m), kind
+            SortedSubset(SORT1, e, n_g), SortedSubset(SORT2, i, n_m), kind
         )
         for e, i in _concept_masks(ctx, kind)
     ]
@@ -200,7 +200,7 @@ def enumerate_concepts_bruteforce(
         raise DimensionError("brute-force oracle is limited to 12 objects")
     concepts = []
     for mask in range(1 << n):
-        sub = SortedSubset(SORT_OBJECTS, mask, n)
+        sub = SortedSubset(SORT1, mask, n)
         if closure(kind, "extent", sub, ctx).bits == mask:
             concepts.append(SemanticConcept(sub, intent_of(kind, sub, ctx), kind))
     return sorted(concepts, key=_canonical_key)
@@ -314,25 +314,35 @@ def build_lattice(
 
 
 @dataclass
-class IsoClauseResult:
-    clause: str
+class LawCheck:
+    """One named law or clause; a Yao clause that holds carries its bijection
+    as (source index, target index) pairs."""
+
+    name: str
     passed: bool
-    detail: str
-    mapping: tuple[tuple[int, int], ...] | None = None
+    detail: str = ""
+    bijection: tuple[tuple[int, int], ...] | None = None
 
 
 @dataclass
-class YaoReport:
-    clauses: list[IsoClauseResult]
+class VerificationReport:
+    title: str
+    checks: list[LawCheck] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.clauses)
+        return all(c.passed for c in self.checks)
+
+    def failures(self) -> list[LawCheck]:
+        return [c for c in self.checks if not c.passed]
+
+    def add(self, name: str, passed: bool, detail: str = "") -> None:
+        self.checks.append(LawCheck(name, passed, detail))
 
 
 def _check_bijection(
     source: list[tuple[int, int]], target: list[tuple[int, int]], flip: tuple[int, int], clause: str
-) -> IsoClauseResult:
+) -> LawCheck:
     """Verify the candidate map ``(e, i) -> (e ^ flip[0], i ^ flip[1])`` on
     concept masks as a bijection from the source onto the target concepts.
 
@@ -346,17 +356,17 @@ def _check_bijection(
         j = target_index.get((extent ^ flip[0], intent ^ flip[1]))
         if j is None:
             detail = f"image of source concept {i} is not a target concept"
-            return IsoClauseResult(clause, False, detail)
+            return LawCheck(clause, False, detail)
         mapping.append((i, j))
     if len(source) != len(target):
-        return IsoClauseResult(
+        return LawCheck(
             clause, False, f"candidate map is not a bijection "
             f"({len(source)} source, {len(target)} target, {len(mapping)} images)"
         )
-    return IsoClauseResult(clause, True, "structural map verified", tuple(mapping))
+    return LawCheck(clause, True, bijection=tuple(mapping))
 
 
-def verify_yao_isomorphisms(ctx: FormalContext) -> YaoReport:
+def verify_yao_isomorphisms(ctx: FormalContext) -> VerificationReport:
     """Verify the three complement correspondences between concept lattices.
 
     (a) formal concepts of K and property-oriented concepts of the
@@ -369,7 +379,7 @@ def verify_yao_isomorphisms(ctx: FormalContext) -> YaoReport:
     cctx = complement_context(ctx)
     fc = _concept_masks(ctx, ConceptKind.FC)
     full_g, full_m = (1 << ctx.n_objects) - 1, (1 << ctx.n_attributes) - 1
-    return YaoReport([
+    return VerificationReport("Yao complement correspondences", [
         _check_bijection(fc, _concept_masks(cctx, ConceptKind.PC), (0, full_m), "a"),
         _check_bijection(
             _concept_masks(ctx, ConceptKind.PC),

@@ -19,13 +19,13 @@ a single ambient context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .context import FormalContext, complement_context
 from .errors import InternalConsistencyError, SortMismatchError
-from .lattices import ConceptKind
+from .lattices import ConceptKind, VerificationReport
 from .semantics import (
     DEFAULT_BUDGET,
     Check,
@@ -148,11 +148,18 @@ _TRANSFORM_SOURCE = {
     TransformDirection.FC_OF_K_TO_PC_OF_KC: ConceptKind.FC,
     TransformDirection.FC_OF_K_TO_OC_OF_KC: ConceptKind.FC,
 }
-_TRANSFORM_TARGET = {
-    TransformDirection.PC_OF_K_TO_OC_OF_KC: ConceptKind.OC,
-    TransformDirection.FC_OF_K_TO_PC_OF_KC: ConceptKind.PC,
-    TransformDirection.FC_OF_K_TO_OC_OF_KC: ConceptKind.OC,
-}
+
+
+def _map_h(pair: LogicalConceptPair) -> LogicalConceptPair:
+    """Translation plus intent negation: formal pairs to property-oriented ones."""
+    return LogicalConceptPair(
+        translate_rho(pair.extent), Neg(translate_rho(pair.intent)), ConceptKind.PC
+    )
+
+
+def _map_f(pair: LogicalConceptPair) -> LogicalConceptPair:
+    """Componentwise negation: property-oriented pairs to object-oriented ones."""
+    return LogicalConceptPair(Neg(pair.extent), Neg(pair.intent), ConceptKind.OC)
 
 
 def transform_pair(
@@ -177,16 +184,13 @@ def transform_pair(
         raise InternalConsistencyError(
             f"pair is not in {pair.kind.name} on the source frame"
         )
-    phi, psi = pair.extent, pair.intent
     if direction is TransformDirection.PC_OF_K_TO_OC_OF_KC:
-        image = LogicalConceptPair(Neg(phi), Neg(psi), ConceptKind.OC)
+        image = _map_f(pair)
     elif direction is TransformDirection.FC_OF_K_TO_PC_OF_KC:
-        image = LogicalConceptPair(
-            translate_rho(phi), Neg(translate_rho(psi)), ConceptKind.PC
-        )
+        image = _map_h(pair)
     else:
         image = LogicalConceptPair(
-            Neg(translate_rho(phi)), translate_rho(psi), ConceptKind.OC
+            Neg(translate_rho(pair.extent)), translate_rho(pair.intent), ConceptKind.OC
         )
     if target_frame is not None and not member_pair(image, target_frame, budget):
         raise InternalConsistencyError(
@@ -258,33 +262,10 @@ _OPS = (
 # --- verification campaigns ----------------------------------------------------
 
 
-@dataclass
-class LawCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class VerificationReport:
-    title: str
-    checks: list[LawCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[LawCheck]:
-        return [c for c in self.checks if not c.passed]
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(LawCheck(name, passed, detail))
-
-
-# A verdict is read after its campaign has run; a law lists one witness label
-# per verdict and fails with the labels of the verdicts that do not hold.
-Verdict = Callable[[], bool]
-Law = tuple[str, list[tuple[str, Verdict]]]
+# A pending verdict is read after its campaign has run; a law lists one witness
+# label per verdict and fails with the labels of the verdicts that do not hold.
+Pending = Callable[[], bool]
+Law = tuple[str, list[tuple[str, Pending]]]
 
 
 class _Campaign:
@@ -309,11 +290,11 @@ class _Campaign:
         self.checks.append(equivalence_check(f, g))
         return len(self.checks) - 1
 
-    def member(self, pair: LogicalConceptPair) -> Verdict:
+    def member(self, pair: LogicalConceptPair) -> Pending:
         ids = [self._add(f, g) for f, g in _pair_conditions(pair)]
         return lambda: not any(self.failed[i] for i in ids)
 
-    def equivalent(self, a: LogicalConceptPair, b: LogicalConceptPair) -> Verdict:
+    def equivalent(self, a: LogicalConceptPair, b: LogicalConceptPair) -> Pending:
         by_extent = self._add(a.extent, b.extent)
         by_intent = self._add(a.intent, b.intent)
 
@@ -432,16 +413,6 @@ def verify_quotient_lattice(
         ],
     )
     return report
-
-
-def _map_h(pair: LogicalConceptPair) -> LogicalConceptPair:
-    return LogicalConceptPair(
-        translate_rho(pair.extent), Neg(translate_rho(pair.intent)), ConceptKind.PC
-    )
-
-
-def _map_f(pair: LogicalConceptPair) -> LogicalConceptPair:
-    return LogicalConceptPair(Neg(pair.extent), Neg(pair.intent), ConceptKind.OC)
 
 
 def verify_isomorphisms(

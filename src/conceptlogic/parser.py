@@ -51,7 +51,8 @@ MODAL_TOKENS: dict[str, tuple[type, str]] = {
 }
 
 _DASHED_BASES = {"dia", "box", "boxm"}
-_SORT_SUFFIX = {"1": SORT1, "2": SORT2}
+# sort digits as written in text: ``p:1``, ``var p : 1`` in scripts, ``--sort 1``
+SORT_DIGITS = {"1": SORT1, "2": SORT2}
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ def _tokenize(text: str) -> list[_Token]:
                 continue
             sort = None
             if i < n and text[i] == ":":
-                if i + 1 < n and text[i + 1] in _SORT_SUFFIX:
-                    sort = _SORT_SUFFIX[text[i + 1]]
+                if i + 1 < n and text[i + 1] in SORT_DIGITS:
+                    sort = SORT_DIGITS[text[i + 1]]
                     i += 2
                 else:
                     raise FormulaSyntaxError("sort suffix must be ':1' or ':2'", i)
@@ -334,8 +335,8 @@ def _normalize_sort(sort) -> str | None:
         return None
     if sort in (SORT1, SORT2):
         return sort
-    if str(sort) in _SORT_SUFFIX:
-        return _SORT_SUFFIX[str(sort)]
+    if str(sort) in SORT_DIGITS:
+        return SORT_DIGITS[str(sort)]
     raise FormulaSyntaxError(f"unknown sort {sort!r}")
 
 

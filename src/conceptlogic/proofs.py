@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, ProofScriptError, SignatureError
-from .parser import parse_formula, print_formula
+from .parser import SORT_DIGITS, parse_formula, print_formula
 from .semantics import (
     DEFAULT_BUDGET,
     SortedFrame,
@@ -31,6 +31,8 @@ from .semantics import (
     local_consequence,
 )
 from .syntax import (
+    DIA,
+    DIA_INV,
     KF as KF_SIG,
     RS,
     SORT1,
@@ -135,9 +137,6 @@ class ProofSystem:
     sig: Signature
     schemes: tuple[AxiomScheme, ...]
     rules: tuple[str, ...]
-
-    def scheme_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.schemes)
 
 
 def _match(pattern: Formula, f: Formula, binding: dict[Var, Formula]) -> bool:
@@ -597,7 +596,7 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
             m = re.match(r"var\s+(\w+)\s*:\s*([12])$", stripped)
             if not m:
                 raise ProofScriptError("expected 'var NAME : 1|2'", lineno)
-            declarations[m.group(1)] = SORT1 if m.group(2) == "1" else SORT2
+            declarations[m.group(1)] = SORT_DIGITS[m.group(2)]
             continue
         if stripped.lower().startswith("premise:"):
             body = stripped.split(":", 1)[1].strip()
@@ -679,13 +678,14 @@ def _parse_rule(
 
 
 def serialize_proof_script(script: ProofScript) -> str:
+    digit = {sort: d for d, sort in SORT_DIGITS.items()}
     out = [f"system: {script.system_id}"]
     declared: set[str] = set()
     for f in script.premises + [l.formula for l in script.lines]:
         for v in sorted(variables(f), key=lambda v: v.name):
             if v.name not in declared:
                 declared.add(v.name)
-                out.append(f"var {v.name} : {'1' if v.sort == SORT1 else '2'}")
+                out.append(f"var {v.name} : {digit[v.sort]}")
     for p in script.premises:
         out.append(f"premise: {print_formula(p)}")
     for line in script.lines:
@@ -716,43 +716,33 @@ class _Emitter:
         return index
 
 
-def _expand_b1(em: _Emitter, a: Formula) -> int:
-    da, nbn = dia(a), Neg(box(Neg(a)))
-    l1 = em.emit(Imp(a, box_inv(da)), AxiomRef("B1"))
-    l2 = em.emit(Iff(da, nbn), AxiomRef("Dual_dia"))
+def _expand_converse(
+    em: _Emitter, a: Formula, mod: Modality, back: Modality, axiom: str
+) -> int:
+    """Derive ``a -> back-box ~mod-box ~a`` from the converse axiom
+    ``a -> back-box mod-dia a``, duality and distribution: the image of the
+    window axiom B1 (``mod`` dia, ``back`` dia-) or B2 (the other way)."""
+
+    def back_box(f: Formula) -> Box:
+        return Box(back, (f,))
+
+    da, nbn = Dia(mod, (a,)), Neg(Box(mod, (Neg(a),)))
+    l1 = em.emit(Imp(a, back_box(da)), AxiomRef(axiom))
+    l2 = em.emit(Iff(da, nbn), AxiomRef(f"Dual_{mod.name}"))
     l3 = em.emit(Imp(Iff(da, nbn), Imp(da, nbn)), AxiomRef("PL"))
     l4 = em.emit(Imp(da, nbn), MPRef(l2, l3))
-    l5 = em.emit(box_inv(Imp(da, nbn)), UGRef("dia-", l4))
+    l5 = em.emit(back_box(Imp(da, nbn)), UGRef(back.name, l4))
     l6 = em.emit(
-        Imp(box_inv(Imp(da, nbn)), Imp(box_inv(da), box_inv(nbn))),
-        AxiomRef("K_dia-"),
+        Imp(back_box(Imp(da, nbn)), Imp(back_box(da), back_box(nbn))),
+        AxiomRef(f"K_{back.name}"),
     )
-    l7 = em.emit(Imp(box_inv(da), box_inv(nbn)), MPRef(l5, l6))
-    goal = Imp(a, box_inv(nbn))
+    l7 = em.emit(Imp(back_box(da), back_box(nbn)), MPRef(l5, l6))
+    goal = Imp(a, back_box(nbn))
     l8 = em.emit(
-        Imp(Imp(a, box_inv(da)), Imp(Imp(box_inv(da), box_inv(nbn)), goal)),
+        Imp(Imp(a, back_box(da)), Imp(Imp(back_box(da), back_box(nbn)), goal)),
         AxiomRef("PL"),
     )
-    l9 = em.emit(Imp(Imp(box_inv(da), box_inv(nbn)), goal), MPRef(l1, l8))
-    return em.emit(goal, MPRef(l7, l9))
-
-
-def _expand_b2(em: _Emitter, b: Formula) -> int:
-    db, nbn = dia_inv(b), Neg(box_inv(Neg(b)))
-    l1 = em.emit(Imp(b, box(db)), AxiomRef("B2"))
-    l2 = em.emit(Iff(db, nbn), AxiomRef("Dual_dia-"))
-    l3 = em.emit(Imp(Iff(db, nbn), Imp(db, nbn)), AxiomRef("PL"))
-    l4 = em.emit(Imp(db, nbn), MPRef(l2, l3))
-    l5 = em.emit(box(Imp(db, nbn)), UGRef("dia", l4))
-    l6 = em.emit(
-        Imp(box(Imp(db, nbn)), Imp(box(db), box(nbn))), AxiomRef("K_dia")
-    )
-    l7 = em.emit(Imp(box(db), box(nbn)), MPRef(l5, l6))
-    goal = Imp(b, box(nbn))
-    l8 = em.emit(
-        Imp(Imp(b, box(db)), Imp(Imp(box(db), box(nbn)), goal)), AxiomRef("PL")
-    )
-    l9 = em.emit(Imp(Imp(box(db), box(nbn)), goal), MPRef(l1, l8))
+    l9 = em.emit(Imp(Imp(back_box(da), back_box(nbn)), goal), MPRef(l1, l8))
     return em.emit(goal, MPRef(l7, l9))
 
 
@@ -819,9 +809,13 @@ def translate_proof(script: ProofScript) -> ProofScript:
             if name == "PL":
                 final_index[line.index] = em.emit(image, AxiomRef("PL"))
             elif name == "B1":
-                final_index[line.index] = _expand_b1(em, by_name["ph1"])
+                final_index[line.index] = _expand_converse(
+                    em, by_name["ph1"], DIA, DIA_INV, "B1"
+                )
             elif name == "B2":
-                final_index[line.index] = _expand_b2(em, by_name["ps1"])
+                final_index[line.index] = _expand_converse(
+                    em, by_name["ps1"], DIA_INV, DIA, "B2"
+                )
             elif name == "K1":
                 final_index[line.index] = _expand_k_window(
                     em, by_name["ph1"], by_name["ph2"], box, "dia", "K_dia"

@@ -148,9 +148,6 @@ class SortedFrame:
                 f"world of sort {sort}", repr(world), "world lookup"
             )
 
-    def subset(self, sort: str, worlds: Iterable[str] = ()) -> SortedSubset:
-        return SortedSubset.from_names(sort, worlds, self.carrier(sort))
-
 
 class Valuation:
     """Assignment of world sets to sorted propositional variables."""
@@ -160,23 +157,11 @@ class Valuation:
         for v, worlds in (assignments or {}).items():
             self._map[v] = frozenset(worlds)
 
-    def assign(self, v: Var, worlds: Iterable[str]) -> "Valuation":
-        out = Valuation()
-        out._map = dict(self._map)
-        out._map[v] = frozenset(worlds)
-        return out
-
     def worlds(self, v: Var) -> frozenset[str]:
         try:
             return self._map[v]
         except KeyError:
             raise ValuationError(f"variable {v.name!r} of sort {v.sort} is unassigned")
-
-    def __contains__(self, v: Var) -> bool:
-        return v in self._map
-
-    def items(self):
-        return self._map.items()
 
 
 @dataclass

@@ -10,13 +10,8 @@ from __future__ import annotations
 import random
 
 from .context import FormalContext, complement_context
-from .lattices import ConceptKind, YaoReport, verify_yao_isomorphisms
-from .logical import (
-    VerificationReport,
-    generate_pair,
-    verify_isomorphisms,
-    verify_quotient_lattice,
-)
+from .lattices import ConceptKind, VerificationReport
+from .logical import generate_pair, verify_isomorphisms, verify_quotient_lattice
 from .semantics import (
     DEFAULT_BUDGET,
     Model,
@@ -111,10 +106,6 @@ def random_valuation(rng: random.Random, frame, vs) -> Valuation:
             for v in sorted(vs, key=lambda v: (v.sort, v.name))
         }
     )
-
-
-def suite_yao(ctx: FormalContext) -> YaoReport:
-    return verify_yao_isomorphisms(ctx)
 
 
 def suite_translation(

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from .context import SORT1, SORT2
 from .errors import SignatureError, SortMismatchError
-
-SORT1 = "s1"
-SORT2 = "s2"
 
 
 @dataclass(frozen=True)
@@ -71,11 +69,6 @@ class Signature:
 
     def has(self, name: str) -> bool:
         return any(m.name == name for m in self.modalities)
-
-    def converse_of(self, m: Modality) -> Modality:
-        if m.converse is None:
-            raise SignatureError(f"modality {m.name!r} has no converse")
-        return self.modality(m.converse)
 
 
 DIA = Modality("dia", (SORT1,), SORT2, converse="dia-")
@@ -220,11 +213,6 @@ class Box(Formula):
         object.__setattr__(self, "sort", self.mod.result_sort)
 
 
-def sort_of(f: Formula) -> str:
-    """The sort a formula inhabits (cached on every node)."""
-    return f.sort
-
-
 # Convenience constructors for the two-sorted dialects.
 
 def var1(name: str) -> Var:
@@ -278,11 +266,6 @@ def variables(f: Formula) -> set[Var]:
 
 def modalities(f: Formula) -> set[Modality]:
     return {g.mod for g in subformulas(f) if isinstance(g, (Dia, Box))}
-
-
-def over_signature(f: Formula, sig: Signature) -> bool:
-    """True iff every modality in ``f`` belongs to ``sig``."""
-    return all(sig.has(m.name) and sig.modality(m.name) == m for m in modalities(f))
 
 
 def substitute(f: Formula, mapping: Mapping[Var, Formula]) -> Formula:

@@ -136,7 +136,7 @@ def test_criterion_3_complement_isomorphisms(corpus_200):
         rep = verify_yao_isomorphisms(ctx)
         if not rep.passed:
             failures.append(i)
-        elif any(c.mapping is None for c in rep.clauses):
+        elif any(c.bijection is None for c in rep.checks):
             failures.append(i)
     report(
         3,

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from conceptlogic import FormalContext, logical
+from conceptlogic import FormalContext, lattices, logical
 from conceptlogic.cli import _check_line, run_cli
 from conceptlogic.formats import load_context, serialize_cxt
-from conceptlogic.logical import LawCheck
+from conceptlogic.lattices import LawCheck
 from conceptlogic.semantics import context_to_frame
 from conceptlogic.suites import random_valuation
 from conceptlogic.syntax import var1
@@ -159,7 +159,7 @@ class TestVerifySuites:
         p, q = var1("p"), var1("q")
         first = random_valuation(random.Random(0), frame, [p, q])
         second = random_valuation(random.Random(0), frame, [q, p])
-        assert dict(first.items()) == dict(second.items())
+        assert {v: first.worlds(v) for v in (p, q)} == {v: second.worlds(v) for v in (p, q)}
 
     @pytest.mark.parametrize("suite", ["yao", "translation", "lattice", "iso"])
     def test_individual_suites_pass_on_k0(self, suite):
@@ -180,6 +180,17 @@ class TestVerifySuites:
             "join(f(h(0)),f(h(1)));"
         ) in out
         assert "()" not in out
+
+    def test_failed_yao_clause_names_its_witness(self, monkeypatch):
+        # against K itself, the complement-flipping clauses find no image
+        monkeypatch.setattr(lattices, "complement_context", lambda ctx: ctx)
+        code, out, _ = invoke(["verify", "--suite", "yao", str(DATA / "k0.cxt")])
+        assert code == 1
+        assert out == (
+            "a: fail (image of source concept 0 is not a target concept)\n"
+            "b: pass\n"
+            "c: fail (image of source concept 0 is not a target concept)\n"
+        )
 
     def test_check_without_detail_prints_no_parentheses(self):
         assert _check_line(LawCheck("law", False)) == "law: fail"

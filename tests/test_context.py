@@ -14,7 +14,7 @@ from conceptlogic import (
     complement_context,
     duality_check,
 )
-from conceptlogic.context import SORT_OBJECTS
+from conceptlogic.context import SORT1
 
 import oracles
 from oracles import k0
@@ -30,7 +30,7 @@ OPS = {
 
 
 def apply_names(kind, names, ctx):
-    if kind.input_sort == SORT_OBJECTS:
+    if kind.input_sort == SORT1:
         sub = ctx.object_subset(names)
         carrier = ctx.attributes
     else:
@@ -69,7 +69,7 @@ class TestConstruction:
 
     def test_subset_size_validated(self):
         with pytest.raises(DimensionError):
-            SortedSubset(SORT_OBJECTS, 4, 2)
+            SortedSubset(SORT1, 4, 2)
 
 
 class TestOperatorExamples:
@@ -104,7 +104,7 @@ class TestOperatorExamples:
 
     def test_size_mismatch(self):
         ctx = k0()
-        stray = SortedSubset(SORT_OBJECTS, 0, 5)
+        stray = SortedSubset(SORT1, 0, 5)
         with pytest.raises(DimensionError):
             apply_operator(OperatorKind.POSS, stray, ctx)
 
@@ -113,7 +113,7 @@ class TestOperatorExamples:
         rng = random.Random(101 + kind.value.__hash__() % 7)
         for _ in range(40):
             ctx = oracles.random_context(rng, 5, 5)
-            carrier = ctx.objects if kind.input_sort == SORT_OBJECTS else ctx.attributes
+            carrier = ctx.objects if kind.input_sort == SORT1 else ctx.attributes
             names = {x for x in carrier if rng.random() < 0.5}
             assert apply_names(kind, names, ctx) == OPS[kind](ctx, names)
 

@@ -6,8 +6,8 @@ import pytest
 
 from conceptlogic import FormalContext, complement_context
 from conceptlogic.context import (
-    SORT_ATTRIBUTES,
-    SORT_OBJECTS,
+    SORT1,
+    SORT2,
     OperatorKind,
     SortedSubset,
     apply_operator,
@@ -137,11 +137,11 @@ class TestMaskKernels:
             ctx = oracles.random_context(rng, 5, 5)
             forward, backward = _kernels(kind, ctx)
             for mask in range(1 << ctx.n_objects):
-                sub = SortedSubset(SORT_OBJECTS, mask, ctx.n_objects)
+                sub = SortedSubset(SORT1, mask, ctx.n_objects)
                 assert forward(mask) == apply_operator(forward_op, sub, ctx).bits
                 assert backward(forward(mask)) == closure(kind, "extent", sub, ctx).bits
             for mask in range(1 << ctx.n_attributes):
-                sub = SortedSubset(SORT_ATTRIBUTES, mask, ctx.n_attributes)
+                sub = SortedSubset(SORT2, mask, ctx.n_attributes)
                 assert backward(mask) == apply_operator(backward_op, sub, ctx).bits
                 assert forward(backward(mask)) == closure(kind, "intent", sub, ctx).bits
 
@@ -314,9 +314,9 @@ class TestYao:
     def test_k0_all_clauses_pass(self):
         report = verify_yao_isomorphisms(k0())
         assert report.passed
-        assert [c.clause for c in report.clauses] == ["a", "b", "c"]
-        for c in report.clauses:
-            assert c.mapping is not None
+        assert [c.name for c in report.checks] == ["a", "b", "c"]
+        for c in report.checks:
+            assert c.bijection is not None
 
     def test_clause_a_extents_match(self):
         ctx = k0()
@@ -341,7 +341,7 @@ class TestYao:
         flip = (0, (1 << ctx.n_attributes) - 1)
         assert _check_bijection(fc, pc_c, flip, "a").passed
         missing = _check_bijection(fc, pc_c[1:], flip, "a")
-        assert not missing.passed and missing.mapping is None
+        assert not missing.passed and missing.bijection is None
         assert missing.detail == "image of source concept 0 is not a target concept"
         extra = _check_bijection(fc[1:], pc_c, flip, "a")
         assert extra.detail == "candidate map is not a bijection (1 source, 2 target, 1 images)"
@@ -352,5 +352,5 @@ class TestYao:
             ctx = oracles.random_context(rng, 5, 5)
             report = verify_yao_isomorphisms(ctx)
             assert report.passed, [
-                (c.clause, c.detail) for c in report.clauses if not c.passed
+                (c.name, c.detail) for c in report.checks if not c.passed
             ]

@@ -339,6 +339,14 @@ class TestTranslation:
         assert normalize(image.lines[-1].formula) == want
         assert image.premises == [translate_rho(p) for p in script.premises]
 
+    @pytest.mark.parametrize(
+        "name", ["kf_b1.prf", "kf_b2.prf", "kf_ug.prf", "kf_k1_mp.prf", "kf_k2.prf"]
+    )
+    def test_translated_scripts_are_pinned(self, name):
+        # the emitted derivation, line for line, as serialized text
+        image = serialize_proof_script(translate_proof(load(name)))
+        assert image == (DATA / "translated" / name).read_text()
+
     def test_axiom_images_are_kb2_theorems(self):
         # every window axiom scheme, randomly instantiated, single-line script
         rng = random.Random(23)

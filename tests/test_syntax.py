@@ -32,7 +32,6 @@ from conceptlogic.syntax import (
     dia,
     modalities,
     normalize,
-    sort_of,
     substitute,
     translate_rho,
     var1,
@@ -48,9 +47,9 @@ Q = var2("q")
 
 class TestConstruction:
     def test_sorts_cached(self):
-        assert sort_of(P) == SORT1
-        assert sort_of(wbox(P)) == SORT2
-        assert sort_of(box_inv(Q)) == SORT1
+        assert P.sort == SORT1
+        assert wbox(P).sort == SORT2
+        assert box_inv(Q).sort == SORT1
 
     def test_connectives_require_same_sort(self):
         with pytest.raises(SortMismatchError):
@@ -255,7 +254,7 @@ class TestRho:
         for _ in range(80):
             sort = rng.choice([SORT1, SORT2])
             f = random_formula(rng, sort, 4, sig=KF)
-            assert sort_of(translate_rho(f)) == sort
+            assert translate_rho(f).sort == sort
 
     def test_rejects_foreign_modalities(self):
         with pytest.raises(SignatureError):
