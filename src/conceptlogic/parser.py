@@ -16,11 +16,25 @@ through a declaration table; elsewhere the sort is inferred from position
 (modalities fix argument sorts, Boolean connectives preserve them).  The
 printer emits minimal parentheses and round-trips through ``parse_formula``.
 Polyadic modalities have no concrete syntax; build them programmatically.
+
+The parser reads the text once: one compiled token pattern driven by
+``re.finditer``, and an operator-precedence loop with an operand stack and
+an operator stack, so nesting depth costs no recursion.  Sorts are solved
+in the same pass.  The sort a position requires is known when the position
+is reached: inside a modality's operand it is the modality's argument sort,
+and elsewhere it is the root sort.  Prefix operators are applied as soon as
+their operand is complete, binary operators when an operator of lower
+precedence (or of equal precedence, for the left-associative ``&`` and
+``|``) or a closing parenthesis arrives.  When the root sort is not given,
+the first operand at the root level that has a sort (a declared or suffixed
+variable, or a modality) fixes it.  If a bare variable or a constant comes
+before that, the pass finishes without building the root level, and the
+text is read a second time with the sort it found.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import FormulaSyntaxError
 from .syntax import (
@@ -50,284 +64,39 @@ MODAL_TOKENS: dict[str, tuple[type, str]] = {
     "boxm-": (Box, "boxm-"),
 }
 
-_DASHED_BASES = {"dia", "box", "boxm"}
 # sort digits as written in text: ``p:1``, ``var p : 1`` in scripts, ``--sort 1``
 SORT_DIGITS = {"1": SORT1, "2": SORT2}
 
+# One token per match, after optional white space; the group that matched
+# names it.  A modal word takes a directly following '-', and comes before
+# the variable patterns, which would take it.  A variable with a ':' needs a
+# sort digit after it.  Any other character that is not white space is an
+# error token.
+_TOKEN = re.compile(
+    r"\s*(?:"
+    r"(?P<lparen>\()|(?P<rparen>\))|(?P<neg>~)"
+    r"|(?P<and>&)|(?P<or>\|)|(?P<imp>->)|(?P<iff><->)"
+    r"|(?P<mod>(?:dia|boxm|box)(?:-|(?!\w)))"
+    r"|(?P<var>[^\W\d]\w*)(?![\w:])"
+    r"|(?P<sorted>[^\W\d]\w*:[12])"
+    r"|(?P<colon>[^\W\d]\w*:)"
+    r"|(?P<const>#[ft])"
+    r"|(?P<bad>\S))"
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'mod', 'var', 'bot', 'top', 'punct'
-    text: str
-    pos: int
-    sort: str | None = None  # declared sort for 'var'
+# Operator-stack entries are (tag, ...): a binary operator's tag is its
+# precedence, and prefix operators rank above all of them.
+_PAREN, _IFF, _IMP, _OR, _AND, _NEG, _MOD = range(7)
+_BINARY = {
+    "iff": (_IFF, Iff),
+    "imp": (_IMP, Imp),
+    "or": (_OR, Or),
+    "and": (_AND, And),
+}
+_NEG_ENTRY = (_NEG,)
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(_Token("punct", "<->", i))
-            i += 3
-        elif text.startswith("->", i):
-            tokens.append(_Token("punct", "->", i))
-            i += 2
-        elif c in "()~&|":
-            tokens.append(_Token("punct", c, i))
-            i += 1
-        elif c == "#":
-            if text.startswith("#f", i):
-                tokens.append(_Token("bot", "#f", i))
-                i += 2
-            elif text.startswith("#t", i):
-                tokens.append(_Token("top", "#t", i))
-                i += 2
-            else:
-                raise FormulaSyntaxError("expected '#f' or '#t'", i)
-        elif c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            if word in _DASHED_BASES and i < n and text[i] == "-":
-                word += "-"
-                i += 1
-            if word in MODAL_TOKENS:
-                tokens.append(_Token("mod", word, start))
-                continue
-            sort = None
-            if i < n and text[i] == ":":
-                if i + 1 < n and text[i + 1] in SORT_DIGITS:
-                    sort = SORT_DIGITS[text[i + 1]]
-                    i += 2
-                else:
-                    raise FormulaSyntaxError("sort suffix must be ':1' or ':2'", i)
-            tokens.append(_Token("var", word, start, sort))
-        else:
-            raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    return tokens
-
-
-# Concrete-syntax tree: sorts are resolved in a second pass so that bare
-# variables can pick up their sort from the position they occur in.
-
-
-@dataclass
-class _Node:
-    kind: str  # 'var', 'bot', 'top', 'neg', 'and', 'or', 'imp', 'iff', 'modal'
-    pos: int
-    name: str = ""
-    declared: str | None = None
-    children: tuple["_Node", ...] = ()
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], text_len: int):
-        self.tokens = tokens
-        self.i = 0
-        self.text_len = text_len
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.text_len)
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "punct" or tok.text != text:
-            raise FormulaSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
-        return tok
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.text == text
-
-    def parse(self) -> _Node:
-        node = self.iff()
-        tok = self.peek()
-        if tok is not None:
-            raise FormulaSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
-
-    def iff(self) -> _Node:
-        parts = [self.imp()]
-        positions = []
-        while self.at_punct("<->"):
-            positions.append(self.next().pos)
-            parts.append(self.imp())
-        node = parts[-1]
-        for part, pos in zip(reversed(parts[:-1]), reversed(positions)):
-            node = _Node("iff", pos, children=(part, node))
-        return node
-
-    def imp(self) -> _Node:
-        parts = [self.or_()]
-        positions = []
-        while self.at_punct("->"):
-            positions.append(self.next().pos)
-            parts.append(self.or_())
-        node = parts[-1]
-        for part, pos in zip(reversed(parts[:-1]), reversed(positions)):
-            node = _Node("imp", pos, children=(part, node))
-        return node
-
-    def or_(self) -> _Node:
-        node = self.and_()
-        while self.at_punct("|"):
-            pos = self.next().pos
-            node = _Node("or", pos, children=(node, self.and_()))
-        return node
-
-    def and_(self) -> _Node:
-        node = self.unary()
-        while self.at_punct("&"):
-            pos = self.next().pos
-            node = _Node("and", pos, children=(node, self.unary()))
-        return node
-
-    def unary(self) -> _Node:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.text_len)
-        if tok.kind == "punct" and tok.text == "~":
-            self.next()
-            return _Node("neg", tok.pos, children=(self.unary(),))
-        if tok.kind == "mod":
-            self.next()
-            return _Node("modal", tok.pos, name=tok.text, children=(self.unary(),))
-        return self.atom()
-
-    def atom(self) -> _Node:
-        tok = self.next()
-        if tok.kind == "var":
-            return _Node("var", tok.pos, name=tok.text, declared=tok.sort)
-        if tok.kind == "bot":
-            return _Node("bot", tok.pos)
-        if tok.kind == "top":
-            return _Node("top", tok.pos)
-        if tok.kind == "punct" and tok.text == "(":
-            node = self.iff()
-            self.expect(")")
-            return node
-        raise FormulaSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
-
-
-class _SortSolver:
-    """Resolve node sorts top-down; bare variables adopt positional sorts."""
-
-    def __init__(self, sig: Signature, table: dict[str, str]):
-        self.sig = sig
-        self.table = table
-
-    def solve(self, node: _Node, expected: str | None) -> str | None:
-        if node.kind == "var":
-            return self._solve_var(node, expected)
-        if node.kind in ("bot", "top"):
-            return expected
-        if node.kind == "neg":
-            return self.solve(node.children[0], expected)
-        if node.kind == "modal":
-            return self._solve_modal(node, expected)
-        return self._solve_binary(node, expected)
-
-    def _solve_var(self, node: _Node, expected: str | None) -> str | None:
-        name = node.name
-        if node.declared is not None:
-            known = self.table.get(name)
-            if known is not None and known != node.declared:
-                raise FormulaSyntaxError(
-                    f"variable {name!r} already has sort {known}", node.pos
-                )
-            if expected is not None and node.declared != expected:
-                raise FormulaSyntaxError(
-                    f"variable {name!r} has sort {node.declared}, "
-                    f"position requires {expected}",
-                    node.pos,
-                )
-            self.table[name] = node.declared
-            return node.declared
-        known = self.table.get(name)
-        if known is not None:
-            if expected is not None and known != expected:
-                raise FormulaSyntaxError(
-                    f"variable {name!r} has sort {known}, position requires {expected}",
-                    node.pos,
-                )
-            return known
-        if expected is not None:
-            self.table[name] = expected
-            return expected
-        return None
-
-    def _solve_modal(self, node: _Node, expected: str | None) -> str:
-        _, mod_name = MODAL_TOKENS[node.name]
-        if not self.sig.has(mod_name):
-            raise FormulaSyntaxError(
-                f"modality {node.name!r} is not in the signature", node.pos
-            )
-        mod = self.sig.modality(mod_name)
-        if expected is not None and expected != mod.result_sort:
-            raise FormulaSyntaxError(
-                f"{node.name!r} yields sort {mod.result_sort}, "
-                f"position requires {expected}",
-                node.pos,
-            )
-        self.solve(node.children[0], mod.arg_sorts[0])
-        return mod.result_sort
-
-    def _solve_binary(self, node: _Node, expected: str | None) -> str | None:
-        left, right = node.children
-        ls = self.solve(left, expected)
-        rs = self.solve(right, expected if expected is not None else ls)
-        final = expected or ls or rs
-        if final is None:
-            return None
-        # a None result binds nothing, so a second pass is safe
-        if ls is None:
-            self.solve(left, final)
-        elif ls != final:
-            raise FormulaSyntaxError(
-                f"operands have sorts {ls} and {final}", node.pos
-            )
-        if rs is None:
-            self.solve(right, final)
-        elif rs != final:
-            raise FormulaSyntaxError(
-                f"operands have sorts {final} and {rs}", node.pos
-            )
-        return final
-
-
-_BINARY_CLASSES = {"and": And, "or": Or, "imp": Imp, "iff": Iff}
-
-
-def _build_ast(node: _Node, sort: str, sig: Signature, table: dict[str, str]) -> Formula:
-    if node.kind == "var":
-        return Var(node.name, table[node.name])
-    if node.kind == "bot":
-        return Bot(sort)
-    if node.kind == "top":
-        return Top(sort)
-    if node.kind == "neg":
-        return Neg(_build_ast(node.children[0], sort, sig, table))
-    if node.kind == "modal":
-        cls, mod_name = MODAL_TOKENS[node.name]
-        mod = sig.modality(mod_name)
-        arg = _build_ast(node.children[0], mod.arg_sorts[0], sig, table)
-        return cls(mod, (arg,))
-    left = _build_ast(node.children[0], sort, sig, table)
-    right = _build_ast(node.children[1], sort, sig, table)
-    return _BINARY_CLASSES[node.kind](left, right)
+# the sort a root-level position needs when the root sort is not given
+_ROOT = object()
 
 
 def _normalize_sort(sort) -> str | None:
@@ -355,17 +124,163 @@ def parse_formula(
     it, so a caller can share one table across several formulas.
     """
     expected = _normalize_sort(expected_sort)
-    tokens = _tokenize(text)
-    cst = _Parser(tokens, len(text)).parse()
     table = {} if declarations is None else declarations
-    solver = _SortSolver(sig, table)
-    result = solver.solve(cst, expected)
-    if result is None:
+    if expected is not None:
+        return _parse(text, expected, sig, table)[0]
+    formula, root_sort = _parse(text, _ROOT, sig, table)
+    if formula is not None:
+        return formula
+    if root_sort is None:
         raise FormulaSyntaxError(
             "cannot infer the formula's sort; declare a variable sort with ':1'/':2' "
             "or supply expected_sort"
         )
-    return _build_ast(cst, result, sig, table)
+    return _parse(text, root_sort, sig, table)[0]
+
+
+def _parse(
+    text: str, root, sig: Signature, table: dict[str, str]
+) -> tuple[Formula | None, str | None]:
+    """One pass over ``text``: the formula and the root sort.
+
+    ``root`` is the root sort, or ``_ROOT`` when it is unknown.  Then the
+    root sort is taken from the first root-level operand that has one, and
+    root-level operands read before it are ``None``, as is every formula
+    built from them; the caller reads the text again with the sort found.
+    """
+    root_sort = None if root is _ROOT else root
+    operands: list[Formula | None] = []
+    ops: list[tuple] = []
+    level = want = root  # sort of the current level, sort the next operand needs
+    operand = True  # an operand comes next
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if not operand:
+            entry = _BINARY.get(kind)
+            if entry is not None:
+                tag = entry[0]
+                while ops and (ops[-1][0] > tag or ops[-1][0] == tag >= _OR):
+                    _reduce(operands, ops.pop()[1])
+                ops.append(entry)
+                want = level
+                operand = True
+                continue
+            if kind != "rparen":
+                raise _bad(m) if kind == "bad" else _trailing(m, ops)
+            while ops and ops[-1][0] != _PAREN:
+                _reduce(operands, ops.pop()[1])
+            if not ops:
+                raise FormulaSyntaxError("unexpected trailing input ')'", m.start(kind))
+            level = ops.pop()[1]
+            x = operands.pop()
+        elif kind == "var" or kind == "sorted":
+            name = m.group(kind)
+            if not name.isascii() and not (name[0].isalpha() or name[0] == "_"):
+                raise FormulaSyntaxError(f"unexpected character {name[0]!r}", m.start(kind))
+            need = root_sort if want is _ROOT else want
+            if kind == "var":
+                known = table.get(name)
+                sort = need if known is None else known
+            else:
+                name, sort = name[:-2], SORT_DIGITS[name[-1]]
+                known = table.get(name)
+                if known is not None and known != sort:
+                    raise FormulaSyntaxError(
+                        f"variable {name!r} already has sort {known}", m.start(kind)
+                    )
+            if need is not None and sort != need:
+                raise FormulaSyntaxError(
+                    f"variable {name!r} has sort {sort}, position requires {need}",
+                    m.start(kind),
+                )
+            if sort is None:
+                x = None
+            else:
+                if known is None:
+                    table[name] = sort
+                if want is _ROOT:
+                    root_sort = sort
+                x = Var(name, sort)
+        elif kind == "lparen":
+            ops.append((_PAREN, level))
+            level = want
+            continue
+        elif kind == "neg":
+            ops.append(_NEG_ENTRY)
+            continue
+        elif kind == "mod":
+            word = m.group(kind)
+            cls, mod_name = MODAL_TOKENS[word]
+            if not sig.has(mod_name):
+                raise FormulaSyntaxError(
+                    f"modality {word!r} is not in the signature", m.start(kind)
+                )
+            mod = sig.modality(mod_name)
+            need = root_sort if want is _ROOT else want
+            if need is None:
+                root_sort = mod.result_sort
+            elif need != mod.result_sort:
+                raise FormulaSyntaxError(
+                    f"{word!r} yields sort {mod.result_sort}, position requires {need}",
+                    m.start(kind),
+                )
+            ops.append((_MOD, cls, mod))
+            want = mod.arg_sorts[0]
+            continue
+        elif kind == "const":
+            need = root_sort if want is _ROOT else want
+            if need is None:
+                x = None
+            else:
+                x = Bot(need) if m.group(kind) == "#f" else Top(need)
+        elif kind == "colon":
+            raise FormulaSyntaxError("sort suffix must be ':1' or ':2'", m.end(kind) - 1)
+        elif kind == "bad":
+            raise _bad(m)
+        else:
+            raise FormulaSyntaxError(f"unexpected token {m.group(kind)!r}", m.start(kind))
+        # an operand is complete: apply the prefix operators in front of it
+        while ops and ops[-1][0] >= _NEG:
+            entry = ops.pop()
+            if entry[0] == _MOD:
+                x = entry[1](entry[2], (x,))
+            elif x is not None:
+                x = Neg(x)
+        operands.append(x)
+        want = level
+        operand = False
+    if operand:
+        raise FormulaSyntaxError("unexpected end of input", len(text))
+    while ops:
+        entry = ops.pop()
+        if entry[0] == _PAREN:
+            raise FormulaSyntaxError("unexpected end of input", len(text))
+        _reduce(operands, entry[1])
+    return operands[0], root_sort
+
+
+def _reduce(operands: list[Formula | None], cls: type) -> None:
+    right = operands.pop()
+    left = operands[-1]
+    operands[-1] = None if left is None or right is None else cls(left, right)
+
+
+def _bad(m: re.Match) -> FormulaSyntaxError:
+    c, pos = m.group("bad"), m.start("bad")
+    if c == "#":
+        return FormulaSyntaxError("expected '#f' or '#t'", pos)
+    return FormulaSyntaxError(f"unexpected character {c!r}", pos)
+
+
+def _trailing(m: re.Match, ops: list[tuple]) -> FormulaSyntaxError:
+    """A token where a binary operator or ')' belongs."""
+    kind = m.lastgroup
+    tok, pos = m.group(kind), m.start(kind)
+    if kind in ("sorted", "colon"):
+        tok = tok[: tok.index(":")]
+    if any(e[0] == _PAREN for e in ops):
+        return FormulaSyntaxError(f"expected ')', found {tok!r}", pos)
+    return FormulaSyntaxError(f"unexpected trailing input {tok!r}", pos)
 
 
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5

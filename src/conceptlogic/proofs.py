@@ -63,11 +63,11 @@ from .syntax import (
 MAX_TAUTOLOGY_ATOMS = 24
 
 
-def _skeleton_atoms(f: Formula, atoms: list[Formula]) -> None:
-    """Collect maximal non-propositional subformulas (and variables) as atoms."""
+def _skeleton_atoms(f: Formula, atoms: dict[Formula, None]) -> None:
+    """Collect maximal non-propositional subformulas (and variables) as atoms,
+    in order of first occurrence."""
     if isinstance(f, (Var, Dia, Box)):
-        if f not in atoms:
-            atoms.append(f)
+        atoms[f] = None
     elif isinstance(f, (Bot, Top)):
         pass
     elif isinstance(f, Neg):
@@ -105,7 +105,7 @@ def is_tautology(f: Formula) -> bool:
     All 2^k rows are evaluated at once: atom i's column has bit r set iff
     bit i of r is, and the skeleton is a tautology iff its column is full.
     """
-    atoms: list[Formula] = []
+    atoms: dict[Formula, None] = {}
     _skeleton_atoms(f, atoms)
     k = len(atoms)
     if k > MAX_TAUTOLOGY_ATOMS:
@@ -551,6 +551,8 @@ def soundness_probe(
 # One record per numbered line:  INDEX | FORMULA | RULE [| SUBST]
 # Rules: 'axiom [NAME]', 'pl', 'premise N', 'mp I J', 'ug MOD [POS] I'.
 # Headers: 'system: NAME', 'var NAME : 1|2', 'premise: FORMULA', '#' comments.
+# A '#' starts a comment unless it is the constant '#f' or '#t'.
+_COMMENT = re.compile(r"#(?![ft](?!\w))")
 
 
 @dataclass
@@ -583,7 +585,7 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
         return sig
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(raw, 1)[0].strip()
         if not stripped:
             continue
         if stripped.lower().startswith("system:"):

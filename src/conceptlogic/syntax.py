@@ -1,16 +1,23 @@
 """Many-sorted modal formula ASTs, signatures, and the window-to-diamond translation.
 
-Formulas are immutable trees; every node carries its sort, and ill-sorted
-trees cannot be constructed.  Boolean connectives join formulas of one sort;
-modalities move between sorts according to their declared arity.  A modality
-comes in a diamond form (existential) and a box form (universal); *window*
-modalities are box-only and get the sufficiency semantics.
+Formulas are immutable, hash-consed nodes: a constructor returns the live
+node with the same class and children when there is one, so a formula is a
+DAG of shared nodes, structurally equal formulas are the same object, and
+``==`` and ``hash`` are identity, never a walk (Filliatre and Conchon,
+"Type-Safe Modular Hash-Consing", 2006).  The intern table holds nodes
+weakly, so a node lives only as long as its users.  Every node carries its
+sort, and ill-sorted formulas cannot be constructed.  Boolean connectives
+join formulas of one sort; modalities move between sorts according to their
+declared arity.  A modality comes in a diamond form (existential) and a box
+form (universal); *window* modalities are box-only and get the sufficiency
+semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
+from weakref import ref
 
 from .context import SORT1, SORT2
 from .errors import SignatureError, SortMismatchError
@@ -47,11 +54,13 @@ class Signature:
 
     sorts: tuple[str, ...]
     modalities: tuple[Modality, ...]
+    _by_name: dict[str, Modality] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [m.name for m in self.modalities]
         if len(set(names)) != len(names):
             raise SignatureError("modality names must be unique")
+        object.__setattr__(self, "_by_name", {m.name: m for m in self.modalities})
         for m in self.modalities:
             for s in (*m.arg_sorts, m.result_sort):
                 if s not in self.sorts:
@@ -62,13 +71,13 @@ class Signature:
                 )
 
     def modality(self, name: str) -> Modality:
-        for m in self.modalities:
-            if m.name == name:
-                return m
-        raise SignatureError(f"unknown modality {name!r}")
+        mod = self._by_name.get(name)
+        if mod is None:
+            raise SignatureError(f"unknown modality {name!r}")
+        return mod
 
     def has(self, name: str) -> bool:
-        return any(m.name == name for m in self.modalities)
+        return name in self._by_name
 
 
 DIA = Modality("dia", (SORT1,), SORT2, converse="dia-")
@@ -82,9 +91,36 @@ FULL = Signature((SORT1, SORT2), (DIA, DIA_INV, WBOX, WBOX_INV))
 
 
 class Formula:
-    """Base class for formula nodes.  All subclasses are frozen dataclasses."""
+    """Base class for formula nodes.
 
-    sort: str
+    Nodes are interned: a constructor returns the live node with the same
+    class and children if there is one, so structurally equal formulas are
+    one object, and equality and hashing are identity.  Nodes are
+    immutable; ``_nf`` caches ``normalize``.
+    """
+
+    __slots__ = ("sort", "_nf", "_key", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    # Weak references to the live nodes, by (class, *children).  The class
+    # holds it, so a node reaches it while the interpreter tears modules down.
+    _interned: dict[tuple, ref] = {}
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"formula nodes are immutable (cannot set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"formula nodes are immutable (cannot delete {name!r})")
+
+    def __del__(self) -> None:
+        # When the cyclic collector frees a node, its weak reference is dead
+        # already, and a node built since then may own the entry.
+        entry = self._interned.get(self._key)
+        if entry is not None and entry() in (None, self):
+            del self._interned[self._key]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -104,113 +140,145 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+_INTERNED = Formula._interned
+_set = object.__setattr__
+# ``_nf`` of a node that is its own normal form (the node itself would be a
+# reference cycle, which only the cyclic collector frees)
+_NORMAL = True
+
+
+def _node(key: tuple, sort: str, nf=None) -> Formula:
+    """A new node of class ``key[0]``, registered under ``key``."""
+    node = object.__new__(key[0])
+    _set(node, "sort", sort)
+    _set(node, "_nf", nf)
+    _set(node, "_key", key)
+    _INTERNED[key] = ref(node)
+    return node
+
+
 class Var(Formula):
-    name: str
-    sort: str
+    __slots__ = ("name",)
+    _fields = ("name", "sort")
+
+    def __new__(cls, name: str, sort: str) -> "Var":
+        key = (cls, name, sort)
+        entry = _INTERNED.get(key)
+        node = entry and entry()
+        if node is None:
+            node = _node(key, sort, _NORMAL)
+            _set(node, "name", name)
+        return node
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
-    sort: str
+    __slots__ = ()
+    _fields = ("sort",)
+
+    def __new__(cls, sort: str) -> "Bot":
+        key = (cls, sort)
+        entry = _INTERNED.get(key)
+        return entry and entry() or _node(key, sort, _NORMAL)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    sort: str
+    __slots__ = ()
+    _fields = ("sort",)
+
+    def __new__(cls, sort: str) -> "Top":
+        key = (cls, sort)
+        entry = _INTERNED.get(key)
+        return entry and entry() or _node(key, sort)
 
 
-def _require_same_sort(left: Formula, right: Formula, what: str) -> str:
-    if left.sort != right.sort:
-        raise SortMismatchError(left.sort, right.sort, what)
-    return left.sort
-
-
-@dataclass(frozen=True)
 class Neg(Formula):
-    arg: Formula
-    sort: str = field(init=False)
+    __slots__ = ("arg",)
+    _fields = ("arg", "sort")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sort", self.arg.sort)
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-    sort: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sort", _require_same_sort(self.left, self.right, "&"))
+    def __new__(cls, arg: Formula) -> "Neg":
+        key = (cls, arg)
+        entry = _INTERNED.get(key)
+        node = entry and entry()
+        if node is None:
+            node = _node(key, arg.sort)
+            _set(node, "arg", arg)
+        return node
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-    sort: str = field(init=False)
+class _Binary(Formula):
+    """A Boolean connective joining two formulas of one sort."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sort", _require_same_sort(self.left, self.right, "|"))
+    __slots__ = ("left", "right")
+    _fields = ("left", "right", "sort")
+    _symbol = ""
 
-
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
-    sort: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sort", _require_same_sort(self.left, self.right, "->"))
-
-
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-    sort: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sort", _require_same_sort(self.left, self.right, "<->"))
+    def __new__(cls, left: Formula, right: Formula) -> "_Binary":
+        key = (cls, left, right)
+        entry = _INTERNED.get(key)
+        node = entry and entry()
+        if node is None:
+            if left.sort != right.sort:
+                raise SortMismatchError(left.sort, right.sort, cls._symbol)
+            node = _node(key, left.sort)
+            _set(node, "left", left)
+            _set(node, "right", right)
+        return node
 
 
-def _check_modal_args(mod: Modality, args: tuple[Formula, ...]) -> None:
-    if len(args) != mod.arity:
-        raise SortMismatchError(
-            f"{mod.arity} arguments", f"{len(args)}", f"modality {mod.name}"
-        )
-    for expected, arg in zip(mod.arg_sorts, args):
-        if arg.sort != expected:
-            raise SortMismatchError(expected, arg.sort, f"modality {mod.name}")
+class And(_Binary):
+    __slots__ = ()
+    _symbol = "&"
 
 
-@dataclass(frozen=True)
-class Dia(Formula):
+class Or(_Binary):
+    __slots__ = ()
+    _symbol = "|"
+
+
+class Imp(_Binary):
+    __slots__ = ()
+    _symbol = "->"
+
+
+class Iff(_Binary):
+    __slots__ = ()
+    _symbol = "<->"
+
+
+class _Modal(Formula):
+    __slots__ = ("mod", "args")
+    _fields = ("mod", "args", "sort")
+
+    def __new__(cls, mod: Modality, args: tuple[Formula, ...]) -> "_Modal":
+        key = (cls, mod, args)
+        entry = _INTERNED.get(key)
+        node = entry and entry()
+        if node is None:
+            if cls is Dia and mod.window:
+                raise SignatureError(f"window modality {mod.name!r} is box-only")
+            if len(args) != mod.arity:
+                raise SortMismatchError(
+                    f"{mod.arity} arguments", f"{len(args)}", f"modality {mod.name}"
+                )
+            for expected, arg in zip(mod.arg_sorts, args):
+                if arg.sort != expected:
+                    raise SortMismatchError(expected, arg.sort, f"modality {mod.name}")
+            node = _node(key, mod.result_sort)
+            _set(node, "mod", mod)
+            _set(node, "args", args)
+        return node
+
+
+class Dia(_Modal):
     """Existential modal node; window modalities have no diamond form."""
 
-    mod: Modality
-    args: tuple[Formula, ...]
-    sort: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.mod.window:
-            raise SignatureError(f"window modality {self.mod.name!r} is box-only")
-        _check_modal_args(self.mod, self.args)
-        object.__setattr__(self, "sort", self.mod.result_sort)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box(Formula):
+class Box(_Modal):
     """Universal modal node; for window modalities this is the sufficiency form."""
 
-    mod: Modality
-    args: tuple[Formula, ...]
-    sort: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        _check_modal_args(self.mod, self.args)
-        object.__setattr__(self, "sort", self.mod.result_sort)
+    __slots__ = ()
 
 
 # Convenience constructors for the two-sorted dialects.
@@ -302,31 +370,37 @@ def normalize(f: Formula) -> Formula:
     """Expand Top/Or/Imp/Iff into the {Bot, Neg, And, Dia, Box} core.
 
     Proof checking compares formulas in this normal form, so scripts may
-    freely use the defined connectives.
+    freely use the defined connectives.  The result is kept on the node, and
+    a normal form is its own normal form, so each shared node is expanded
+    once.
     """
-    if isinstance(f, (Var, Bot)):
-        return f
+    nf = f._nf
+    if nf is not None:
+        return f if nf is _NORMAL else nf
     if isinstance(f, Top):
-        return Neg(Bot(f.sort))
-    if isinstance(f, Neg):
-        return Neg(normalize(f.arg))
-    if isinstance(f, And):
-        return And(normalize(f.left), normalize(f.right))
-    if isinstance(f, Or):
-        return Neg(And(Neg(normalize(f.left)), Neg(normalize(f.right))))
-    if isinstance(f, Imp):
-        return Neg(And(normalize(f.left), Neg(normalize(f.right))))
-    if isinstance(f, Iff):
+        out = Neg(Bot(f.sort))
+    elif isinstance(f, Neg):
+        out = Neg(normalize(f.arg))
+    elif isinstance(f, And):
+        out = And(normalize(f.left), normalize(f.right))
+    elif isinstance(f, Or):
+        out = Neg(And(Neg(normalize(f.left)), Neg(normalize(f.right))))
+    elif isinstance(f, Imp):
+        out = Neg(And(normalize(f.left), Neg(normalize(f.right))))
+    elif isinstance(f, Iff):
         left, right = normalize(f.left), normalize(f.right)
-        return And(
+        out = And(
             Neg(And(left, Neg(right))),
             Neg(And(right, Neg(left))),
         )
-    if isinstance(f, Dia):
-        return Dia(f.mod, tuple(normalize(a) for a in f.args))
-    if isinstance(f, Box):
-        return Box(f.mod, tuple(normalize(a) for a in f.args))
-    raise TypeError(f"unknown formula node {f!r}")
+    elif isinstance(f, (Dia, Box)):
+        out = type(f)(f.mod, tuple(normalize(a) for a in f.args))
+    else:
+        raise TypeError(f"unknown formula node {f!r}")
+    _set(out, "_nf", _NORMAL)
+    if out is not f:
+        _set(f, "_nf", out)
+    return out
 
 
 _RHO_IMAGE = {WBOX.name: DIA, WBOX_INV.name: DIA_INV}

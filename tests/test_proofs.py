@@ -36,6 +36,7 @@ from conceptlogic.syntax import (
     Imp,
     Neg,
     Or,
+    Top,
     Var,
     box,
     dia,
@@ -383,6 +384,28 @@ class TestScriptParsing:
             parse_proof_script("1 | p:1 | nonsense 1\n")
         with pytest.raises(ProofScriptError):
             parse_proof_script("system: NOPE\n")
+
+    def test_constants_are_not_comments(self):
+        script = parse_proof_script(
+            "system: KF  # window system\n"
+            "var p : 1\n"
+            "premise: p & #t\n"
+            "# a whole-line comment\n"
+            "1 | p & #t | premise 1\n"
+            "2 | p -> (#f -> p) | pl  # trailing comment\n"
+        )
+        assert script.premises == [And(P, Top(SORT1))]
+        assert [line.formula for line in script.lines] == [
+            And(P, Top(SORT1)),
+            Imp(P, Imp(Bot(SORT1), P)),
+        ]
+        assert script.check().accepted
+
+    def test_serialized_constants_read_back(self):
+        script = ProofScript("KF", [], [ProofLine(1, Imp(P, Imp(Bot(SORT1), P)), AxiomRef("PL"))])
+        assert script.check().accepted
+        again = parse_proof_script(serialize_proof_script(script))
+        assert again.lines == script.lines
 
     def test_system_header_must_lead(self):
         with pytest.raises(ProofScriptError):

@@ -1,9 +1,14 @@
 """Tests for formula construction, parsing, printing, and the rho translation."""
 
+import gc
+import io
 import random
+from pathlib import Path
 
 import pytest
 
+from conceptlogic import syntax
+from conceptlogic.cli import run_cli
 from conceptlogic.errors import FormulaSyntaxError, SignatureError, SortMismatchError
 from conceptlogic.parser import parse_formula, print_formula
 from conceptlogic.syntax import (
@@ -82,6 +87,67 @@ class TestConstruction:
             Signature((SORT1,), (DIA,))  # uses unknown sort s2
         with pytest.raises(SignatureError):
             Signature((SORT1, SORT2), (DIA, DIA))
+
+
+class TestInterning:
+    def test_equal_constructions_are_one_node(self):
+        assert Var("p", SORT1) is Var("p", SORT1)
+        assert Var("p", SORT1) is not Var("p", SORT2)
+        assert Imp(P, wbox_inv(Q)) is Imp(var1("p"), wbox_inv(var2("q")))
+        assert Dia(Modality("dia", (SORT1,), SORT2, converse="dia-"), (P,)) is dia(P)
+        assert parse_formula("p -> boxm- q", SORT1) is Imp(P, wbox_inv(Q))
+
+    def test_normalize_is_idempotent_by_identity(self):
+        for f in (Imp(P, Or(P, Top(SORT1))), Iff(wbox(P), Neg(Q)), And(P, Neg(P)), Q):
+            nf = normalize(f)
+            assert normalize(nf) is nf
+            assert normalize(f) is nf
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            P.name = "q"
+        with pytest.raises(AttributeError):
+            del Neg(P).arg
+
+    def test_ill_sorted_constructions_still_raise(self):
+        with pytest.raises(SortMismatchError):
+            Or(P, Q)
+        with pytest.raises(SortMismatchError):
+            Iff(Bot(SORT1), Top(SORT2))
+        with pytest.raises(SortMismatchError):
+            box(Q)
+        with pytest.raises(SignatureError):
+            Dia(WBOX, (P,))
+        # a failed construction registers nothing
+        with pytest.raises(SortMismatchError):
+            And(var1("fresh"), var2("fresh2"))
+        assert not any(k[0] is And and k[1] is var1("fresh") for k in syntax._INTERNED)
+
+    def test_deep_chain_needs_no_recursion(self):
+        depth = 10**4
+        f = g = P
+        for _ in range(depth):
+            f, g = Neg(f), Neg(g)
+        assert f is g and f == g and hash(f) == hash(g)
+        assert parse_formula("~" * depth + "p", SORT1) is f
+        del f, g
+
+    def test_table_does_not_outlive_its_nodes(self):
+        script = str(Path(__file__).parent / "data" / "proofs" / "kf_k1_mp.prf")
+
+        def check():
+            assert run_cli(["check-proof", script], io.StringIO(), io.StringIO()) == 0
+            gc.collect()
+            return len(syntax._INTERNED)
+
+        gc.collect()
+        before = len(syntax._INTERNED)
+        after_first = check()
+        for _ in range(9):
+            check()
+        assert check() <= after_first
+        # nothing parsed from the script outlives the call
+        assert after_first == before
 
 
 class TestSubstitution:
