@@ -328,9 +328,6 @@ def run_cli(argv, out=None, err=None) -> int:
     except (ConceptLogicError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    except RecursionError:
-        print("error: formula nested too deeply", file=err)
-        return EXIT_USAGE
 
 
 def main() -> None:

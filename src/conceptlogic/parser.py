@@ -285,53 +285,56 @@ def _trailing(m: re.Match, ops: list[tuple]) -> FormulaSyntaxError:
 
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
 
+# binary connective: its infix text, its precedence, and the precedences its
+# left and right operands need (one more on the side it does not associate to)
+_BINARY_PRINT = {
+    And: (" & ", _PREC_AND, _PREC_AND, _PREC_AND + 1),
+    Or: (" | ", _PREC_OR, _PREC_OR, _PREC_OR + 1),
+    Imp: (" -> ", _PREC_IMP, _PREC_IMP + 1, _PREC_IMP),
+    Iff: (" <-> ", _PREC_IFF, _PREC_IFF + 1, _PREC_IFF),
+}
+
 _MODAL_PRINT = {
-    (Dia, "dia"): "dia",
-    (Box, "dia"): "box",
-    (Dia, "dia-"): "dia-",
-    (Box, "dia-"): "box-",
-    (Box, "boxm"): "boxm",
-    (Box, "boxm-"): "boxm-",
+    (Dia, "dia"): "dia ",
+    (Box, "dia"): "box ",
+    (Dia, "dia-"): "dia- ",
+    (Box, "dia-"): "box- ",
+    (Box, "boxm"): "boxm ",
+    (Box, "boxm-"): "boxm- ",
 }
 
 
 def print_formula(f: Formula) -> str:
-    """Render a formula; inverse of ``parse_formula`` up to whitespace."""
-    return _render(f, 0)
+    """Render a formula; inverse of ``parse_formula`` up to whitespace.
 
-
-def _render(f: Formula, prec: int) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Bot):
-        return "#f"
-    if isinstance(f, Top):
-        return "#t"
-    if isinstance(f, Neg):
-        return _wrap(f"~{_render(f.arg, _PREC_UNARY)}", _PREC_UNARY, prec)
-    if isinstance(f, And):
-        s = f"{_render(f.left, _PREC_AND)} & {_render(f.right, _PREC_AND + 1)}"
-        return _wrap(s, _PREC_AND, prec)
-    if isinstance(f, Or):
-        s = f"{_render(f.left, _PREC_OR)} | {_render(f.right, _PREC_OR + 1)}"
-        return _wrap(s, _PREC_OR, prec)
-    if isinstance(f, Imp):
-        s = f"{_render(f.left, _PREC_IMP + 1)} -> {_render(f.right, _PREC_IMP)}"
-        return _wrap(s, _PREC_IMP, prec)
-    if isinstance(f, Iff):
-        s = f"{_render(f.left, _PREC_IFF + 1)} <-> {_render(f.right, _PREC_IFF)}"
-        return _wrap(s, _PREC_IFF, prec)
-    if isinstance(f, (Dia, Box)):
-        key = (type(f), f.mod.name)
-        if key in _MODAL_PRINT and f.mod.arity == 1:
-            s = f"{_MODAL_PRINT[key]} {_render(f.args[0], _PREC_UNARY)}"
-            return _wrap(s, _PREC_UNARY, prec)
-        # generic polyadic form, for display only
-        tag = f.mod.name if isinstance(f, Dia) else f"{f.mod.name}^box"
-        args = ", ".join(_render(a, 0) for a in f.args)
-        return f"{tag}({args})"
-    raise TypeError(f"unknown formula node {f!r}")
-
-
-def _wrap(s: str, level: int, required: int) -> str:
-    return f"({s})" if level < required else s
+    An explicit stack holds the pending tokens and (formula, required
+    precedence) pairs; the tokens go into one list, joined once.
+    """
+    tokens: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            tokens.append(item)
+            continue
+        g, required = item
+        cls, level = type(g), _PREC_UNARY
+        if cls is Var or cls is Bot or cls is Top:
+            parts = [g.name if cls is Var else "#f" if cls is Bot else "#t"]
+        elif cls is Neg:
+            parts = ["~", (g.arg, _PREC_UNARY)]
+        elif cls in _BINARY_PRINT:
+            symbol, level, left, right = _BINARY_PRINT[cls]
+            parts = [(g.left, left), symbol, (g.right, right)]
+        elif (cls, g.mod.name) in _MODAL_PRINT and g.mod.arity == 1:
+            parts = [_MODAL_PRINT[cls, g.mod.name], (g.args[0], _PREC_UNARY)]
+        else:  # generic polyadic form, for display only, never parenthesized
+            level = required
+            parts = [f"{g.mod.name}(" if cls is Dia else f"{g.mod.name}^box("]
+            for a in g.args:
+                parts += (a, 0), ", "
+            parts[-1] = ")"
+        if level < required:
+            parts = ["(", *parts, ")"]
+        stack += reversed(parts)
+    return "".join(tokens)

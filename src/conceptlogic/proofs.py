@@ -10,15 +10,16 @@ the refutation form: from not-phi infer window-phi).
 Formulas are compared after normalization into the {bot, not, and, diamond,
 box} core, so scripts may use the defined connectives freely.  Propositional
 tautologies are decided by truth table on the propositional skeleton, with
-maximal modal subformulas abstracted as atoms; the rows are evaluated
-together as bit columns.
+each outermost modal subformula abstracted as an atom.  The table is one
+scan of the formula evaluator (``semantics._Slices``) on a one-world frame:
+all rows at once as bit columns, with the atoms' columns seeded into its memo.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, ProofScriptError, SignatureError
 from .parser import SORT_DIGITS, parse_formula, print_formula
@@ -26,6 +27,7 @@ from .semantics import (
     DEFAULT_BUDGET,
     SortedFrame,
     _index_bit,
+    _Slices,
     frame_valid,
     global_consequence,
     local_consequence,
@@ -49,6 +51,7 @@ from .syntax import (
     Signature,
     Top,
     Var,
+    _walk,
     box,
     box_inv,
     dia,
@@ -61,59 +64,36 @@ from .syntax import (
 )
 
 MAX_TAUTOLOGY_ATOMS = 24
-
-
-def _skeleton_atoms(f: Formula, atoms: dict[Formula, None]) -> None:
-    """Collect maximal non-propositional subformulas (and variables) as atoms,
-    in order of first occurrence."""
-    if isinstance(f, (Var, Dia, Box)):
-        atoms[f] = None
-    elif isinstance(f, (Bot, Top)):
-        pass
-    elif isinstance(f, Neg):
-        _skeleton_atoms(f.arg, atoms)
-    else:
-        _skeleton_atoms(f.left, atoms)
-        _skeleton_atoms(f.right, atoms)
-
-
-def _eval_skeleton(f: Formula, env: Mapping[Formula, int], full: int) -> int:
-    """Truth-table column of ``f``: bit r is its value in row r."""
-    if isinstance(f, (Var, Dia, Box)):
-        return env[f]
-    if isinstance(f, Bot):
-        return 0
-    if isinstance(f, Top):
-        return full
-    if isinstance(f, Neg):
-        return full ^ _eval_skeleton(f.arg, env, full)
-    left = _eval_skeleton(f.left, env, full)
-    right = _eval_skeleton(f.right, env, full)
-    if isinstance(f, And):
-        return left & right
-    if isinstance(f, Imp):
-        return (full ^ left) | right
-    if isinstance(f, Iff):
-        return full ^ left ^ right
-    # Or only appears pre-normalization
-    return left | right
+# a truth table is a scan of a frame with one world per sort and no relations
+_ONE_WORLD = SortedFrame({SORT1: ("w",), SORT2: ("w",)}, {})
+_SKELETON_LEAVES = frozenset({Var, Bot, Top, Dia, Box})
+_ATOMS = frozenset({Var, Dia, Box})
 
 
 def is_tautology(f: Formula) -> bool:
     """Truth-table tautology test on the propositional skeleton of ``f``.
 
-    All 2^k rows are evaluated at once: atom i's column has bit r set iff
-    bit i of r is, and the skeleton is a tautology iff its column is full.
+    The atoms are the variables and the outermost modal nodes.  All 2^k
+    rows are evaluated at once on the one-world frame: atom i's column has
+    bit r set iff bit i of r is, and the skeleton is a tautology iff its
+    column is full.  The atoms are seeded into the evaluator's memo, so no
+    modal node is entered.
     """
-    atoms: dict[Formula, None] = {}
-    _skeleton_atoms(f, atoms)
+    # the skeleton's nodes, children first
+    classes: dict[Formula, type] = {}
+    _walk(f, classes, type, _SKELETON_LEAVES)
+    atoms = [g for g, cls in classes.items() if cls in _ATOMS]
     k = len(atoms)
     if k > MAX_TAUTOLOGY_ATOMS:
         raise BudgetExceededError(1 << k, 1 << MAX_TAUTOLOGY_ATOMS)
     rows = 1 << k
-    env = {atom: _index_bit(i, 0, rows) for i, atom in enumerate(atoms)}
-    full = (1 << rows) - 1
-    return _eval_skeleton(f, env, full) == full
+    columns = {atom: [_index_bit(i, 0, rows)] for i, atom in enumerate(atoms)}
+    ev = _Slices(_ONE_WORLD, rows, columns)
+    memo, build = ev.memo, ev._build
+    for g, cls in classes.items():  # in that order, so no second walk is needed
+        if cls not in _ATOMS:
+            memo[g] = build(g)
+    return memo[f] == [ev.full]
 
 
 @dataclass(frozen=True)
@@ -141,29 +121,25 @@ class ProofSystem:
 
 def _match(pattern: Formula, f: Formula, binding: dict[Var, Formula]) -> bool:
     """One-sided structural match of a normalized pattern against ``f``."""
-    if isinstance(pattern, Var):
-        if pattern.sort != f.sort:
+    pairs = [(pattern, f)]
+    while pairs:
+        p, g = pairs.pop()
+        if isinstance(p, Var):
+            if p.sort != g.sort or binding.setdefault(p, g) is not g:
+                return False
+        elif type(g) is not type(p) or (isinstance(p, Bot) and g is not p):
             return False
-        bound = binding.get(pattern)
-        if bound is None:
-            binding[pattern] = f
-            return True
-        return bound == f
-    if isinstance(pattern, Bot):
-        return isinstance(f, Bot) and f.sort == pattern.sort
-    if isinstance(pattern, Neg):
-        return isinstance(f, Neg) and _match(pattern.arg, f.arg, binding)
-    if isinstance(pattern, And):
-        return (
-            isinstance(f, And)
-            and _match(pattern.left, f.left, binding)
-            and _match(pattern.right, f.right, binding)
-        )
-    if isinstance(pattern, (Dia, Box)):
-        if type(f) is not type(pattern) or f.mod != pattern.mod:
-            return False
-        return all(_match(p, a, binding) for p, a in zip(pattern.args, f.args))
-    raise TypeError(f"non-core pattern node {pattern!r}")  # pragma: no cover
+        elif isinstance(p, Neg):
+            pairs.append((p.arg, g.arg))
+        elif isinstance(p, And):
+            pairs += (p.right, g.right), (p.left, g.left)
+        elif isinstance(p, (Dia, Box)):
+            if g.mod != p.mod:
+                return False
+            pairs += reversed(list(zip(p.args, g.args)))
+        else:  # pragma: no cover
+            raise TypeError(f"non-core pattern node {p!r}")
+    return True
 
 
 def match_axiom(
@@ -478,9 +454,14 @@ def establishes(
 
 
 def _flatten_and(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
-    return [f]
+    conjuncts, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += g.right, g.left
+        else:
+            conjuncts.append(g)
+    return conjuncts
 
 
 def delete_line(lines: Sequence[ProofLine], index: int) -> list[ProofLine]:
@@ -551,7 +532,9 @@ def soundness_probe(
 # One record per numbered line:  INDEX | FORMULA | RULE [| SUBST]
 # Rules: 'axiom [NAME]', 'pl', 'premise N', 'mp I J', 'ug MOD [POS] I'.
 # Headers: 'system: NAME', 'var NAME : 1|2', 'premise: FORMULA', '#' comments.
-# A '#' starts a comment unless it is the constant '#f' or '#t'.
+# A line whose first non-blank character is '#' is a comment; no record or
+# header starts with one.  Elsewhere a '#' starts a comment unless it is the
+# constant '#f' or '#t'.
 _COMMENT = re.compile(r"#(?![ft](?!\w))")
 
 
@@ -586,7 +569,7 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT.split(raw, 1)[0].strip()
-        if not stripped:
+        if not stripped or raw.lstrip().startswith("#"):
             continue
         if stripped.lower().startswith("system:"):
             if premises or lines:

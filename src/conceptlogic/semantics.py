@@ -6,7 +6,9 @@ truth at that world under the k-th valuation.  Connectives are word
 operations; a diamond is the OR over successor tuples of the AND of the
 argument slices, a box is its dual, and a window box is the complement of
 the OR of the argument slices over non-successors.  ``truth_set`` is the
-case of one valuation.
+case of one valuation, and a tautology test (``proofs``) a one-world frame
+whose memo is seeded with the atoms' truth-table columns.  Evaluation runs on
+``syntax._walk``: children first, each shared node once, no recursion.
 
 Every exhaustive check runs on one scanner, ``FrameEvaluator``: it
 enumerates all valuations of a variable set, refusing explicitly when the
@@ -49,6 +51,7 @@ from .syntax import (
     Signature,
     Top,
     Var,
+    _walk,
     variables,
 )
 
@@ -272,7 +275,8 @@ class _Slices:
 
     ``self(f)`` lists one int per world of ``f``'s sort, whose bit k is the
     truth of ``f`` at that world under the block's k-th valuation.  The memo
-    starts out holding the variables' slices.
+    starts out holding the variables' slices; the walk never enters a node
+    in it.
     """
 
     def __init__(self, frame: SortedFrame, width: int, var_slices: dict[Var, list[int]]):
@@ -281,34 +285,28 @@ class _Slices:
         self.memo: dict[Formula, list[int]] = dict(var_slices)
 
     def __call__(self, f: Formula) -> list[int]:
-        hit = self.memo.get(f)
-        if hit is not None:
-            return hit
-        full = self.full
-        if isinstance(f, Var):
+        return self.memo.get(f) or _walk(f, self.memo, self._build)
+
+    def _build(self, f: Formula) -> list[int]:
+        """``f``'s slices, from the slices of its children in the memo."""
+        memo, full, cls = self.memo, self.full, type(f)
+        if cls is Neg:
+            return [full ^ a for a in memo[f.arg]]
+        if cls is And:
+            return [a & b for a, b in zip(memo[f.left], memo[f.right])]
+        if cls is Or:
+            return [a | b for a, b in zip(memo[f.left], memo[f.right])]
+        if cls is Imp:
+            return [(full ^ a) | b for a, b in zip(memo[f.left], memo[f.right])]
+        if cls is Iff:
+            return [full ^ a ^ b for a, b in zip(memo[f.left], memo[f.right])]
+        if cls is Bot or cls is Top:
+            return [0 if cls is Bot else full] * self.frame.carrier_size(f.sort)
+        if cls is Var:  # a variable the memo was not seeded with
             raise ValuationError(
                 f"variable {f.name!r} of sort {f.sort} is outside the evaluated variables"
             )
-        if isinstance(f, Bot):
-            out = [0] * self.frame.carrier_size(f.sort)
-        elif isinstance(f, Top):
-            out = [full] * self.frame.carrier_size(f.sort)
-        elif isinstance(f, Neg):
-            out = [full ^ a for a in self(f.arg)]
-        elif isinstance(f, And):
-            out = [a & b for a, b in zip(self(f.left), self(f.right))]
-        elif isinstance(f, Or):
-            out = [a | b for a, b in zip(self(f.left), self(f.right))]
-        elif isinstance(f, Imp):
-            out = [(full ^ a) | b for a, b in zip(self(f.left), self(f.right))]
-        elif isinstance(f, Iff):
-            out = [full ^ a ^ b for a, b in zip(self(f.left), self(f.right))]
-        elif isinstance(f, (Dia, Box)):
-            out = self._modal(f, [self(a) for a in f.args])
-        else:
-            raise TypeError(f"unknown formula node {f!r}")
-        self.memo[f] = out
-        return out
+        return self._modal(f, [memo[a] for a in f.args])
 
     def _modal(self, f: Dia | Box, args: list[list[int]]) -> list[int]:
         full = self.full

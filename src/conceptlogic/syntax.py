@@ -11,12 +11,17 @@ join formulas of one sort; modalities move between sorts according to their
 declared arity.  A modality comes in a diamond form (existential) and a box
 form (universal); *window* modalities are box-only and get the sufficiency
 semantics.
+
+Every formula traversal (normalization, substitution, translation, variables,
+evaluation, tautologies) runs on one walk, ``_walk``: an explicit stack, so
+depth costs no recursion, and a memo as its visited set, so a shared node is
+visited once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Mapping
 from weakref import ref
 
 from .context import SORT1, SORT2
@@ -315,25 +320,57 @@ def wbox_inv(f: Formula) -> Box:
     return Box(WBOX_INV, (f,))
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Yield every subformula, root first."""
-    yield f
+_LEAVES = frozenset({Var, Bot, Top})
+# on the walk's stack: the node below it has its children in the memo
+_READY = object()
+
+
+def _walk(root: Formula, memo, build: Callable[[Formula], object], leaves=_LEAVES):
+    """``memo[root]``, filling ``memo[g] = build(g)`` for each node g it needs.
+
+    The walk keeps an explicit stack, so nesting depth costs no recursion.
+    The memo is the visited set: a node in it is never entered, so each
+    shared node is built once, and a caller stops the walk at chosen nodes
+    by seeding the memo with them.  A node is built after its children, left
+    to right, and ``build`` reads their results from the memo.  Nodes whose
+    class is in ``leaves`` (leaf or modal classes) are built without
+    entering their children.
+    """
+    stack = [root]
+    while stack:
+        f = stack.pop()
+        if f is _READY:
+            f = stack.pop()
+        elif f in memo:
+            continue
+        elif isinstance(f, _Binary):
+            stack += f, _READY, f.right, f.left
+            continue
+        elif isinstance(f, Neg):
+            stack += f, _READY, f.arg
+            continue
+        elif type(f) not in leaves:
+            stack += f, _READY, *reversed(f.args)
+            continue
+        memo[f] = build(f)
+    return memo[root]
+
+
+def _rebuild(f: Formula, images) -> Formula:
+    """``f`` with each child replaced by its image in ``images``."""
+    if isinstance(f, _Binary):
+        return type(f)(images[f.left], images[f.right])
     if isinstance(f, Neg):
-        yield from subformulas(f.arg)
-    elif isinstance(f, (And, Or, Imp, Iff)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Dia, Box)):
-        for a in f.args:
-            yield from subformulas(a)
+        return Neg(images[f.arg])
+    if isinstance(f, _Modal):
+        return type(f)(f.mod, tuple(images[a] for a in f.args))
+    return f
 
 
 def variables(f: Formula) -> set[Var]:
-    return {g for g in subformulas(f) if isinstance(g, Var)}
-
-
-def modalities(f: Formula) -> set[Modality]:
-    return {g.mod for g in subformulas(f) if isinstance(g, (Dia, Box))}
+    classes: dict[Formula, type] = {}
+    _walk(f, classes, type)
+    return {g for g, cls in classes.items() if cls is Var}
 
 
 def substitute(f: Formula, mapping: Mapping[Var, Formula]) -> Formula:
@@ -341,29 +378,26 @@ def substitute(f: Formula, mapping: Mapping[Var, Formula]) -> Formula:
     for v, g in mapping.items():
         if v.sort != g.sort:
             raise SortMismatchError(v.sort, g.sort, f"substitution for {v.name}")
-    return _substitute(f, mapping)
+    images = dict(mapping)
+    return _walk(f, images, lambda g: _rebuild(g, images))
 
 
-def _substitute(f: Formula, mapping: Mapping[Var, Formula]) -> Formula:
-    if isinstance(f, Var):
-        return mapping.get(f, f)
-    if isinstance(f, (Bot, Top)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(_substitute(f.arg, mapping))
-    if isinstance(f, And):
-        return And(_substitute(f.left, mapping), _substitute(f.right, mapping))
-    if isinstance(f, Or):
-        return Or(_substitute(f.left, mapping), _substitute(f.right, mapping))
-    if isinstance(f, Imp):
-        return Imp(_substitute(f.left, mapping), _substitute(f.right, mapping))
-    if isinstance(f, Iff):
-        return Iff(_substitute(f.left, mapping), _substitute(f.right, mapping))
-    if isinstance(f, Dia):
-        return Dia(f.mod, tuple(_substitute(a, mapping) for a in f.args))
-    if isinstance(f, Box):
-        return Box(f.mod, tuple(_substitute(a, mapping) for a in f.args))
-    raise TypeError(f"unknown formula node {f!r}")
+class _NormalForms:
+    """The ``_nf`` slots of the nodes, read as the memo of ``normalize``."""
+
+    def __contains__(self, f: Formula) -> bool:
+        return f._nf is not None
+
+    def __getitem__(self, f: Formula) -> Formula:
+        return f if f._nf is _NORMAL else f._nf
+
+    def __setitem__(self, f: Formula, out: Formula) -> None:
+        _set(out, "_nf", _NORMAL)
+        if out is not f:
+            _set(f, "_nf", out)
+
+
+_NORMAL_FORMS = _NormalForms()
 
 
 def normalize(f: Formula) -> Formula:
@@ -375,32 +409,24 @@ def normalize(f: Formula) -> Formula:
     once.
     """
     nf = f._nf
-    if nf is not None:
-        return f if nf is _NORMAL else nf
+    if nf is None:
+        return _walk(f, _NORMAL_FORMS, _expand)
+    return f if nf is _NORMAL else nf
+
+
+def _expand(f: Formula) -> Formula:
+    """The normal form of ``f``, from the normal forms of its children."""
+    nf = _NORMAL_FORMS
     if isinstance(f, Top):
-        out = Neg(Bot(f.sort))
-    elif isinstance(f, Neg):
-        out = Neg(normalize(f.arg))
-    elif isinstance(f, And):
-        out = And(normalize(f.left), normalize(f.right))
-    elif isinstance(f, Or):
-        out = Neg(And(Neg(normalize(f.left)), Neg(normalize(f.right))))
-    elif isinstance(f, Imp):
-        out = Neg(And(normalize(f.left), Neg(normalize(f.right))))
-    elif isinstance(f, Iff):
-        left, right = normalize(f.left), normalize(f.right)
-        out = And(
-            Neg(And(left, Neg(right))),
-            Neg(And(right, Neg(left))),
-        )
-    elif isinstance(f, (Dia, Box)):
-        out = type(f)(f.mod, tuple(normalize(a) for a in f.args))
-    else:
-        raise TypeError(f"unknown formula node {f!r}")
-    _set(out, "_nf", _NORMAL)
-    if out is not f:
-        _set(f, "_nf", out)
-    return out
+        return Neg(Bot(f.sort))
+    if isinstance(f, Or):
+        return Neg(And(Neg(nf[f.left]), Neg(nf[f.right])))
+    if isinstance(f, Imp):
+        return Neg(And(nf[f.left], Neg(nf[f.right])))
+    if isinstance(f, Iff):
+        left, right = nf[f.left], nf[f.right]
+        return And(Neg(And(left, Neg(right))), Neg(And(right, Neg(left))))
+    return _rebuild(f, nf)
 
 
 _RHO_IMAGE = {WBOX.name: DIA, WBOX_INV.name: DIA_INV}
@@ -413,23 +439,14 @@ def translate_rho(f: Formula) -> Formula:
     s1 becomes box-not, and its converse becomes inverse-box-not.  The
     result has the same sort as the input.
     """
-    if isinstance(f, (Var, Bot, Top)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(translate_rho(f.arg))
-    if isinstance(f, And):
-        return And(translate_rho(f.left), translate_rho(f.right))
-    if isinstance(f, Or):
-        return Or(translate_rho(f.left), translate_rho(f.right))
-    if isinstance(f, Imp):
-        return Imp(translate_rho(f.left), translate_rho(f.right))
-    if isinstance(f, Iff):
-        return Iff(translate_rho(f.left), translate_rho(f.right))
-    if isinstance(f, Box) and f.mod.name in _RHO_IMAGE:
-        target = _RHO_IMAGE[f.mod.name]
-        return Box(target, (Neg(translate_rho(f.args[0])),))
-    if isinstance(f, (Dia, Box)):
-        raise SignatureError(
-            f"modality {f.mod.name!r} is not in the window dialect"
-        )
-    raise TypeError(f"unknown formula node {f!r}")
+    images: dict[Formula, Formula] = {}
+
+    def image(g: Formula) -> Formula:
+        if not isinstance(g, _Modal):
+            return _rebuild(g, images)
+        target = _RHO_IMAGE.get(g.mod.name)
+        if target is None or isinstance(g, Dia):
+            raise SignatureError(f"modality {g.mod.name!r} is not in the window dialect")
+        return Box(target, (Neg(images[g.args[0]]),))
+
+    return _walk(f, images, image)

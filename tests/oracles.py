@@ -292,6 +292,49 @@ def scan(frame, pairs):
     return found
 
 
+def is_tautology(f: Formula) -> bool:
+    """Truth-table tautology test, one row at a time with Python bools.
+
+    The atoms are the variables and the maximal modal subformulas; every
+    assignment of True/False to them is tried in turn.
+    """
+    atoms: list[Formula] = []
+
+    def collect(g: Formula) -> None:
+        if isinstance(g, (Var, Dia, Box)):
+            if g not in atoms:
+                atoms.append(g)
+        elif isinstance(g, Neg):
+            collect(g.arg)
+        elif isinstance(g, (And, Or, Imp, Iff)):
+            collect(g.left)
+            collect(g.right)
+
+    def value(g: Formula, row: dict) -> bool:
+        if isinstance(g, (Var, Dia, Box)):
+            return row[g]
+        if isinstance(g, Bot):
+            return False
+        if isinstance(g, Top):
+            return True
+        if isinstance(g, Neg):
+            return not value(g.arg, row)
+        left, right = value(g.left, row), value(g.right, row)
+        if isinstance(g, And):
+            return left and right
+        if isinstance(g, Or):
+            return left or right
+        if isinstance(g, Imp):
+            return not left or right
+        return left == right
+
+    collect(f)
+    return all(
+        value(f, dict(zip(atoms, bits)))
+        for bits in itertools.product((False, True), repeat=len(atoms))
+    )
+
+
 # --- the recursive-descent formula parser ------------------------------------
 # The parser as it was before the one-pass stack parser replaced it: a
 # per-character tokenizer, recursive descent into a concrete-syntax tree,

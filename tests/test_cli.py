@@ -14,9 +14,10 @@ from conceptlogic import FormalContext, lattices, logical
 from conceptlogic.cli import _check_line, run_cli
 from conceptlogic.formats import load_context, serialize_cxt
 from conceptlogic.lattices import LawCheck
+from conceptlogic.parser import parse_formula, print_formula
 from conceptlogic.semantics import context_to_frame
 from conceptlogic.suites import random_valuation
-from conceptlogic.syntax import var1
+from conceptlogic.syntax import And, Imp, Neg, dia, dia_inv, var1, wbox, wbox_inv
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -104,12 +105,75 @@ class TestExitCodes:
         code, _, err = invoke(["check-proof", str(script), "--system", "KB2"])
         assert code == 2 and "declares system" in err
 
-    def test_deep_nesting_is_usage_error(self):
+
+DEEP = 10**5
+
+# Runs every memoized formula walk on a 64-level DAG of ``f = f & f``: 64
+# distinct nodes, 2^64 paths.  A walk that visits a shared node once per path
+# does not finish.  (Printing it would emit 2^64 tokens, so it is left out.)
+_SHARED_DAG_SCRIPT = """
+from conceptlogic.formats import load_context
+from conceptlogic.proofs import is_tautology
+from conceptlogic.semantics import context_to_frame, falsify
+from conceptlogic.syntax import (
+    Neg, Or, normalize, substitute, translate_rho, var1, var2, variables, wbox_inv,
+)
+p, x = var1("p"), var2("x")
+f = Or(p, wbox_inv(x))
+for _ in range(64):
+    f = f & f
+assert variables(f) == {p, x}
+nf = normalize(f)
+assert normalize(nf) is nf and normalize(f) is nf
+assert variables(substitute(f, {p: Neg(p)})) == {p, x}
+assert variables(translate_rho(f)) == {p, x}
+assert not is_tautology(f) and is_tautology(Or(f, Neg(f)))
+assert falsify(context_to_frame(load_context(%r)), f) is not None
+print("ok")
+"""
+
+
+class TestDeepFormulas:
+    """Every formula walk is iterative: depth costs no recursion, and a
+    shared node is visited once."""
+
+    def test_print_parse_round_trip(self):
+        p = var1("p")
+        steps = [Neg, lambda f: And(f, p), lambda f: Imp(p, f), lambda f: dia_inv(dia(f)),
+                 lambda f: wbox_inv(wbox(f)), lambda f: And(p, Neg(f))]
+        f = p
+        for i in range(DEEP):
+            f = steps[i % len(steps)](f)
+        text = print_formula(f)
+        assert parse_formula(text, 1) is f
+        assert text.count("(") > DEEP // len(steps)
+
+    def test_valid_gives_a_verdict(self):
         code, out, err = invoke(
-            ["valid", "--formula", "~" * 1200 + "p", "--sort", "1", str(DATA / "k0.cxt")]
+            ["valid", "--formula", "~" * DEEP + "p", "--sort", "1", str(DATA / "k0.cxt")]
         )
-        assert code == 2 and out == ""
-        assert err == "error: formula nested too deeply\n"
+        assert (code, err) == (1, "")
+        assert out.startswith("invalid: ")
+
+    def test_translate(self):
+        code, out, err = invoke(
+            ["translate", "--formula", "boxm- boxm " * (DEEP // 2) + "p", "--sort", "1"]
+        )
+        assert (code, err) == (0, "")
+        assert out == "box- ~box ~" * (DEEP // 2) + "p\n"
+
+    def test_check_proof_with_a_deep_pl_line(self, tmp_path):
+        script = tmp_path / "deep.prf"
+        script.write_text(f"system: KF\nvar p : 1\n1 | {'~~' * (DEEP // 2)}(p -> p) | pl\n")
+        assert invoke(["check-proof", str(script)]) == (0, "accepted\n", "")
+
+    def test_shared_dag_is_walked_once_per_node(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", _SHARED_DAG_SCRIPT % str(DATA / "k0.cxt")],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 class TestEvalAssignments:

@@ -39,6 +39,7 @@ from conceptlogic.syntax import (
     Top,
     Var,
     box,
+    box_inv,
     dia,
     dia_inv,
     normalize,
@@ -89,6 +90,60 @@ class TestTautology:
             f = Or(f, Var(f"v{i}", SORT1))
         with pytest.raises(BudgetExceededError):
             is_tautology(f)
+
+    def test_atom_budget_counts_distinct_atoms(self):
+        # 20 variables and 5 modal atoms, each occurring several times
+        xs = [var2(f"x{i}") for i in range(5)]
+        atoms = [Var(f"v{i}", SORT1) for i in range(20)] + [dia_inv(x) for x in xs]
+        f = Top(SORT1)
+        for a in atoms:
+            f = Iff(And(a, f), Or(f, a))
+        with pytest.raises(BudgetExceededError) as refused:
+            is_tautology(And(f, Neg(f)))
+        assert (refused.value.required, refused.value.budget) == (2**25, 2**24)
+
+    def test_agrees_with_row_by_row_oracle(self):
+        rng = random.Random(2024)
+        verdicts = []
+        for _ in range(300):
+            f = _random_skeleton(rng)
+            got = is_tautology(f)
+            assert got == oracles.is_tautology(f), f
+            assert is_tautology(normalize(f)) == got
+            verdicts.append(got)
+        assert 30 <= verdicts.count(True) <= 270
+
+
+def _random_skeleton(rng: random.Random):
+    """A sort-1 formula over at most 10 atoms: variables, and modal atoms
+    that reuse those variables and recur in the formula."""
+    ps = [var1(f"p{i}") for i in range(rng.randint(1, 5))]
+    xs = [var2("x"), var2("y")]
+    inner = [dia(rng.choice(ps)), Neg(dia(rng.choice(ps))), rng.choice(xs)]
+    wrap = [dia_inv, box_inv, wbox_inv]
+    modal = [rng.choice(wrap)(rng.choice(inner)) for _ in range(rng.randint(0, 5))]
+    atoms = ps + modal
+
+    def grow(depth):
+        if rng.random() < 0.05:
+            return rng.choice([Top(SORT1), Bot(SORT1)])
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice(atoms)
+        kind = rng.choice([Neg, And, Or, Imp, Iff])
+        if kind is Neg:
+            return Neg(grow(depth - 1))
+        return kind(grow(depth - 1), grow(depth - 1))
+
+    f = grow(rng.randint(1, 5))
+    # tautologies that a truth table must see through
+    shape = rng.randrange(4)
+    if shape == 1:
+        return Or(f, Neg(f))
+    if shape == 2:
+        return Imp(And(f, grow(2)), f)
+    if shape == 3:
+        return Iff(f, Neg(Neg(f)))
+    return f
 
 
 class TestMatchAxiom:
@@ -399,6 +454,19 @@ class TestScriptParsing:
             And(P, Top(SORT1)),
             Imp(P, Imp(Bot(SORT1), P)),
         ]
+        assert script.check().accepted
+
+    def test_lines_starting_with_hash_are_comments(self):
+        script = parse_proof_script(
+            "#t and #f are constants\n"
+            "system: KF\n"
+            "   #f | p | premise 1\n"
+            "var p : 1\n"
+            "#t\n"
+            "1 | p -> (#f -> p) | pl\n"
+        )
+        assert script.system_id == "KF"
+        assert [line.formula for line in script.lines] == [Imp(P, Imp(Bot(SORT1), P))]
         assert script.check().accepted
 
     def test_serialized_constants_read_back(self):

@@ -13,7 +13,6 @@ from conceptlogic.errors import FormulaSyntaxError, SignatureError, SortMismatch
 from conceptlogic.parser import parse_formula, print_formula
 from conceptlogic.syntax import (
     DIA,
-    DIA_INV,
     FULL,
     KF,
     RS,
@@ -35,7 +34,6 @@ from conceptlogic.syntax import (
     box,
     box_inv,
     dia,
-    modalities,
     normalize,
     substitute,
     translate_rho,
@@ -328,7 +326,6 @@ class TestRho:
 
 
 class TestHelpers:
-    def test_variables_and_modalities(self):
+    def test_variables(self):
         f = Imp(P, box_inv(dia(P)))
         assert variables(f) == {P}
-        assert modalities(f) == {DIA, DIA_INV}
