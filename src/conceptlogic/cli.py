@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .errors import BudgetExceededError, ConceptLogicError
 from .formats import export_dot, load_context, structured_lines
@@ -43,69 +44,62 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, context=True):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--format", choices=["text", "dot", "structured"], default="text"
-        )
-        if context:
-            p.add_argument("context", help="context file (.cxt or .csv)")
+    def command(name, handler, help, *arguments):
+        """A subcommand taking exactly ``arguments``, (name, options) pairs,
+        all of which ``handler`` reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
 
-    p = sub.add_parser("concepts", help="enumerate concepts of a context")
-    p.add_argument("--kind", choices=["fc", "pc", "oc"], required=True)
-    add_common(p)
+    kind = ("--kind", dict(choices=["fc", "pc", "oc"], required=True))
+    formula = ("--formula", dict(required=True))
+    sort = ("--sort", dict(choices=["1", "2"], required=True))
+    budget = ("--budget", dict(type=int, default=DEFAULT_BUDGET))
+    context = ("context", dict(help="context file (.cxt or .csv)"))
 
-    p = sub.add_parser("lattice", help="concept lattice with covering relation")
-    p.add_argument("--kind", choices=["fc", "pc", "oc"], required=True)
-    add_common(p)
-
-    p = sub.add_parser("eval", help="truth set of a formula in a model")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--sort", choices=["1", "2"], required=True)
-    p.add_argument(
-        "--assign",
-        action="append",
-        default=[],
-        metavar="VAR=w1,w2",
+    command(
+        "concepts", _cmd_concepts, "enumerate concepts of a context",
+        kind, ("--format", dict(choices=["text", "structured"], default="text")), context,
+    )
+    command(
+        "lattice", _cmd_lattice, "concept lattice with covering relation",
+        kind, ("--format", dict(choices=["text", "dot", "structured"], default="text")), context,
+    )
+    assign = dict(
+        action="append", default=[], metavar="VAR=w1,w2",
         help="assign worlds to a variable (repeatable)",
     )
-    add_common(p)
-
-    p = sub.add_parser("valid", help="frame validity by exhaustive valuations")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--sort", choices=["1", "2"], required=True)
-    add_common(p)
-
-    p = sub.add_parser("consequence", help="local semantic consequence on a frame")
-    p.add_argument("--premise", action="append", default=[], dest="premises")
-    p.add_argument("--conclusion", required=True)
-    p.add_argument("--sort", choices=["1", "2"], required=True)
-    add_common(p)
-
-    p = sub.add_parser("translate", help="window dialect into diamond dialect")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--sort", choices=["1", "2"], required=True)
-    add_common(p, context=False)
-
-    p = sub.add_parser("member", help="membership in a concept formula family")
-    p.add_argument("--class", dest="cls", choices=["pc", "oc", "fc"], required=True)
-    p.add_argument("--side", choices=["ext", "int"], required=True)
-    p.add_argument("--formula", required=True)
-    add_common(p)
-
-    p = sub.add_parser("check-proof", help="check a proof script")
-    p.add_argument("script", help="proof script file")
-    p.add_argument("--system", choices=["K", "KB2", "KF"], default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    p = sub.add_parser("verify", help="run verification suites on a context")
-    p.add_argument(
-        "--suite",
-        choices=["yao", "translation", "lattice", "iso", "all"],
-        default="all",
+    command(
+        "eval", _cmd_eval, "truth set of a formula in a model",
+        formula, sort, ("--assign", assign), context,
     )
-    add_common(p)
+    command(
+        "valid", _cmd_valid, "frame validity by exhaustive valuations",
+        formula, sort, budget, context,
+    )
+    command(
+        "consequence", _cmd_consequence, "local semantic consequence on a frame",
+        ("--premise", dict(action="append", default=[], dest="premises")),
+        ("--conclusion", dict(required=True)), sort, budget, context,
+    )
+    command("translate", _cmd_translate, "window dialect into diamond dialect", formula, sort)
+    command(
+        "member", _cmd_member, "membership in a concept formula family",
+        ("--class", dict(dest="cls", choices=["pc", "oc", "fc"], required=True)),
+        ("--side", dict(choices=["ext", "int"], required=True)), formula, budget, context,
+    )
+    command(
+        "check-proof", _cmd_check_proof, "check a proof script",
+        ("script", dict(help="proof script file")),
+        ("--system", dict(choices=["K", "KB2", "KF"], default=None)),
+    )
+    suites = ["yao", "translation", "lattice", "iso", "all"]
+    command(
+        "verify", _cmd_verify, "run verification suites on a context",
+        ("--suite", dict(choices=suites, default="all")),
+        ("--seed", dict(type=int, default=0)), budget, context,
+    )
     return parser
 
 
@@ -298,34 +292,22 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     return EXIT_PROPERTY_FAILED if failed else EXIT_OK
 
 
-_HANDLERS = {
-    "concepts": _cmd_concepts,
-    "lattice": _cmd_lattice,
-    "eval": _cmd_eval,
-    "valid": _cmd_valid,
-    "consequence": _cmd_consequence,
-    "translate": _cmd_translate,
-    "member": _cmd_member,
-    "check-proof": _cmd_check_proof,
-    "verify": _cmd_verify,
-}
-
-
 def run_cli(argv, out=None, err=None) -> int:
     """Dispatch a CLI invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help to sys.stdout/sys.stderr
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _HANDLERS[args.command](args, out)
+        return args.handler(args, out)
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=err)
         return EXIT_BUDGET
-    except (ConceptLogicError, OSError) as exc:
+    except (ConceptLogicError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 

@@ -2,8 +2,8 @@
 
 A context is a finite two-sorted incidence structure (G, M, I).  Subsets of
 either carrier are stored as integer bitmasks (bit i = i-th object or
-attribute), so every operator below reduces to word-parallel AND/OR/subset
-tests.  Contexts and subsets are immutable and safe to share.
+attribute), so every operator below is one OR over rows or columns, with
+complements.  Contexts and subsets are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DimensionError, SortMismatchError
 
@@ -191,13 +191,6 @@ class FormalContext:
     def attribute_subset(self, names: Iterable[str] = ()) -> SortedSubset:
         return SortedSubset.from_names(SORT2, names, self.attributes)
 
-    def carrier(self, sort: str) -> tuple[str, ...]:
-        if sort == SORT1:
-            return self.objects
-        if sort == SORT2:
-            return self.attributes
-        raise SortMismatchError(f"{SORT1}|{SORT2}", sort, "carrier lookup")
-
 
 class OperatorKind(Enum):
     """The six set operators: derivation (+, -) and approximation pairs."""
@@ -234,36 +227,38 @@ def apply_operator(kind: OperatorKind, subset: SortedSubset, ctx: FormalContext)
         raise DimensionError(
             f"subset sized for {subset.size}, carrier has {expected} elements"
         )
-    bits = subset.bits
-    if kind is OperatorKind.PLUS:
-        # attributes shared by every object in the set
-        out = (1 << ctx.n_attributes) - 1
-        for g in iter_bits(bits):
-            out &= ctx.rows[g]
-    elif kind is OperatorKind.MINUS:
-        out = (1 << ctx.n_objects) - 1
-        for m in iter_bits(bits):
-            out &= ctx.cols[m]
-    elif kind is OperatorKind.POSS:
-        out = _mask_from_indices(
-            m for m in range(ctx.n_attributes) if ctx.cols[m] & bits
-        )
-    elif kind is OperatorKind.NEC:
-        out = _mask_from_indices(
-            m for m in range(ctx.n_attributes) if ctx.cols[m] & ~bits == 0
-        )
-    elif kind is OperatorKind.POSS_INV:
-        out = _mask_from_indices(
-            g for g in range(ctx.n_objects) if ctx.rows[g] & bits
-        )
-    elif kind is OperatorKind.NEC_INV:
-        out = _mask_from_indices(
-            g for g in range(ctx.n_objects) if ctx.rows[g] & ~bits == 0
-        )
-    else:  # pragma: no cover
-        raise ValueError(kind)
     out_size = ctx.n_attributes if kind.output_sort == SORT2 else ctx.n_objects
-    return SortedSubset(kind.output_sort, out, out_size)
+    return SortedSubset(kind.output_sort, _kernel(kind, ctx)(subset.bits), out_size)
+
+
+def _or_over(vectors: tuple[int, ...], mask: int) -> int:
+    """The OR of ``vectors[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= vectors[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _kernel(kind: OperatorKind, ctx: FormalContext) -> Callable[[int], int]:
+    """``kind`` on bitmasks, as an OR of the rows of the input's objects (the
+    forward kinds) or of the columns of its attributes (the backward kinds).
+
+    ``poss(A)`` ORs the rows of A; ``nec(A)`` complements the OR of the rows
+    outside A; ``A+`` (the AND of the rows of A) complements the OR of their
+    complements.  ``poss_inv``, ``nec_inv`` and ``-`` mirror these on columns.
+    """
+    forward = kind in _FORWARD
+    vectors = ctx.rows if forward else ctx.cols
+    full_in = (1 << len(vectors)) - 1
+    full_out = (1 << (ctx.n_attributes if forward else ctx.n_objects)) - 1
+    if kind is OperatorKind.PLUS or kind is OperatorKind.MINUS:
+        negated = tuple(full_out ^ v for v in vectors)
+        return lambda mask: full_out ^ _or_over(negated, mask)
+    if kind is OperatorKind.POSS or kind is OperatorKind.POSS_INV:
+        return lambda mask: _or_over(vectors, mask)
+    return lambda mask: full_out ^ _or_over(vectors, full_in ^ mask)
 
 
 def complement_context(ctx: FormalContext) -> FormalContext:

@@ -22,6 +22,7 @@ from .context import (
     FormalContext,
     OperatorKind,
     SortedSubset,
+    _kernel,
     apply_operator,
     complement_context,
     iter_bits,
@@ -35,24 +36,12 @@ class ConceptKind(Enum):
     OC = "oc"
 
 
-_FORWARD = {
-    ConceptKind.FC: OperatorKind.PLUS,
-    ConceptKind.PC: OperatorKind.POSS,
-    ConceptKind.OC: OperatorKind.NEC,
+# each kind's forward (extent to intent) and backward operator
+_OPERATORS = {
+    ConceptKind.FC: (OperatorKind.PLUS, OperatorKind.MINUS),
+    ConceptKind.PC: (OperatorKind.POSS, OperatorKind.NEC_INV),
+    ConceptKind.OC: (OperatorKind.NEC, OperatorKind.POSS_INV),
 }
-_BACKWARD = {
-    ConceptKind.FC: OperatorKind.MINUS,
-    ConceptKind.PC: OperatorKind.NEC_INV,
-    ConceptKind.OC: OperatorKind.POSS_INV,
-}
-
-
-def intent_of(kind: ConceptKind, extent: SortedSubset, ctx: FormalContext) -> SortedSubset:
-    return apply_operator(_FORWARD[kind], extent, ctx)
-
-
-def extent_of(kind: ConceptKind, intent: SortedSubset, ctx: FormalContext) -> SortedSubset:
-    return apply_operator(_BACKWARD[kind], intent, ctx)
 
 
 def closure(
@@ -65,14 +54,15 @@ def closure(
     and PC extent maps (and OC intent map) are closure operators; the PC
     intent and OC extent maps are interior operators.  All are idempotent.
     """
+    forward, backward = _OPERATORS[kind]
     if side == "extent":
         if subset.sort != SORT1:
             raise SortMismatchError(SORT1, subset.sort, "extent closure")
-        return extent_of(kind, intent_of(kind, subset, ctx), ctx)
+        return apply_operator(backward, apply_operator(forward, subset, ctx), ctx)
     if side == "intent":
         if subset.sort != SORT2:
             raise SortMismatchError(SORT2, subset.sort, "intent closure")
-        return intent_of(kind, extent_of(kind, subset, ctx), ctx)
+        return apply_operator(forward, apply_operator(backward, subset, ctx), ctx)
     raise ValueError(f"side must be 'extent' or 'intent', got {side!r}")
 
 
@@ -82,48 +72,13 @@ class SemanticConcept:
     intent: SortedSubset
     kind: ConceptKind
 
-    def members(self, ctx: FormalContext) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        return self.extent.members(ctx.objects), self.intent.members(ctx.attributes)
-
 
 # --- mask kernels -------------------------------------------------------------
 
 
-def _join_over(vectors: tuple[int, ...], mask: int) -> int:
-    """The OR of ``vectors[i]`` over the set bits i of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= vectors[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def _kernels(kind: ConceptKind, ctx: FormalContext) -> tuple[Callable[[int], int], ...]:
-    """The kind's forward (extent to intent) and backward operators on masks.
-
-    ``poss(A)`` ORs the rows of A, ``nec(A)`` keeps the attributes of no row
-    outside A, and ``A+`` ANDs the rows of A as the complement of the OR of
-    their complements.  The backward operators mirror these on the columns.
-    """
-    rows, cols = ctx.rows, ctx.cols
-    full_g, full_m = (1 << ctx.n_objects) - 1, (1 << ctx.n_attributes) - 1
-    if kind is ConceptKind.FC:
-        not_rows = tuple(full_m ^ r for r in rows)
-        not_cols = tuple(full_g ^ c for c in cols)
-        return (
-            lambda a: full_m & ~_join_over(not_rows, a),
-            lambda b: full_g & ~_join_over(not_cols, b),
-        )
-    if kind is ConceptKind.PC:
-        return (
-            lambda a: _join_over(rows, a),
-            lambda b: full_g & ~_join_over(cols, full_m & ~b),
-        )
-    return (
-        lambda a: full_m & ~_join_over(rows, full_g & ~a),
-        lambda b: _join_over(cols, b),
-    )
+    """The kind's forward (extent to intent) and backward operators on masks."""
+    return tuple(_kernel(op, ctx) for op in _OPERATORS[kind])
 
 
 def _next_closure_masks(n: int, clo: Callable[[int], int]) -> list[int]:
@@ -198,11 +153,12 @@ def enumerate_concepts_bruteforce(
     n = ctx.n_objects
     if n > 12:
         raise DimensionError("brute-force oracle is limited to 12 objects")
+    forward = _OPERATORS[kind][0]
     concepts = []
     for mask in range(1 << n):
         sub = SortedSubset(SORT1, mask, n)
         if closure(kind, "extent", sub, ctx).bits == mask:
-            concepts.append(SemanticConcept(sub, intent_of(kind, sub, ctx), kind))
+            concepts.append(SemanticConcept(sub, apply_operator(forward, sub, ctx), kind))
     return sorted(concepts, key=_canonical_key)
 
 

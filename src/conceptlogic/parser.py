@@ -294,14 +294,7 @@ _BINARY_PRINT = {
     Iff: (" <-> ", _PREC_IFF, _PREC_IFF + 1, _PREC_IFF),
 }
 
-_MODAL_PRINT = {
-    (Dia, "dia"): "dia ",
-    (Box, "dia"): "box ",
-    (Dia, "dia-"): "dia- ",
-    (Box, "dia-"): "box- ",
-    (Box, "boxm"): "boxm ",
-    (Box, "boxm-"): "boxm- ",
-}
+_MODAL_PRINT = {v: k + " " for k, v in MODAL_TOKENS.items()}
 
 
 def print_formula(f: Formula) -> str:

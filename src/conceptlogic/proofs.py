@@ -51,6 +51,7 @@ from .syntax import (
     Signature,
     Top,
     Var,
+    _RHO_IMAGE,
     _walk,
     box,
     box_inv,
@@ -779,11 +780,11 @@ def translate_proof(script: ProofScript) -> ProofScript:
                 image, MPRef(final_index[j.antecedent], final_index[j.implication])
             )
         elif isinstance(j, UGRef):
-            target = {"boxm": "dia", "boxm-": "dia-"}.get(j.modality)
+            target = _RHO_IMAGE.get(j.modality)
             if target is None:
                 raise ProofScriptError(f"unexpected modality {j.modality!r}", line.index)
             final_index[line.index] = em.emit(
-                image, UGRef(target, final_index[j.source])
+                image, UGRef(target.name, final_index[j.source])
             )
         elif isinstance(j, AxiomRef):
             matched = match_axiom(line.formula, system)

@@ -105,7 +105,6 @@ class Formula:
     """
 
     __slots__ = ("sort", "_nf", "_key", "__weakref__")
-    _fields: tuple[str, ...] = ()
     # Weak references to the live nodes, by (class, *children).  The class
     # holds it, so a node reaches it while the interpreter tears modules down.
     _interned: dict[tuple, ref] = {}
@@ -124,8 +123,7 @@ class Formula:
             del self._interned[self._key]
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__name__}({fields})"
+        return f"{type(self).__name__}({str(self)!r}, sort={self.sort!r})"
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -164,7 +162,6 @@ def _node(key: tuple, sort: str, nf=None) -> Formula:
 
 class Var(Formula):
     __slots__ = ("name",)
-    _fields = ("name", "sort")
 
     def __new__(cls, name: str, sort: str) -> "Var":
         key = (cls, name, sort)
@@ -178,7 +175,6 @@ class Var(Formula):
 
 class Bot(Formula):
     __slots__ = ()
-    _fields = ("sort",)
 
     def __new__(cls, sort: str) -> "Bot":
         key = (cls, sort)
@@ -188,7 +184,6 @@ class Bot(Formula):
 
 class Top(Formula):
     __slots__ = ()
-    _fields = ("sort",)
 
     def __new__(cls, sort: str) -> "Top":
         key = (cls, sort)
@@ -198,7 +193,6 @@ class Top(Formula):
 
 class Neg(Formula):
     __slots__ = ("arg",)
-    _fields = ("arg", "sort")
 
     def __new__(cls, arg: Formula) -> "Neg":
         key = (cls, arg)
@@ -214,7 +208,6 @@ class _Binary(Formula):
     """A Boolean connective joining two formulas of one sort."""
 
     __slots__ = ("left", "right")
-    _fields = ("left", "right", "sort")
     _symbol = ""
 
     def __new__(cls, left: Formula, right: Formula) -> "_Binary":
@@ -252,7 +245,6 @@ class Iff(_Binary):
 
 class _Modal(Formula):
     __slots__ = ("mod", "args")
-    _fields = ("mod", "args", "sort")
 
     def __new__(cls, mod: Modality, args: tuple[Formula, ...]) -> "_Modal":
         key = (cls, mod, args)

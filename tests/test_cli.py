@@ -1,5 +1,6 @@
 """CLI tests: golden transcripts, exit-code contract, and error channels."""
 
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conceptlogic import FormalContext, lattices, logical
+from conceptlogic import FormalContext, cli, lattices, logical
 from conceptlogic.cli import _check_line, run_cli
 from conceptlogic.formats import load_context, serialize_cxt
 from conceptlogic.lattices import LawCheck
@@ -22,6 +23,7 @@ from conceptlogic.syntax import And, Imp, Neg, dia, dia_inv, var1, wbox, wbox_in
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
 GOLDEN = DATA / "golden"
+K0 = str(DATA / "k0.cxt")
 
 with open(GOLDEN / "manifest.json") as fh:
     MANIFEST = json.load(fh)
@@ -100,10 +102,118 @@ class TestExitCodes:
         finally:
             tmp.unlink()
 
+    @pytest.mark.parametrize("suffix, command", [
+        (".cxt", ["concepts", "--kind", "fc"]),
+        (".csv", ["concepts", "--kind", "fc"]),
+        (".prf", ["check-proof"]),
+    ])
+    def test_non_utf8_file_is_usage_error(self, tmp_path, suffix, command):
+        path = tmp_path / f"latin1{suffix}"
+        path.write_bytes(b"B\n\nna\xefve\n")
+        code, out, err = invoke([*command, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_system_mismatch_reported(self):
         script = DATA / "proofs" / "kf_b1.prf"
         code, _, err = invoke(["check-proof", str(script), "--system", "KB2"])
         assert code == 2 and "declares system" in err
+
+
+# One run per command that reaches every read of its arguments.
+FULL_RUNS = {
+    "concepts": ["concepts", "--kind", "fc", "--format", "structured", K0],
+    "lattice": ["lattice", "--kind", "pc", "--format", "dot", K0],
+    "eval": ["eval", "--formula", "dia p", "--sort", "2", "--assign", "p=g1", K0],
+    "valid": ["valid", "--formula", "p", "--sort", "1", "--budget", "64", K0],
+    "consequence": [
+        "consequence", "--premise", "box- q", "--conclusion", "dia- q", "--sort", "1",
+        "--budget", "64", K0,
+    ],
+    "translate": ["translate", "--formula", "boxm- boxm p", "--sort", "1"],
+    "member": [
+        "member", "--class", "fc", "--side", "ext", "--formula", "#f", "--budget", "64", K0,
+    ],
+    "check-proof": ["check-proof", str(DATA / "proofs" / "kf_b1.prf"), "--system", "KF"],
+    "verify": ["verify", "--suite", "all", "--seed", "7", "--budget", "4096", K0],
+}
+
+# (command, flag, value): flags a command once accepted and never read
+REMOVED_FLAGS = [
+    ("concepts", "--budget", "5"), ("concepts", "--seed", "1"),
+    ("lattice", "--budget", "5"), ("lattice", "--seed", "1"),
+    ("eval", "--budget", "5"), ("eval", "--seed", "1"), ("eval", "--format", "text"),
+    ("valid", "--seed", "1"), ("valid", "--format", "text"),
+    ("consequence", "--seed", "1"), ("consequence", "--format", "text"),
+    ("translate", "--budget", "5"), ("translate", "--seed", "1"),
+    ("translate", "--format", "text"),
+    ("member", "--seed", "1"), ("member", "--format", "text"),
+    ("check-proof", "--budget", "5"),
+    ("verify", "--format", "text"),
+]
+
+
+class TestArguments:
+    """Each command accepts exactly the arguments its handler reads, and
+    argparse's own output goes to ``run_cli``'s streams."""
+
+    def test_every_accepted_argument_is_read(self, monkeypatch, capfd):
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                if sys._getframe(1).f_globals.get("__name__") == cli.__name__:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(argparse, "Namespace", Recording)
+        parser = cli._build_parser()
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert set(commands) == set(FULL_RUNS)
+        unread = []
+        for name, argv in FULL_RUNS.items():
+            read.clear()
+            code, _, err = invoke(argv)
+            assert code in (0, 1) and err == "", (argv, err)
+            for action in commands[name]._actions:
+                if action.dest not in read | {"help", "command", "handler"}:
+                    unread.append(f"{name} {(action.option_strings or [action.dest])[0]}")
+        assert not unread, f"{len(unread)} arguments never read: {', '.join(unread)}"
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (FULL_RUNS[name] + [flag, value], f"unrecognized arguments: {flag} {value}")
+            for name, flag, value in REMOVED_FLAGS
+        ]
+        + [(["concepts", "--kind", "fc", "--format", "dot", K0], "invalid choice: 'dot'")],
+        ids=[f"{name} {flag}" for name, flag, _ in REMOVED_FLAGS] + ["concepts --format dot"],
+    )
+    def test_argument_not_taken_is_usage_error(self, argv, complaint, capfd):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: conceptlogic") and complaint in err
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_goes_to_out(self, argv, capfd):
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: conceptlogic") and "--help" in out
+        assert capfd.readouterr() == ("", "")
+
+    def test_main_prints_usage_errors_on_stderr(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "conceptlogic.cli", *FULL_RUNS["translate"], "--seed", "1"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=30,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: conceptlogic")
+        assert "unrecognized arguments: --seed 1" in done.stderr
 
 
 DEEP = 10**5

@@ -49,6 +49,13 @@ Q = var2("q")
 
 
 class TestConstruction:
+    def test_repr_names_class_text_and_sort(self):
+        assert repr(dia(P)) == "Dia('dia p', sort='s2')"
+        f = P
+        for _ in range(10**5):
+            f = Neg(f)
+        assert repr(f) == f"Neg({'~' * 10**5 + 'p'!r}, sort='s1')"
+
     def test_sorts_cached(self):
         assert P.sort == SORT1
         assert wbox(P).sort == SORT2
