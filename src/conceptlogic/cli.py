@@ -14,7 +14,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from .errors import BudgetExceededError, ConceptLogicError
-from .formats import export_dot, load_context, structured_lines
+from .formats import export_dot, load_context, read_text, structured_lines
 from .lattices import ConceptKind, build_lattice, enumerate_concepts, verify_yao_isomorphisms
 from .logical import member_class
 from .parser import parse_formula, print_formula
@@ -37,12 +37,22 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Reports arguments its subcommand does not take under its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conceptlogic",
         description="Concept lattices and two-sorted modal logics over formal contexts",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def command(name, handler, help, *arguments):
         """A subcommand taking exactly ``arguments``, (name, options) pairs,
@@ -121,6 +131,16 @@ def _emit_structured(out, payload: dict) -> None:
     out.write("\n".join(structured_lines("", payload)) + "\n")
 
 
+def _print_concepts(out, ctx, kind: ConceptKind, concepts) -> None:
+    print(f"kind={kind.value} count={len(concepts)}", file=out)
+    for i, c in enumerate(concepts):
+        print(
+            f"{i}: extent={_set_names(c.extent, ctx.objects)} "
+            f"intent={_set_names(c.intent, ctx.attributes)}",
+            file=out,
+        )
+
+
 def _cmd_concepts(args: argparse.Namespace, out) -> int:
     ctx = load_context(args.context)
     kind = ConceptKind(args.kind)
@@ -128,13 +148,7 @@ def _cmd_concepts(args: argparse.Namespace, out) -> int:
     if args.format == "structured":
         _emit_structured(out, {"kind": kind.value, "concepts": _concept_payload(ctx, concepts)})
     else:
-        print(f"kind={kind.value} count={len(concepts)}", file=out)
-        for i, c in enumerate(concepts):
-            print(
-                f"{i}: extent={_set_names(c.extent, ctx.objects)} "
-                f"intent={_set_names(c.intent, ctx.attributes)}",
-                file=out,
-            )
+        _print_concepts(out, ctx, kind, concepts)
     return EXIT_OK
 
 
@@ -155,13 +169,7 @@ def _cmd_lattice(args: argparse.Namespace, out) -> int:
         }
         _emit_structured(out, payload)
         return EXIT_OK
-    print(f"kind={kind.value} count={len(lattice)}", file=out)
-    for i, c in enumerate(lattice.concepts):
-        print(
-            f"{i}: extent={_set_names(c.extent, ctx.objects)} "
-            f"intent={_set_names(c.intent, ctx.attributes)}",
-            file=out,
-        )
+    _print_concepts(out, ctx, kind, lattice.concepts)
     for low, high in lattice.covers():
         print(f"cover: {low} < {high}", file=out)
     print(f"top={lattice.top} bottom={lattice.bottom}", file=out)
@@ -233,18 +241,15 @@ def _cmd_translate(args: argparse.Namespace, out) -> int:
 def _cmd_member(args: argparse.Namespace, out) -> int:
     ctx = load_context(args.context)
     frame = context_to_frame(ctx)
-    which = f"{args.cls.upper()}_{args.side}"
-    sort = "1" if args.side == "ext" else "2"
+    side, sort = ("extent", "1") if args.side == "ext" else ("intent", "2")
     f = parse_formula(args.formula, sort)
-    ok = member_class(f, which, frame, args.budget)
+    ok = member_class(f, ConceptKind(args.cls), side, frame, args.budget)
     print("true" if ok else "false", file=out)
     return EXIT_OK if ok else EXIT_PROPERTY_FAILED
 
 
 def _cmd_check_proof(args: argparse.Namespace, out) -> int:
-    with open(args.script, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    script = parse_proof_script(text, default_system=args.system or "KB2")
+    script = parse_proof_script(read_text(args.script), default_system=args.system or "KB2")
     if args.system and script.system_id.upper() != args.system.upper():
         raise ConceptLogicError(
             f"script declares system {script.system_id}, --system says {args.system}"
@@ -282,8 +287,8 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
             print(f"translation {_check_line(check)}", file=out)
         failed |= not report.passed
     if args.suite in ("lattice", "all"):
-        for kind, report in zip(("pc", "oc", "fc"), suite_lattice(ctx, args.budget)):
-            _print_failures(f"lattice {kind}", report, out)
+        for kind, report in suite_lattice(ctx, args.budget).items():
+            _print_failures(f"lattice {kind.value}", report, out)
             failed |= not report.passed
     if args.suite in ("iso", "all"):
         report = suite_iso(ctx, args.budget)
@@ -307,7 +312,7 @@ def run_cli(argv, out=None, err=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=err)
         return EXIT_BUDGET
-    except (ConceptLogicError, OSError, UnicodeDecodeError) as exc:
+    except (ConceptLogicError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 

@@ -12,7 +12,7 @@ byte-for-byte (CXT) or normalizes the cell style (CSV).
 from __future__ import annotations
 
 from .context import FormalContext
-from .errors import CxtFormatError
+from .errors import ConceptLogicError, CxtFormatError
 from .lattices import ConceptLattice
 
 
@@ -124,10 +124,18 @@ def serialize_csv(ctx: FormalContext) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str) -> str:
+    """A document's UTF-8 text; undecodable bytes are an error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConceptLogicError(f"{path} is not UTF-8 text ({exc})") from None
+
+
 def load_context(path: str) -> FormalContext:
     """Dispatch on extension: .cxt or .csv."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if path.lower().endswith(".csv"):
         return parse_csv(text)
     return parse_cxt(text)

@@ -12,6 +12,7 @@ fixpoint scan over ``closure`` is the oracle for small carriers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
@@ -43,6 +44,34 @@ _OPERATORS = {
     ConceptKind.OC: (OperatorKind.NEC, OperatorKind.POSS_INV),
 }
 
+# each kind's (meet, join): the side each combines and whether it intersects
+# (True) or unites it.  A side is a closure system iff one of the two
+# intersects it; either way the combined side is a concept's side again.
+_MEET_JOIN = {
+    ConceptKind.FC: (("extent", True), ("intent", True)),
+    ConceptKind.PC: (("extent", True), ("intent", False)),
+    ConceptKind.OC: (("intent", True), ("extent", False)),
+}
+
+
+# Yao's complement correspondences ("A comparative study of formal concept
+# analysis and rough set theory in data analysis", RSCTC 2004), each as
+# (source kind on K, target kind, whether the target concepts are those of the
+# complement, whether (extent, intent) are complemented)
+_YAO = {
+    "a": (ConceptKind.FC, ConceptKind.PC, True, (False, True)),
+    "b": (ConceptKind.PC, ConceptKind.OC, False, (True, True)),
+    "c": (ConceptKind.FC, ConceptKind.OC, True, (True, False)),
+}
+
+
+def _side_operators(kind: ConceptKind, side: str) -> tuple[OperatorKind, OperatorKind]:
+    """The kind's two operators in the order its ``side`` composite applies them."""
+    if side not in ("extent", "intent"):
+        raise ValueError(f"side must be 'extent' or 'intent', got {side!r}")
+    forward, backward = _OPERATORS[kind]
+    return (forward, backward) if side == "extent" else (backward, forward)
+
 
 def closure(
     kind: ConceptKind, side: str, subset: SortedSubset, ctx: FormalContext
@@ -54,16 +83,10 @@ def closure(
     and PC extent maps (and OC intent map) are closure operators; the PC
     intent and OC extent maps are interior operators.  All are idempotent.
     """
-    forward, backward = _OPERATORS[kind]
-    if side == "extent":
-        if subset.sort != SORT1:
-            raise SortMismatchError(SORT1, subset.sort, "extent closure")
-        return apply_operator(backward, apply_operator(forward, subset, ctx), ctx)
-    if side == "intent":
-        if subset.sort != SORT2:
-            raise SortMismatchError(SORT2, subset.sort, "intent closure")
-        return apply_operator(forward, apply_operator(backward, subset, ctx), ctx)
-    raise ValueError(f"side must be 'extent' or 'intent', got {side!r}")
+    first, then = _side_operators(kind, side)
+    if subset.sort != first.input_sort:
+        raise SortMismatchError(first.input_sort, subset.sort, f"{side} closure")
+    return apply_operator(then, apply_operator(first, subset, ctx), ctx)
 
 
 @dataclass(frozen=True)
@@ -76,9 +99,9 @@ class SemanticConcept:
 # --- mask kernels -------------------------------------------------------------
 
 
-def _kernels(kind: ConceptKind, ctx: FormalContext) -> tuple[Callable[[int], int], ...]:
-    """The kind's forward (extent to intent) and backward operators on masks."""
-    return tuple(_kernel(op, ctx) for op in _OPERATORS[kind])
+def _kernels(kind: ConceptKind, side: str, ctx: FormalContext) -> tuple[Callable[[int], int], ...]:
+    """``_side_operators`` on masks."""
+    return tuple(_kernel(op, ctx) for op in _side_operators(kind, side))
 
 
 def _next_closure_masks(n: int, clo: Callable[[int], int]) -> list[int]:
@@ -119,15 +142,11 @@ def _lectic_key(mask: int) -> str:
 def _concept_masks(ctx: FormalContext, kind: ConceptKind) -> list[tuple[int, int]]:
     """(extent, intent) masks of the kind's concepts, scanned over the smaller
     carrier and sorted as ``enumerate_concepts`` lists them."""
-    forward, backward = _kernels(kind, ctx)
-    if ctx.n_objects <= ctx.n_attributes:
-        closing = kind is not ConceptKind.OC
-        extents = _fixpoints(ctx.n_objects, lambda a: backward(forward(a)), closing)
-        pairs = [(a, forward(a)) for a in extents]
-    else:
-        closing = kind is not ConceptKind.PC
-        intents = _fixpoints(ctx.n_attributes, lambda b: forward(backward(b)), closing)
-        pairs = [(backward(b), b) for b in intents]
+    side = "extent" if ctx.n_objects <= ctx.n_attributes else "intent"
+    first, then = _kernels(kind, side, ctx)
+    closing = (side, True) in _MEET_JOIN[kind]
+    closed = _fixpoints(min(ctx.n_objects, ctx.n_attributes), lambda x: then(first(x)), closing)
+    pairs = [(x, first(x)) for x in closed] if side == "extent" else [(first(x), x) for x in closed]
     return sorted(pairs, key=lambda p: _lectic_key(p[0]))
 
 
@@ -201,30 +220,27 @@ def _upper_covers(
 class ConceptLattice:
     """Concepts of one kind ordered by extent inclusion, with their covers.
 
-    Meets and joins are found on demand from one half-derivation.
+    Meets and joins combine one side of two concepts as ``_MEET_JOIN`` says
+    and look the result up among that side's sets.
     """
 
     kind: ConceptKind
     ctx: FormalContext
     concepts: list[SemanticConcept]
-    _index: dict[int, int] = field(init=False, repr=False)
-    _backward: Callable[[int], int] = field(init=False, repr=False, compare=False)
+    _index: dict[str, dict[int, int]] = field(init=False, repr=False)
     _covers: list[tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        extents = [c.extent.bits for c in self.concepts]
-        self._index = {extent: i for i, extent in enumerate(extents)}
-        forward, backward = _kernels(self.kind, self.ctx)
-        self._backward = backward
-        if self.kind is ConceptKind.OC:
-            intents = [c.intent.bits for c in self.concepts]
-            self._covers = _upper_covers(
-                intents, self.ctx.n_attributes, lambda b: forward(backward(b)), "intent"
-            )
-        else:
-            self._covers = _upper_covers(
-                extents, self.ctx.n_objects, lambda a: backward(forward(a)), "extent"
-            )
+        self._index = {
+            side: {getattr(c, side).bits: i for i, c in enumerate(self.concepts)}
+            for side in ("extent", "intent")
+        }
+        # covers run in the closure system the meet intersects
+        side = _MEET_JOIN[self.kind][0][0]
+        first, then = _kernels(self.kind, side, self.ctx)
+        n = self.ctx.n_objects if side == "extent" else self.ctx.n_attributes
+        keys = [getattr(c, side).bits for c in self.concepts]
+        self._covers = _upper_covers(keys, n, lambda x: then(first(x)), side)
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -233,18 +249,15 @@ class ConceptLattice:
         return self.concepts[i].extent.is_subset(self.concepts[j].extent)
 
     def meet(self, i: int, j: int) -> int:
-        a, b = self.concepts[i], self.concepts[j]
-        if self.kind is ConceptKind.OC:
-            return self._index[self._backward(a.intent.bits & b.intent.bits)]
-        return self._index[a.extent.bits & b.extent.bits]
+        return self._combine(i, j, *_MEET_JOIN[self.kind][0])
 
     def join(self, i: int, j: int) -> int:
-        a, b = self.concepts[i], self.concepts[j]
-        if self.kind is ConceptKind.OC:
-            return self._index[a.extent.bits | b.extent.bits]
-        if self.kind is ConceptKind.FC:
-            return self._index[self._backward(a.intent.bits & b.intent.bits)]
-        return self._index[self._backward(a.intent.bits | b.intent.bits)]
+        return self._combine(i, j, *_MEET_JOIN[self.kind][1])
+
+    def _combine(self, i: int, j: int, side: str, intersect: bool) -> int:
+        a = getattr(self.concepts[i], side).bits
+        b = getattr(self.concepts[j], side).bits
+        return self._index[side][a & b if intersect else a | b]
 
     @property
     def top(self) -> int:
@@ -262,10 +275,10 @@ class ConceptLattice:
 def build_lattice(
     concepts: Iterable[SemanticConcept], kind: ConceptKind, ctx: FormalContext
 ) -> ConceptLattice:
-    """Order the full concept list and find its covers by upper neighbours:
-    FC/PC in the extent closure system, OC in the intent closure system,
-    whose order is the order by extent.  Raises ``LatticeError`` when the
-    list misses a concept."""
+    """Order the full concept list and find its covers by upper neighbours in
+    the closure system the meet intersects (OC: intents, whose order is the
+    order by extent).  Raises ``LatticeError`` when the list misses a
+    concept."""
     return ConceptLattice(kind, ctx, sorted(concepts, key=_canonical_key))
 
 
@@ -332,16 +345,15 @@ def verify_yao_isomorphisms(ctx: FormalContext) -> VerificationReport:
     object-oriented concepts of the complement, dually, via
     extent-complementing pairs.  Each clause exhibits its bijection.
     """
-    cctx = complement_context(ctx)
-    fc = _concept_masks(ctx, ConceptKind.FC)
-    full_g, full_m = (1 << ctx.n_objects) - 1, (1 << ctx.n_attributes) - 1
+    contexts = (ctx, complement_context(ctx))
+    masks = functools.cache(lambda complemented, kind: _concept_masks(contexts[complemented], kind))
+    full = ((1 << ctx.n_objects) - 1, (1 << ctx.n_attributes) - 1)
     return VerificationReport("Yao complement correspondences", [
-        _check_bijection(fc, _concept_masks(cctx, ConceptKind.PC), (0, full_m), "a"),
         _check_bijection(
-            _concept_masks(ctx, ConceptKind.PC),
-            _concept_masks(ctx, ConceptKind.OC),
-            (full_g, full_m),
-            "b",
-        ),
-        _check_bijection(fc, _concept_masks(cctx, ConceptKind.OC), (full_g, 0), "c"),
+            masks(False, source),
+            masks(complemented, target),
+            tuple(f if flip else 0 for f, flip in zip(full, flips)),
+            name,
+        )
+        for name, (source, target, complemented, flips) in _YAO.items()
     ])

@@ -7,14 +7,12 @@ compared by frame-equivalence of their extent formulas, which coincides with
 intent equivalence for pairs in the class; quotient meets and joins pick
 canonical representatives.
 
-The meet/join representatives follow the lattice order by extent inclusion:
-the extent families of the property-oriented and formal classes are closure
-systems (conjunction-closed), while the object-oriented extent family and
-the property-oriented intent family are kernel systems, closed under
-disjunction instead.  Meets therefore conjoin on the closure side and joins
-combine on the other side with the connective that side supports.
-Equivalence checks always name their frame explicitly; nothing here assumes
-a single ambient context.
+The meet/join representatives combine the side that ``lattices._MEET_JOIN``
+names for the masks, conjoining where it intersects and disjoining where it
+unites, and derive the other side by the kind's modality.  The kind
+modalities are those of ``lattices._OPERATORS``, and transforms follow the
+Yao clauses of ``lattices._YAO``.  Equivalence checks always name their
+frame explicitly; nothing here assumes a single ambient context.
 """
 
 from __future__ import annotations
@@ -23,9 +21,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .context import FormalContext, complement_context
+from .context import FormalContext, OperatorKind, complement_context
 from .errors import InternalConsistencyError, SortMismatchError
-from .lattices import ConceptKind, VerificationReport
+from .lattices import (
+    _MEET_JOIN,
+    _OPERATORS,
+    _YAO,
+    ConceptKind,
+    VerificationReport,
+    _side_operators,
+)
 from .semantics import (
     DEFAULT_BUDGET,
     Check,
@@ -54,16 +59,17 @@ from .syntax import (
     wbox_inv,
 )
 
-_FORWARD: dict[ConceptKind, Callable[[Formula], Formula]] = {
-    ConceptKind.PC: dia,
-    ConceptKind.OC: box,
-    ConceptKind.FC: wbox,
+# the modality whose truth set is each set operator's image
+_MODALITY: dict[OperatorKind, Callable[[Formula], Formula]] = {
+    OperatorKind.PLUS: wbox,
+    OperatorKind.MINUS: wbox_inv,
+    OperatorKind.POSS: dia,
+    OperatorKind.NEC_INV: box_inv,
+    OperatorKind.NEC: box,
+    OperatorKind.POSS_INV: dia_inv,
 }
-_BACKWARD: dict[ConceptKind, Callable[[Formula], Formula]] = {
-    ConceptKind.PC: box_inv,
-    ConceptKind.OC: dia_inv,
-    ConceptKind.FC: wbox_inv,
-}
+# each kind's forward (extent to intent) and backward modality
+_MODALITIES = {kind: (_MODALITY[fwd], _MODALITY[bwd]) for kind, (fwd, bwd) in _OPERATORS.items()}
 
 
 @dataclass(frozen=True)
@@ -79,36 +85,34 @@ class LogicalConceptPair:
             raise SortMismatchError(SORT2, self.intent.sort, "pair intent")
 
 
-CLASS_SIDES = ("PC_ext", "PC_int", "OC_ext", "OC_int", "FC_ext", "FC_int")
+def _completed(kind: ConceptKind, side: str, f: Formula) -> LogicalConceptPair:
+    """The pair whose ``side`` formula is ``f``, the other side derived from it."""
+    fwd, bwd = _MODALITIES[kind]
+    if side == "extent":
+        return LogicalConceptPair(f, fwd(f), kind)
+    return LogicalConceptPair(bwd(f), f, kind)
 
 
-def _side_condition(f: Formula, which: str) -> tuple[Formula, Formula]:
+def _side_condition(f: Formula, kind: ConceptKind, side: str) -> tuple[Formula, Formula]:
     """The two sides of the biconditional defining one family's members."""
-    kind = ConceptKind[which[:2]]
-    fwd, bwd = _FORWARD[kind], _BACKWARD[kind]
-    if which.endswith("_ext"):
-        if f.sort != SORT1:
-            raise SortMismatchError(SORT1, f.sort, which)
-        return bwd(fwd(f)), f
-    if f.sort != SORT2:
-        raise SortMismatchError(SORT2, f.sort, which)
-    return fwd(bwd(f)), f
+    first, then = _side_operators(kind, side)
+    if f.sort != first.input_sort:
+        raise SortMismatchError(first.input_sort, f.sort, f"{kind.name} {side}")
+    return _MODALITY[then](_MODALITY[first](f)), f
 
 
 def member_class(
-    f: Formula, which: str, frame: SortedFrame, budget: int = DEFAULT_BUDGET
+    f: Formula, kind: ConceptKind, side: str, frame: SortedFrame, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Exact membership in one of the six extent/intent formula families."""
-    if which not in CLASS_SIDES:
-        raise ValueError(f"which must be one of {CLASS_SIDES}, got {which!r}")
-    return frame_valid(frame, Iff(*_side_condition(f, which)), budget)
+    """Exact membership in the kind's extent or intent formula family."""
+    return frame_valid(frame, Iff(*_side_condition(f, kind, side)), budget)
 
 
 def _pair_conditions(pair: LogicalConceptPair) -> list[tuple[Formula, Formula]]:
-    fwd, bwd = _FORWARD[pair.kind], _BACKWARD[pair.kind]
+    fwd, bwd = _MODALITIES[pair.kind]
     return [
-        _side_condition(pair.extent, f"{pair.kind.name}_ext"),
-        _side_condition(pair.intent, f"{pair.kind.name}_int"),
+        _side_condition(pair.extent, pair.kind, "extent"),
+        _side_condition(pair.intent, pair.kind, "intent"),
         (pair.extent, bwd(pair.intent)),
         (fwd(pair.extent), pair.intent),
     ]
@@ -133,8 +137,8 @@ def generate_pair(seed: Formula, kind: ConceptKind) -> LogicalConceptPair:
     """
     if seed.sort != SORT1:
         raise SortMismatchError(SORT1, seed.sort, "generate_pair seed")
-    fwd, bwd = _FORWARD[kind], _BACKWARD[kind]
-    return LogicalConceptPair(bwd(fwd(seed)), fwd(seed), kind)
+    forward = _MODALITIES[kind][0]
+    return _completed(kind, "intent", forward(seed))
 
 
 class TransformDirection(Enum):
@@ -143,23 +147,24 @@ class TransformDirection(Enum):
     FC_OF_K_TO_OC_OF_KC = "fc_of_K_to_oc_of_Kc"
 
 
-_TRANSFORM_SOURCE = {
-    TransformDirection.PC_OF_K_TO_OC_OF_KC: ConceptKind.PC,
-    TransformDirection.FC_OF_K_TO_PC_OF_KC: ConceptKind.FC,
-    TransformDirection.FC_OF_K_TO_OC_OF_KC: ConceptKind.FC,
+# the Yao clause each direction follows
+_CLAUSE = {
+    TransformDirection.FC_OF_K_TO_PC_OF_KC: "a",
+    TransformDirection.PC_OF_K_TO_OC_OF_KC: "b",
+    TransformDirection.FC_OF_K_TO_OC_OF_KC: "c",
 }
 
 
-def _map_h(pair: LogicalConceptPair) -> LogicalConceptPair:
-    """Translation plus intent negation: formal pairs to property-oriented ones."""
+def _image(pair: LogicalConceptPair, clause: str) -> LogicalConceptPair:
+    """A pair's image under a Yao clause: translated onto the complemented
+    context when the target lies there, then negated on each flipped side."""
+    _, target, complemented, (flip_extent, flip_intent) = _YAO[clause]
+    ext, intent = pair.extent, pair.intent
+    if complemented:
+        ext, intent = translate_rho(ext), translate_rho(intent)
     return LogicalConceptPair(
-        translate_rho(pair.extent), Neg(translate_rho(pair.intent)), ConceptKind.PC
+        Neg(ext) if flip_extent else ext, Neg(intent) if flip_intent else intent, target
     )
-
-
-def _map_f(pair: LogicalConceptPair) -> LogicalConceptPair:
-    """Componentwise negation: property-oriented pairs to object-oriented ones."""
-    return LogicalConceptPair(Neg(pair.extent), Neg(pair.intent), ConceptKind.OC)
 
 
 def transform_pair(
@@ -169,29 +174,24 @@ def transform_pair(
     target_frame: SortedFrame | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> LogicalConceptPair:
-    """Map a pair across the complement correspondences.
+    """Map a pair across one complement correspondence (a Yao clause).
 
     Negation swaps the property/object orientation; the window-to-diamond
-    translation moves formal pairs onto the complemented context.  When
-    frames are supplied, source membership and target membership (on the
-    complemented frame) are verified.
+    translation moves formal pairs onto the complemented context.  Clause b
+    (componentwise negation, ``PC_OF_K_TO_OC_OF_KC``) stays on the same
+    context: its target frame is the source's, whatever the name says.  When
+    frames are supplied, source membership and target membership are
+    verified.
     """
-    if pair.kind != _TRANSFORM_SOURCE[direction]:
-        raise SortMismatchError(
-            _TRANSFORM_SOURCE[direction].name, pair.kind.name, "transform_pair"
-        )
+    clause = _CLAUSE[direction]
+    source = _YAO[clause][0]
+    if pair.kind != source:
+        raise SortMismatchError(source.name, pair.kind.name, "transform_pair")
     if source_frame is not None and not member_pair(pair, source_frame, budget):
         raise InternalConsistencyError(
             f"pair is not in {pair.kind.name} on the source frame"
         )
-    if direction is TransformDirection.PC_OF_K_TO_OC_OF_KC:
-        image = _map_f(pair)
-    elif direction is TransformDirection.FC_OF_K_TO_PC_OF_KC:
-        image = _map_h(pair)
-    else:
-        image = LogicalConceptPair(
-            Neg(translate_rho(pair.extent)), translate_rho(pair.intent), ConceptKind.OC
-        )
+    image = _image(pair, clause)
     if target_frame is not None and not member_pair(image, target_frame, budget):
         raise InternalConsistencyError(
             f"image is not in {image.kind.name} on the target frame"
@@ -219,37 +219,24 @@ def equiv_pairs(
     return verdict()
 
 
-def quotient_meet(
-    a: LogicalConceptPair, b: LogicalConceptPair
-) -> LogicalConceptPair:
+def quotient_meet(a: LogicalConceptPair, b: LogicalConceptPair) -> LogicalConceptPair:
     """Canonical representative of the meet class (greatest lower bound)."""
-    kind = _same_kind(a, b)
-    if kind in (ConceptKind.PC, ConceptKind.FC):
-        ext = And(a.extent, b.extent)
-        return LogicalConceptPair(ext, _FORWARD[kind](ext), kind)
-    intent = And(a.intent, b.intent)
-    return LogicalConceptPair(_BACKWARD[kind](intent), intent, kind)
+    return _combine(a, b, 0)
 
 
-def quotient_join(
-    a: LogicalConceptPair, b: LogicalConceptPair
-) -> LogicalConceptPair:
+def quotient_join(a: LogicalConceptPair, b: LogicalConceptPair) -> LogicalConceptPair:
     """Canonical representative of the join class (least upper bound)."""
-    kind = _same_kind(a, b)
-    if kind is ConceptKind.FC:
-        intent = And(a.intent, b.intent)
-        return LogicalConceptPair(_BACKWARD[kind](intent), intent, kind)
-    if kind is ConceptKind.PC:
-        intent = Or(a.intent, b.intent)
-        return LogicalConceptPair(_BACKWARD[kind](intent), intent, kind)
-    ext = Or(a.extent, b.extent)
-    return LogicalConceptPair(ext, _FORWARD[kind](ext), kind)
+    return _combine(a, b, 1)
 
 
-def _same_kind(a: LogicalConceptPair, b: LogicalConceptPair) -> ConceptKind:
+def _combine(a: LogicalConceptPair, b: LogicalConceptPair, operation: int) -> LogicalConceptPair:
+    """Meet (0) or join (1): the side ``_MEET_JOIN`` names, conjoined where it
+    intersects and disjoined where it unites, completed to a pair."""
     if a.kind != b.kind:
         raise SortMismatchError(a.kind.name, b.kind.name, "quotient operation")
-    return a.kind
+    side, intersect = _MEET_JOIN[a.kind][operation]
+    connective = And if intersect else Or
+    return _completed(a.kind, side, connective(getattr(a, side), getattr(b, side)))
 
 
 # each quotient operation with its dual, as the campaigns name them
@@ -320,11 +307,9 @@ def _add_laws(report: VerificationReport, laws: Sequence[Law]) -> None:
 
 def _equivalent_variants(pair: LogicalConceptPair) -> list[LogicalConceptPair]:
     """Distinct representatives of the same class, valid for any member pair."""
-    kind = pair.kind
-    ext2 = And(pair.extent, pair.extent)
     return [
-        LogicalConceptPair(_BACKWARD[kind](pair.intent), pair.intent, kind),
-        LogicalConceptPair(ext2, _FORWARD[kind](ext2), kind),
+        _completed(pair.kind, "intent", pair.intent),
+        _completed(pair.kind, "extent", And(pair.extent, pair.extent)),
     ]
 
 
@@ -438,8 +423,8 @@ def verify_isomorphisms(
     on_k = _Campaign(context_to_frame(ctx), pairs_fc, budget)
     on_kc = _Campaign(context_to_frame(complement_context(ctx)), pairs_fc, budget)
     members = [on_k.member(p) for p in pairs_fc]
-    h_im = [_map_h(p) for p in pairs_fc]
-    f_im = [_map_f(p) for p in h_im]
+    h_im = [_image(p, "a") for p in pairs_fc]
+    f_im = [_image(p, "b") for p in h_im]
     n = len(pairs_fc)
 
     h_into = [(f"h({i}) is not in PC", on_kc.member(p)) for i, p in enumerate(h_im)]
@@ -468,19 +453,19 @@ def verify_isomorphisms(
                 h_hom.append(
                     (
                         f"h({name}({i},{j})) != {name}(h({i}),h({j}))",
-                        on_kc.equivalent(_map_h(op(a, b)), op(h_im[i], h_im[j])),
+                        on_kc.equivalent(_image(op(a, b), "a"), op(h_im[i], h_im[j])),
                     )
                 )
                 f_swap.append(
                     (
                         f"f({name}(h({i}),h({j}))) != {dual_name}(f(h({i})),f(h({j})))",
-                        on_kc.equivalent(_map_f(op(h_im[i], h_im[j])), dual(f_im[i], f_im[j])),
+                        on_kc.equivalent(_image(op(h_im[i], h_im[j]), "b"), dual(f_im[i], f_im[j])),
                     )
                 )
                 composite.append(
                     (
                         f"f(h({name}({i},{j}))) != {dual_name}(f(h({i})),f(h({j})))",
-                        on_kc.equivalent(_map_f(_map_h(op(a, b))), dual(f_im[i], f_im[j])),
+                        on_kc.equivalent(_image(_image(op(a, b), "a"), "b"), dual(f_im[i], f_im[j])),
                     )
                 )
 

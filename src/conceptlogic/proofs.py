@@ -117,7 +117,6 @@ class ProofSystem:
     id: str
     sig: Signature
     schemes: tuple[AxiomScheme, ...]
-    rules: tuple[str, ...]
 
 
 def _match(pattern: Formula, f: Formula, binding: dict[Var, Formula]) -> bool:
@@ -197,8 +196,7 @@ def system_K(sig: Signature, id: str = "K") -> ProofSystem:
             schemes.append(_k_scheme(mod, i))
     for mod in sig.modalities:
         schemes.append(_dual_scheme(mod))
-    rules = ("MP",) + tuple(f"UG_{m.name}" for m in sig.modalities)
-    return ProofSystem(id, sig, tuple(schemes), rules)
+    return ProofSystem(id, sig, tuple(schemes))
 
 
 def system_KB2() -> ProofSystem:
@@ -207,7 +205,7 @@ def system_KB2() -> ProofSystem:
     p, q = Var("ph", SORT1), Var("ps", SORT2)
     b1 = AxiomScheme("B1", Imp(p, box_inv(dia(p))))
     b2 = AxiomScheme("B2", Imp(q, box(dia_inv(q))))
-    return ProofSystem("KB2", RS, base.schemes + (b1, b2), base.rules)
+    return ProofSystem("KB2", RS, base.schemes + (b1, b2))
 
 
 def system_KF() -> ProofSystem:
@@ -227,7 +225,7 @@ def system_KF() -> ProofSystem:
         ),
         AxiomScheme("B2", Imp(x, wbox(wbox_inv(x)))),
     )
-    return ProofSystem("KF", KF_SIG, schemes, ("MP", "UG_boxm", "UG_boxm-"))
+    return ProofSystem("KF", KF_SIG, schemes)
 
 
 _SYSTEMS: dict[str, Callable[[], ProofSystem]] = {

@@ -187,10 +187,10 @@ class Model:
         return mask
 
 
-def context_to_frame(ctx: FormalContext, sig: Signature = FULL) -> SortedFrame:
+def context_to_frame(ctx: FormalContext) -> SortedFrame:
     """The bidirectional frame of a context: carriers (G, M), both dialects.
 
-    Every forward modality of ``sig`` is interpreted by the transpose of the
+    Every forward modality of ``FULL`` is interpreted by the transpose of the
     incidence relation and every converse modality by the incidence itself,
     so diamond/box and window formulas evaluate over one frame.
     """
@@ -201,15 +201,10 @@ def context_to_frame(ctx: FormalContext, sig: Signature = FULL) -> SortedFrame:
         for m in iter_bits(ctx.rows[g])
     ]
     incidence = [(b, a) for a, b in transpose]
-    relations: dict[str, list[tuple[str, str]]] = {}
-    for m in sig.modalities:
-        if m.arg_sorts == (SORT1,) and m.result_sort == SORT2:
-            relations[m.name] = transpose
-        elif m.arg_sorts == (SORT2,) and m.result_sort == SORT1:
-            relations[m.name] = incidence
-        else:
-            raise FrameError(f"modality {m.name!r} is not two-sorted unary")
-    return SortedFrame(carriers, relations, sig, bidirectional=True)
+    relations = {
+        m.name: transpose if m.arg_sorts == (SORT1,) else incidence for m in FULL.modalities
+    }
+    return SortedFrame(carriers, relations, FULL, bidirectional=True)
 
 
 def frame_to_context(frame: SortedFrame) -> FormalContext:

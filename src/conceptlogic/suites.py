@@ -86,18 +86,6 @@ def random_formula(
     )
 
 
-def random_context(
-    rng: random.Random, max_objects: int, max_attributes: int
-) -> FormalContext:
-    n_g = rng.randint(1, max_objects)
-    n_m = rng.randint(1, max_attributes)
-    p = rng.uniform(0.2, 0.8)
-    objects = tuple(f"g{i + 1}" for i in range(n_g))
-    attributes = tuple(f"m{j + 1}" for j in range(n_m))
-    pairs = [(g, m) for g in objects for m in attributes if rng.random() < p]
-    return FormalContext.from_pairs(objects, attributes, pairs)
-
-
 def random_valuation(rng: random.Random, frame, vs) -> Valuation:
     """Random world sets, drawn for the variables in (sort, name) order."""
     return Valuation(
@@ -108,9 +96,11 @@ def random_valuation(rng: random.Random, frame, vs) -> Valuation:
     )
 
 
-def suite_translation(
-    ctx: FormalContext, seed: int, count: int = 100, max_depth: int = 4
-) -> VerificationReport:
+_TRANSLATION_SAMPLES = 100
+_TRANSLATION_DEPTH = 4
+
+
+def suite_translation(ctx: FormalContext, seed: int) -> VerificationReport:
     """Pointwise agreement of window formulas with their translated images.
 
     Samples random window-dialect formulas and valuations on the context's
@@ -122,9 +112,9 @@ def suite_translation(
     cframe = context_to_frame(complement_context(ctx))
     report = VerificationReport("translation semantics")
     violations = 0
-    for _ in range(count):
+    for _ in range(_TRANSLATION_SAMPLES):
         sort = rng.choice([SORT1, SORT2])
-        f = random_formula(rng, sort, max_depth, KF, n_vars=3)
+        f = random_formula(rng, sort, _TRANSLATION_DEPTH, KF, n_vars=3)
         val = random_valuation(rng, frame, variables(f))
         if truth_set(Model(frame, val), f) != truth_set(
             Model(cframe, val), translate_rho(f)
@@ -133,7 +123,8 @@ def suite_translation(
     report.add(
         "pointwise agreement",
         violations == 0,
-        f"{count - violations}/{count} sampled formulas agree on every world",
+        f"{_TRANSLATION_SAMPLES - violations}/{_TRANSLATION_SAMPLES} sampled formulas "
+        "agree on every world",
     )
     return report
 
@@ -153,12 +144,13 @@ def seed_pairs(kind: ConceptKind):
 
 def suite_lattice(
     ctx: FormalContext, budget: int = DEFAULT_BUDGET
-) -> list[VerificationReport]:
+) -> dict[ConceptKind, VerificationReport]:
+    """The quotient lattice laws of each kind on the seed family, PC first."""
     frame = context_to_frame(ctx)
-    return [
-        verify_quotient_lattice(seed_pairs(kind), kind, frame, budget)
+    return {
+        kind: verify_quotient_lattice(seed_pairs(kind), kind, frame, budget)
         for kind in (ConceptKind.PC, ConceptKind.OC, ConceptKind.FC)
-    ]
+    }
 
 
 def suite_iso(ctx: FormalContext, budget: int = DEFAULT_BUDGET) -> VerificationReport:

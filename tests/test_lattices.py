@@ -134,7 +134,7 @@ class TestMaskKernels:
         forward_op, backward_op = OPERATORS[kind]
         for _ in range(25):
             ctx = oracles.random_context(rng, 5, 5)
-            forward, backward = _kernels(kind, ctx)
+            forward, backward = _kernels(kind, "extent", ctx)
             for mask in range(1 << ctx.n_objects):
                 sub = SortedSubset(SORT1, mask, ctx.n_objects)
                 image = forward_op(ctx, set(sub.members(ctx.objects)))

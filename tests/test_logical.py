@@ -6,7 +6,7 @@ import pytest
 
 from conceptlogic import FormalContext, complement_context
 from conceptlogic.errors import InternalConsistencyError, SortMismatchError
-from conceptlogic.lattices import ConceptKind, enumerate_concepts
+from conceptlogic.lattices import ConceptKind, build_lattice, enumerate_concepts
 from conceptlogic.logical import (
     LogicalConceptPair,
     TransformDirection,
@@ -52,36 +52,36 @@ def seed_family(kind):
 class TestMemberClass:
     def test_pc_ext_closure_formula(self):
         frame = context_to_frame(k0())
-        assert member_class(box_inv(dia(P)), "PC_ext", frame)
+        assert member_class(box_inv(dia(P)), ConceptKind.PC, "extent", frame)
 
     def test_bare_variable_not_pc_ext(self):
         frame = context_to_frame(k0())
-        assert not member_class(P, "PC_ext", frame)
+        assert not member_class(P, ConceptKind.PC, "extent", frame)
 
     def test_bot_in_fc_ext_is_frame_dependent(self):
         # the empty-set closure is the set of objects carrying every
         # attribute: nonempty on this fixture (g2 has both), so bot is out
         frame = context_to_frame(k0())
-        assert not member_class(Bot(SORT1), "FC_ext", frame)
+        assert not member_class(Bot(SORT1), ConceptKind.FC, "extent", frame)
         # but when no object carries every attribute, bot is in the family
         ctx = FormalContext.from_pairs(
             ("g1", "g2"), ("m1", "m2"), [("g1", "m1")]
         )
-        assert member_class(Bot(SORT1), "FC_ext", context_to_frame(ctx))
+        assert member_class(Bot(SORT1), ConceptKind.FC, "extent", context_to_frame(ctx))
 
     def test_bot_in_pc_ext_on_k0(self):
         frame = context_to_frame(k0())
-        assert member_class(Bot(SORT1), "PC_ext", frame)
+        assert member_class(Bot(SORT1), ConceptKind.PC, "extent", frame)
 
     def test_sort_checked(self):
         frame = context_to_frame(k0())
         with pytest.raises(SortMismatchError):
-            member_class(dia(P), "PC_ext", frame)
+            member_class(dia(P), ConceptKind.PC, "extent", frame)
 
     def test_unknown_side(self):
         frame = context_to_frame(k0())
         with pytest.raises(ValueError):
-            member_class(P, "XX_ext", frame)
+            member_class(P, ConceptKind.PC, "ext", frame)
 
 
 class TestMemberPair:
@@ -148,6 +148,59 @@ class TestBridgeToSemanticConcepts:
             ext = truth_set(model, pair.extent).bits
             intent = truth_set(model, pair.intent).bits
             assert (ext, intent) in concepts
+
+
+def random_seed_model(rng, frame):
+    """A model of the frame with random truth sets for the seeds' variables."""
+    worlds = frame.carrier(SORT1)
+    return Model(frame, Valuation({v: {w for w in worlds if rng.random() < 0.5} for v in (P, Q)}))
+
+
+class TestFormulaAndMaskLevelsAgree:
+    """Pairs and their operations denote the mask-level concepts, meets, joins
+    and complement correspondences."""
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_quotient_operations_denote_lattice_meets_and_joins(self, kind):
+        rng = random.Random(107)
+        family = seed_family(kind)
+        for _ in range(12):
+            ctx = oracles.random_context(rng, 4, 4)
+            lattice = build_lattice(enumerate_concepts(ctx, kind), kind, ctx)
+            index = {(c.extent, c.intent): i for i, c in enumerate(lattice.concepts)}
+            model = random_seed_model(rng, context_to_frame(ctx))
+
+            def concept(pair):
+                return index[truth_set(model, pair.extent), truth_set(model, pair.intent)]
+
+            for a in family:
+                for b in family:
+                    i, j = concept(a), concept(b)
+                    assert concept(quotient_meet(a, b)) == lattice.meet(i, j), (ctx, a, b)
+                    assert concept(quotient_join(a, b)) == lattice.join(i, j), (ctx, a, b)
+
+    # each direction's source kind, target context and complemented (extent, intent)
+    CLAUSES = {
+        TransformDirection.FC_OF_K_TO_PC_OF_KC: (ConceptKind.FC, complement_context, (False, True)),
+        TransformDirection.PC_OF_K_TO_OC_OF_KC: (ConceptKind.PC, lambda ctx: ctx, (True, True)),
+        TransformDirection.FC_OF_K_TO_OC_OF_KC: (ConceptKind.FC, complement_context, (True, False)),
+    }
+
+    @pytest.mark.parametrize("direction", list(TransformDirection))
+    def test_images_complement_the_clause_sides(self, direction):
+        source_kind, target_context, flips = self.CLAUSES[direction]
+        rng = random.Random(109)
+        for _ in range(12):
+            ctx = oracles.random_context(rng, 4, 4)
+            model = random_seed_model(rng, context_to_frame(ctx))
+            target = Model(context_to_frame(target_context(ctx)), model.valuation)
+            for seed in SEEDS:
+                pair = generate_pair(seed, source_kind)
+                image = transform_pair(pair, direction)
+                for f, g, flip in zip((pair.extent, pair.intent), (image.extent, image.intent), flips):
+                    source_set = truth_set(model, f)
+                    want = source_set.complement() if flip else source_set
+                    assert truth_set(target, g) == want, (ctx, seed)
 
 
 class TestTransform:
@@ -305,16 +358,13 @@ class TestSideClosureProperties:
         rng = random.Random(95)
         for _ in range(10):
             frame = context_to_frame(oracles.random_context(rng, 4, 4))
-            for kind, side in [
-                (ConceptKind.PC, "PC_ext"),
-                (ConceptKind.FC, "FC_ext"),
-            ]:
+            for kind in (ConceptKind.PC, ConceptKind.FC):
                 a = generate_pair(P, kind).extent
                 b = generate_pair(Q, kind).extent
-                assert member_class(And(a, b), side, frame)
+                assert member_class(And(a, b), kind, "extent", frame)
             oa = generate_pair(P, ConceptKind.OC).intent
             ob = generate_pair(Q, ConceptKind.OC).intent
-            assert member_class(And(oa, ob), "OC_int", frame)
+            assert member_class(And(oa, ob), ConceptKind.OC, "intent", frame)
 
     def test_oc_extents_closed_under_disjunction_not_conjunction(self):
         # kernel side: unions of object-oriented extents stay in the family,
@@ -327,8 +377,8 @@ class TestSideClosureProperties:
         frame = context_to_frame(ctx)
         a = generate_pair(P, ConceptKind.OC).extent
         b = generate_pair(Q, ConceptKind.OC).extent
-        assert member_class(Or(a, b), "OC_ext", frame)
-        assert not member_class(And(a, b), "OC_ext", frame)
+        assert member_class(Or(a, b), ConceptKind.OC, "extent", frame)
+        assert not member_class(And(a, b), ConceptKind.OC, "extent", frame)
 
     def test_pc_intents_closed_under_disjunction_not_conjunction(self):
         ctx = FormalContext.from_pairs(
@@ -339,21 +389,17 @@ class TestSideClosureProperties:
         frame = context_to_frame(ctx)
         a = generate_pair(P, ConceptKind.PC).intent
         b = generate_pair(Q, ConceptKind.PC).intent
-        assert member_class(Or(a, b), "PC_int", frame)
-        assert not member_class(And(a, b), "PC_int", frame)
+        assert member_class(Or(a, b), ConceptKind.PC, "intent", frame)
+        assert not member_class(And(a, b), ConceptKind.PC, "intent", frame)
 
     def test_modal_transfer(self):
         rng = random.Random(97)
-        builders = {
-            ConceptKind.PC: (dia, "PC_int"),
-            ConceptKind.OC: (box, "OC_int"),
-            ConceptKind.FC: (wbox, "FC_int"),
-        }
+        forwards = {ConceptKind.PC: dia, ConceptKind.OC: box, ConceptKind.FC: wbox}
         for _ in range(8):
             frame = context_to_frame(oracles.random_context(rng, 4, 4))
-            for kind, (fwd, side) in builders.items():
+            for kind, fwd in forwards.items():
                 ext = generate_pair(And(P, Q), kind).extent
-                assert member_class(fwd(ext), side, frame)
+                assert member_class(fwd(ext), kind, "intent", frame)
 
 
 class TestVerifyQuotientLattice:
