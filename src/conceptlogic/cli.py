@@ -187,8 +187,9 @@ def _parse_assignments(args: argparse.Namespace, f):
         if name not in by_name:
             raise ConceptLogicError(f"variable {name!r} does not occur in the formula")
         v = by_name[name]
-        ws = [w.strip() for w in worlds.split(",") if w.strip()]
-        assignments[v] = ws
+        if v in assignments:
+            raise ConceptLogicError(f"variable {name!r} is assigned more than once")
+        assignments[v] = [w.strip() for w in worlds.split(",") if w.strip()]
     missing = [v.name for v in by_name.values() if v not in assignments]
     if missing:
         raise ConceptLogicError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionError, SortMismatchError
 
@@ -231,7 +231,7 @@ def apply_operator(kind: OperatorKind, subset: SortedSubset, ctx: FormalContext)
     return SortedSubset(kind.output_sort, _kernel(kind, ctx)(subset.bits), out_size)
 
 
-def _or_over(vectors: tuple[int, ...], mask: int) -> int:
+def _or_over(vectors: Sequence[int], mask: int) -> int:
     """The OR of ``vectors[i]`` over the set bits i of ``mask``."""
     out = 0
     while mask:

@@ -161,18 +161,25 @@ def export_dot(lattice: ConceptLattice) -> str:
 
 
 def structured_lines(prefix: str, value) -> list[str]:
-    """Flatten a value into sorted ``key=value`` lines; arrays use indexed keys."""
-    if isinstance(value, dict):
-        out = []
-        for k, v in value.items():
-            key = f"{prefix}.{k}" if prefix else str(k)
-            out.extend(structured_lines(key, v))
-        return out
-    if isinstance(value, (list, tuple)):
-        out = [f"{prefix}.count={len(value)}"]
-        for i, v in enumerate(value):
-            out.extend(structured_lines(f"{prefix}.{i}", v))
-        return out
-    if isinstance(value, bool):
-        return [f"{prefix}={'true' if value else 'false'}"]
-    return [f"{prefix}={value}"]
+    """Flatten a value into ``key=value`` lines in document order; an array
+    gives a ``count`` line, then its items under indexed keys.
+
+    An explicit stack of (key, value) pairs holds the pending items, so
+    nesting costs no recursion, and each key is formatted once.
+    """
+    out: list[str] = []
+    stack = [(prefix, value)]
+    while stack:
+        key, v = stack.pop()
+        if isinstance(v, dict):
+            items = [(f"{key}.{k}" if key else str(k), x) for k, x in v.items()]
+        elif isinstance(v, (list, tuple)):
+            out.append(f"{key}.count={len(v)}")
+            items = [(f"{key}.{i}", x) for i, x in enumerate(v)]
+        else:
+            if isinstance(v, bool):
+                v = "true" if v else "false"
+            out.append(f"{key}={v}")
+            continue
+        stack += reversed(items)
+    return out

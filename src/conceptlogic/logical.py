@@ -109,19 +109,18 @@ def member_class(
 
 
 def _pair_conditions(pair: LogicalConceptPair) -> list[tuple[Formula, Formula]]:
+    """The two linking biconditionals.  Under each valuation they imply both
+    side memberships: from ``e = bwd(i)`` and ``fwd(e) = i`` follow
+    ``bwd(fwd(e)) = e`` and ``fwd(bwd(i)) = i``."""
     fwd, bwd = _MODALITIES[pair.kind]
-    return [
-        _side_condition(pair.extent, pair.kind, "extent"),
-        _side_condition(pair.intent, pair.kind, "intent"),
-        (pair.extent, bwd(pair.intent)),
-        (fwd(pair.extent), pair.intent),
-    ]
+    return [(pair.extent, bwd(pair.intent)), (fwd(pair.extent), pair.intent)]
 
 
 def member_pair(
     pair: LogicalConceptPair, frame: SortedFrame, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Both side memberships plus the two linking biconditionals."""
+    """The two linking biconditionals, extent <-> backward(intent) and
+    forward(extent) <-> intent, which imply both side memberships."""
     checks = _Campaign(frame, [pair], budget)
     verdict = checks.member(pair)
     checks.run()

@@ -15,7 +15,6 @@ Variables declare their sort with a ``:1`` / ``:2`` suffix at first use or
 through a declaration table; elsewhere the sort is inferred from position
 (modalities fix argument sorts, Boolean connectives preserve them).  The
 printer emits minimal parentheses and round-trips through ``parse_formula``.
-Polyadic modalities have no concrete syntax; build them programmatically.
 
 The parser reads the text once: one compiled token pattern driven by
 ``re.finditer``, and an operator-precedence loop with an operand stack and
@@ -225,7 +224,7 @@ def _parse(
                     m.start(kind),
                 )
             ops.append((_MOD, cls, mod))
-            want = mod.arg_sorts[0]
+            want = mod.arg_sort
             continue
         elif kind == "const":
             need = root_sort if want is _ROOT else want
@@ -243,7 +242,7 @@ def _parse(
         while ops and ops[-1][0] >= _NEG:
             entry = ops.pop()
             if entry[0] == _MOD:
-                x = entry[1](entry[2], (x,))
+                x = entry[1](entry[2], x)
             elif x is not None:
                 x = Neg(x)
         operands.append(x)
@@ -319,14 +318,9 @@ def print_formula(f: Formula) -> str:
         elif cls in _BINARY_PRINT:
             symbol, level, left, right = _BINARY_PRINT[cls]
             parts = [(g.left, left), symbol, (g.right, right)]
-        elif (cls, g.mod.name) in _MODAL_PRINT and g.mod.arity == 1:
-            parts = [_MODAL_PRINT[cls, g.mod.name], (g.args[0], _PREC_UNARY)]
-        else:  # generic polyadic form, for display only, never parenthesized
-            level = required
-            parts = [f"{g.mod.name}(" if cls is Dia else f"{g.mod.name}^box("]
-            for a in g.args:
-                parts += (a, 0), ", "
-            parts[-1] = ")"
+        else:  # a modality without a modal word shows its class and name
+            word = _MODAL_PRINT.get((cls, g.mod.name)) or f"{cls.__name__}:{g.mod.name} "
+            parts = [word, (g.arg, _PREC_UNARY)]
         if level < required:
             parts = ["(", *parts, ")"]
         stack += reversed(parts)

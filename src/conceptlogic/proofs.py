@@ -129,14 +129,12 @@ def _match(pattern: Formula, f: Formula, binding: dict[Var, Formula]) -> bool:
                 return False
         elif type(g) is not type(p) or (isinstance(p, Bot) and g is not p):
             return False
-        elif isinstance(p, Neg):
-            pairs.append((p.arg, g.arg))
         elif isinstance(p, And):
             pairs += (p.right, g.right), (p.left, g.left)
-        elif isinstance(p, (Dia, Box)):
-            if g.mod != p.mod:
-                return False
-            pairs += reversed(list(zip(p.args, g.args)))
+        elif isinstance(p, (Dia, Box)) and g.mod != p.mod:
+            return False
+        elif isinstance(p, (Neg, Dia, Box)):
+            pairs.append((p.arg, g.arg))
         else:  # pragma: no cover
             raise TypeError(f"non-core pattern node {p!r}")
     return True
@@ -163,39 +161,24 @@ def _matches(nf: Formula, schemes: Iterable[AxiomScheme]):
             yield scheme, binding
 
 
-def _k_scheme(mod: Modality, position: int) -> AxiomScheme:
-    args = tuple(Var(f"ph{j + 1}", s) for j, s in enumerate(mod.arg_sorts))
-    psi = Var("ps", mod.arg_sorts[position])
-    hyp_args = list(args)
-    hyp_args[position] = Imp(args[position], psi)
-    out_args = list(args)
-    out_args[position] = psi
-    pattern = Imp(
-        Box(mod, tuple(hyp_args)),
-        Imp(Box(mod, args), Box(mod, tuple(out_args))),
-    )
-    suffix = "" if mod.arity == 1 else f"_{position + 1}"
-    return AxiomScheme(f"K_{mod.name}{suffix}", pattern)
+def _k_scheme(mod: Modality) -> AxiomScheme:
+    ph, ps = Var("ph1", mod.arg_sort), Var("ps", mod.arg_sort)
+    pattern = Imp(Box(mod, Imp(ph, ps)), Imp(Box(mod, ph), Box(mod, ps)))
+    return AxiomScheme(f"K_{mod.name}", pattern)
 
 
 def _dual_scheme(mod: Modality) -> AxiomScheme:
-    args = tuple(Var(f"ph{j + 1}", s) for j, s in enumerate(mod.arg_sorts))
-    pattern = Iff(
-        Dia(mod, args), Neg(Box(mod, tuple(Neg(a) for a in args)))
-    )
-    return AxiomScheme(f"Dual_{mod.name}", pattern)
+    ph = Var("ph1", mod.arg_sort)
+    return AxiomScheme(f"Dual_{mod.name}", Iff(Dia(mod, ph), Neg(Box(mod, Neg(ph)))))
 
 
 def system_K(sig: Signature, id: str = "K") -> ProofSystem:
     """The base system over a relational signature (no window modalities)."""
     if any(m.window for m in sig.modalities):
         raise SignatureError("system K is defined over relational signatures only")
-    schemes: list[AxiomScheme] = [AxiomScheme("PL", None)]
-    for mod in sig.modalities:
-        for i in range(mod.arity):
-            schemes.append(_k_scheme(mod, i))
-    for mod in sig.modalities:
-        schemes.append(_dual_scheme(mod))
+    schemes = [AxiomScheme("PL", None)]
+    schemes += (_k_scheme(mod) for mod in sig.modalities)
+    schemes += (_dual_scheme(mod) for mod in sig.modalities)
     return ProofSystem(id, sig, tuple(schemes))
 
 
@@ -266,7 +249,6 @@ class MPRef:
 class UGRef:
     modality: str
     source: int
-    position: int = 1
 
 
 Justification = AxiomRef | PremiseRef | MPRef | UGRef
@@ -303,9 +285,9 @@ def check_proof(
     A line is an axiom instance (uniform substitution into a scheme, or a
     propositional tautology), one of the declared premises, modus ponens from
     two earlier lines in (antecedent, implication) order, or universal
-    generalization: for relational modalities the cited formula is inserted
-    at the declared argument position; for window modalities the cited line
-    must be the negation of the boxed argument.
+    generalization: for relational modalities the cited line is the boxed
+    argument; for window modalities it is the negation of the boxed
+    argument.
     """
     if not lines:
         return Verdict(False, None, "empty script")
@@ -403,19 +385,13 @@ def _check_ug(
         return _reject(index, f"conclusion is not a {j.modality!r}-box formula")
     source = earlier[j.source - 1]
     if mod.window:
-        if source != Neg(nf.args[0]):
+        if source != Neg(nf.arg):
             return _reject(
                 index,
                 f"line {j.source} is not the negation of the boxed argument",
             )
-        return Verdict(True)
-    if not 1 <= j.position <= mod.arity:
-        return _reject(index, f"position {j.position} out of range for {j.modality!r}")
-    if nf.args[j.position - 1] != source:
-        return _reject(
-            index,
-            f"argument {j.position} of the conclusion differs from line {j.source}",
-        )
+    elif nf.arg != source:
+        return _reject(index, f"the boxed argument differs from line {j.source}")
     return Verdict(True)
 
 
@@ -486,7 +462,7 @@ def delete_line(lines: Sequence[ProofLine], index: int) -> list[ProofLine]:
         if isinstance(j, MPRef):
             j = MPRef(shift(j.antecedent), shift(j.implication))
         elif isinstance(j, UGRef):
-            j = UGRef(j.modality, shift(j.source), j.position)
+            j = UGRef(j.modality, shift(j.source))
         out.append(ProofLine(shift(line.index), line.formula, j))
     return out
 
@@ -529,7 +505,7 @@ def soundness_probe(
 # --- proof script files -------------------------------------------------------
 
 # One record per numbered line:  INDEX | FORMULA | RULE [| SUBST]
-# Rules: 'axiom [NAME]', 'pl', 'premise N', 'mp I J', 'ug MOD [POS] I'.
+# Rules: 'axiom [NAME]', 'pl', 'premise N', 'mp I J', 'ug MOD I'.
 # Headers: 'system: NAME', 'var NAME : 1|2', 'premise: FORMULA', '#' comments.
 # A line whose first non-blank character is '#' is a comment; no record or
 # header starts with one.  Elsewhere a '#' starts a comment unless it is the
@@ -655,8 +631,6 @@ def _parse_rule(
     if rule == "ug":
         if len(rest) == 2 and rest[1].isdigit():
             return UGRef(rest[0], int(rest[1]))
-        if len(rest) == 3 and rest[1].isdigit() and rest[2].isdigit():
-            return UGRef(rest[0], int(rest[2]), int(rest[1]))
         raise ProofScriptError("'ug' takes a modality and a line number", lineno)
     raise ProofScriptError(f"unknown rule {rule!r}", lineno)
 
@@ -681,8 +655,7 @@ def serialize_proof_script(script: ProofScript) -> str:
         elif isinstance(j, MPRef):
             rule = f"mp {j.antecedent} {j.implication}"
         else:
-            pos = "" if j.position == 1 else f" {j.position}"
-            rule = f"ug {j.modality}{pos} {j.source}"
+            rule = f"ug {j.modality} {j.source}"
         out.append(f"{line.index} | {print_formula(line.formula)} | {rule}")
     return "\n".join(out) + "\n"
 
@@ -708,9 +681,9 @@ def _expand_converse(
     window axiom B1 (``mod`` dia, ``back`` dia-) or B2 (the other way)."""
 
     def back_box(f: Formula) -> Box:
-        return Box(back, (f,))
+        return Box(back, f)
 
-    da, nbn = Dia(mod, (a,)), Neg(Box(mod, (Neg(a),)))
+    da, nbn = Dia(mod, a), Neg(Box(mod, Neg(a)))
     l1 = em.emit(Imp(a, back_box(da)), AxiomRef(axiom))
     l2 = em.emit(Iff(da, nbn), AxiomRef(f"Dual_{mod.name}"))
     l3 = em.emit(Imp(Iff(da, nbn), Imp(da, nbn)), AxiomRef("PL"))

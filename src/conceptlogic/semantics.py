@@ -1,11 +1,11 @@
-"""Many-sorted relational frames, models, truth sets, and exhaustive validity.
+"""Two-sorted relational frames, models, truth sets, and exhaustive validity.
 
 One evaluator computes every truth value here, bit-sliced over valuations:
 a formula's truth is one int per world of its sort, whose bit k is its
 truth at that world under the k-th valuation.  Connectives are word
-operations; a diamond is the OR over successor tuples of the AND of the
-argument slices, a box is its dual, and a window box is the complement of
-the OR of the argument slices over non-successors.  ``truth_set`` is the
+operations; a diamond is the OR of the argument slices over a world's
+successors, a box is its dual, and a window box is the complement of the OR
+of the argument slices over non-successors.  ``truth_set`` is the
 case of one valuation, and a tautology test (``proofs``) a one-world frame
 whose memo is seeded with the atoms' truth-table columns.  Evaluation runs on
 ``syntax._walk``: children first, each shared node once, no recursion.
@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .context import FormalContext, SortedSubset, iter_bits
+from .context import FormalContext, SortedSubset, _or_over, iter_bits
 from .errors import (
     BudgetExceededError,
     FrameError,
@@ -61,11 +61,11 @@ DEFAULT_BUDGET = 1 << 20
 class SortedFrame:
     """Finite carriers per sort plus one relation table per modality.
 
-    A relation entry for a modality of arity ``s1...sn -> s`` is a tuple
-    ``(w, w1, ..., wn)`` whose first component lives in the carrier of the
-    result sort.  When ``bidirectional`` is set, every modality with a
-    declared converse must have the converse relation table, and this is
-    validated at construction.  Carriers are disjoint by sort tagging, so
+    A relation entry for a modality from sort ``a`` to sort ``s`` is a pair
+    ``(w, u)`` of a world ``w`` of the result sort ``s`` and a world ``u`` of
+    the argument sort ``a``.  When ``bidirectional`` is set, every modality
+    with a declared converse must have the converse relation table, and this
+    is validated at construction.  Carriers are disjoint by sort tagging, so
     equal world names in different sorts are allowed.
     """
 
@@ -78,7 +78,7 @@ class SortedFrame:
     ):
         self.sig = sig
         self.carriers = {s: tuple(ws) for s, ws in carriers.items()}
-        for s in sig.sorts:
+        for s in (SORT1, SORT2):
             if not self.carriers.get(s):
                 raise FrameError(f"carrier for sort {s!r} must be non-empty")
         for s, ws in self.carriers.items():
@@ -87,50 +87,34 @@ class SortedFrame:
         self._index = {
             s: {w: i for i, w in enumerate(ws)} for s, ws in self.carriers.items()
         }
-        self.relations: dict[str, frozenset[tuple[str, ...]]] = {}
-        for name, entries in relations.items():
-            mod = sig.modality(name)
-            table = frozenset(tuple(e) for e in entries)
-            for entry in table:
-                if len(entry) != mod.arity + 1:
-                    raise FrameError(
-                        f"relation entry {entry!r} has wrong arity for {name!r}"
-                    )
-                if entry[0] not in self._index[mod.result_sort]:
-                    raise FrameError(f"unknown world {entry[0]!r} in relation {name!r}")
-                for w, s in zip(entry[1:], mod.arg_sorts):
-                    if w not in self._index[s]:
-                        raise FrameError(f"unknown world {w!r} in relation {name!r}")
-            self.relations[name] = table
+        for name in relations:
+            sig.modality(name)  # an unknown name raises
+        self.relations: dict[str, frozenset[tuple[str, str]]] = {}
+        # per modality and result world: the mask of its related argument worlds
+        self._succ: dict[str, list[int]] = {}
         for m in sig.modalities:
-            self.relations.setdefault(m.name, frozenset())
+            table = frozenset((w, u) for w, u in relations.get(m.name, ()))
+            result, arg = self._index[m.result_sort], self._index[m.arg_sort]
+            masks = [0] * len(result)
+            for w, u in table:
+                if w not in result or u not in arg:
+                    unknown = u if w in result else w
+                    raise FrameError(f"unknown world {unknown!r} in relation {m.name!r}")
+                masks[result[w]] |= 1 << arg[u]
+            self.relations[m.name] = table
+            self._succ[m.name] = masks
         self.bidirectional = bidirectional
         if bidirectional:
             self._check_converses()
-        # per modality and result world: the related argument-index tuples
-        self._succ: dict[str, list[list[tuple[int, ...]]]] = {}
-        for m in sig.modalities:
-            table: list[list[tuple[int, ...]]] = [
-                [] for _ in self.carriers[m.result_sort]
-            ]
-            for entry in self.relations[m.name]:
-                table[self._index[m.result_sort][entry[0]]].append(
-                    tuple(self._index[s][u] for u, s in zip(entry[1:], m.arg_sorts))
-                )
-            self._succ[m.name] = table
 
     def _check_converses(self) -> None:
         for m in self.sig.modalities:
             if m.converse is None:
                 continue
-            partner = self.sig.modality(m.converse)
-            if m.arity != 1 or partner.arity != 1:
-                continue
-            forward = self.relations[m.name]
-            backward = {(b, a) for a, b in self.relations[partner.name]}
-            if forward != backward:
+            backward = {(b, a) for a, b in self.relations[m.converse]}
+            if self.relations[m.name] != backward:
                 raise FrameError(
-                    f"bidirectional frame: relation for {partner.name!r} is not "
+                    f"bidirectional frame: relation for {m.converse!r} is not "
                     f"the converse of {m.name!r}"
                 )
 
@@ -202,7 +186,7 @@ def context_to_frame(ctx: FormalContext) -> SortedFrame:
     ]
     incidence = [(b, a) for a, b in transpose]
     relations = {
-        m.name: transpose if m.arg_sorts == (SORT1,) else incidence for m in FULL.modalities
+        m.name: transpose if m.arg_sort == SORT1 else incidence for m in FULL.modalities
     }
     return SortedFrame(carriers, relations, FULL, bidirectional=True)
 
@@ -220,7 +204,7 @@ def frame_to_context(frame: SortedFrame) -> FormalContext:
     tables = [
         frame.relations[m.name]
         for m in frame.sig.modalities
-        if m.arg_sorts == (SORT2,) and m.result_sort == SORT1
+        if m.arg_sort == SORT2 and m.result_sort == SORT1
     ]
     if not tables:
         raise FrameError("frame has no s2 -> s1 modality to read the incidence from")
@@ -231,15 +215,10 @@ def frame_to_context(frame: SortedFrame) -> FormalContext:
 
 def complement_frame(frame: SortedFrame) -> SortedFrame:
     """Complement every relation table; preserves bidirectionality."""
-    relations: dict[str, set[tuple[str, ...]]] = {}
+    relations: dict[str, set[tuple[str, str]]] = {}
     for m in frame.sig.modalities:
-        full = set(
-            itertools.product(
-                frame.carrier(m.result_sort),
-                *(frame.carrier(s) for s in m.arg_sorts),
-            )
-        )
-        relations[m.name] = full - set(frame.relations[m.name])
+        full = itertools.product(frame.carrier(m.result_sort), frame.carrier(m.arg_sort))
+        relations[m.name] = set(full) - frame.relations[m.name]
     return SortedFrame(frame.carriers, relations, frame.sig, frame.bidirectional)
 
 
@@ -301,36 +280,25 @@ class _Slices:
             raise ValuationError(
                 f"variable {f.name!r} of sort {f.sort} is outside the evaluated variables"
             )
-        return self._modal(f, [memo[a] for a in f.args])
+        return self._modal(f, memo[f.arg])
 
-    def _modal(self, f: Dia | Box, args: list[list[int]]) -> list[int]:
-        full = self.full
-        table = self.frame._succ[f.mod.name]
+    def _modal(self, f: Dia | Box, arg: list[int]) -> list[int]:
+        """One OR of argument slices per world, over its successor mask.
+
+        A diamond ORs the slices of the successors.  A box is the dual: the
+        complement of the OR of the complemented slices.  A window box
+        (sufficiency: no world outside the successors satisfies the
+        argument) complements the OR of the slices over the complemented
+        mask.
+        """
+        full, masks = self.full, self.frame._succ[f.mod.name]
         if f.mod.window:
-            # sufficiency: no world outside the successors satisfies the argument
-            (arg,) = args
-            out = []
-            for succ in table:
-                related = {u for (u,) in succ}
-                seen = 0
-                for u, a in enumerate(arg):
-                    if u not in related:
-                        seen |= a
-                out.append(full ^ seen)
-            return out
-        box = isinstance(f, Box)
-        if box:  # box is the dual of the diamond of the complements
-            args = [[full ^ a for a in arg] for arg in args]
-        out = []
-        for succ in table:
-            some = 0
-            for t in succ:
-                every = full
-                for arg, u in zip(args, t):
-                    every &= arg[u]
-                some |= every
-            out.append(full ^ some if box else some)
-        return out
+            every = (1 << len(arg)) - 1
+            masks = [every ^ m for m in masks]
+        elif type(f) is Box:
+            arg = [full ^ a for a in arg]
+        out = [_or_over(arg, m) for m in masks]
+        return out if type(f) is Dia else [full ^ o for o in out]
 
 
 def _block_slices(

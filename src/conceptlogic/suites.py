@@ -78,7 +78,7 @@ def random_formula(
         return Neg(random_formula(rng, sort, max_depth - 1, sig, n_vars))
     if kind == "mod":
         cls, m = rng.choice(mods[sort])
-        return cls(m, (random_formula(rng, m.arg_sorts[0], max_depth - 1, sig, n_vars),))
+        return cls(m, random_formula(rng, m.arg_sort, max_depth - 1, sig, n_vars))
     cls = {"and": And, "or": Or, "imp": Imp, "iff": Iff}[kind]
     return cls(
         random_formula(rng, sort, max_depth - 1, sig, n_vars),

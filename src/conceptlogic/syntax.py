@@ -1,4 +1,4 @@
-"""Many-sorted modal formula ASTs, signatures, and the window-to-diamond translation.
+"""Two-sorted modal formula ASTs, signatures, and the window-to-diamond translation.
 
 Formulas are immutable, hash-consed nodes: a constructor returns the live
 node with the same class and children when there is one, so a formula is a
@@ -6,9 +6,10 @@ DAG of shared nodes, structurally equal formulas are the same object, and
 ``==`` and ``hash`` are identity, never a walk (Filliatre and Conchon,
 "Type-Safe Modular Hash-Consing", 2006).  The intern table holds nodes
 weakly, so a node lives only as long as its users.  Every node carries its
-sort, and ill-sorted formulas cannot be constructed.  Boolean connectives
-join formulas of one sort; modalities move between sorts according to their
-declared arity.  A modality comes in a diamond form (existential) and a box
+sort, one of ``SORT1`` (objects) and ``SORT2`` (attributes), and ill-sorted
+formulas cannot be constructed.  Boolean connectives join formulas of one
+sort; a modality is unary and takes a formula of its argument sort to one of
+its result sort.  A modality comes in a diamond form (existential) and a box
 form (universal); *window* modalities are box-only and get the sufficiency
 semantics.
 
@@ -30,34 +31,28 @@ from .errors import SignatureError, SortMismatchError
 
 @dataclass(frozen=True)
 class Modality:
-    """A modality symbol with arity ``arg_sorts -> result_sort``.
+    """A unary modality symbol from ``arg_sort`` to ``result_sort``.
 
-    ``window`` marks the sufficiency interpretation (box form only, unary).
+    ``window`` marks the sufficiency interpretation (box form only).
     ``converse`` names the partner modality in a bidirectional signature.
     """
 
     name: str
-    arg_sorts: tuple[str, ...]
+    arg_sort: str
     result_sort: str
     window: bool = False
     converse: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.arg_sorts:
-            raise SignatureError(f"modality {self.name!r} needs arity >= 1")
-        if self.window and len(self.arg_sorts) != 1:
-            raise SignatureError(f"window modality {self.name!r} must be unary")
-
-    @property
-    def arity(self) -> int:
-        return len(self.arg_sorts)
+        for s in (self.arg_sort, self.result_sort):
+            if s not in (SORT1, SORT2):
+                raise SignatureError(f"modality {self.name!r} uses unknown sort {s!r}")
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Sort names plus modality declarations; modality names are unique."""
+    """Modality declarations; modality names are unique."""
 
-    sorts: tuple[str, ...]
     modalities: tuple[Modality, ...]
     _by_name: dict[str, Modality] = field(init=False, repr=False, compare=False)
 
@@ -67,9 +62,6 @@ class Signature:
             raise SignatureError("modality names must be unique")
         object.__setattr__(self, "_by_name", {m.name: m for m in self.modalities})
         for m in self.modalities:
-            for s in (*m.arg_sorts, m.result_sort):
-                if s not in self.sorts:
-                    raise SignatureError(f"modality {m.name!r} uses unknown sort {s!r}")
             if m.converse is not None and m.converse not in names:
                 raise SignatureError(
                     f"modality {m.name!r} names unknown converse {m.converse!r}"
@@ -85,14 +77,14 @@ class Signature:
         return name in self._by_name
 
 
-DIA = Modality("dia", (SORT1,), SORT2, converse="dia-")
-DIA_INV = Modality("dia-", (SORT2,), SORT1, converse="dia")
-WBOX = Modality("boxm", (SORT1,), SORT2, window=True, converse="boxm-")
-WBOX_INV = Modality("boxm-", (SORT2,), SORT1, window=True, converse="boxm")
+DIA = Modality("dia", SORT1, SORT2, converse="dia-")
+DIA_INV = Modality("dia-", SORT2, SORT1, converse="dia")
+WBOX = Modality("boxm", SORT1, SORT2, window=True, converse="boxm-")
+WBOX_INV = Modality("boxm-", SORT2, SORT1, window=True, converse="boxm")
 
-RS = Signature((SORT1, SORT2), (DIA, DIA_INV))
-KF = Signature((SORT1, SORT2), (WBOX, WBOX_INV))
-FULL = Signature((SORT1, SORT2), (DIA, DIA_INV, WBOX, WBOX_INV))
+RS = Signature((DIA, DIA_INV))
+KF = Signature((WBOX, WBOX_INV))
+FULL = Signature((DIA, DIA_INV, WBOX, WBOX_INV))
 
 
 class Formula:
@@ -244,25 +236,22 @@ class Iff(_Binary):
 
 
 class _Modal(Formula):
-    __slots__ = ("mod", "args")
+    """A modal node: one child ``arg``, like ``Neg``, under a modality tag."""
 
-    def __new__(cls, mod: Modality, args: tuple[Formula, ...]) -> "_Modal":
-        key = (cls, mod, args)
+    __slots__ = ("mod", "arg")
+
+    def __new__(cls, mod: Modality, arg: Formula) -> "_Modal":
+        key = (cls, mod, arg)
         entry = _INTERNED.get(key)
         node = entry and entry()
         if node is None:
             if cls is Dia and mod.window:
                 raise SignatureError(f"window modality {mod.name!r} is box-only")
-            if len(args) != mod.arity:
-                raise SortMismatchError(
-                    f"{mod.arity} arguments", f"{len(args)}", f"modality {mod.name}"
-                )
-            for expected, arg in zip(mod.arg_sorts, args):
-                if arg.sort != expected:
-                    raise SortMismatchError(expected, arg.sort, f"modality {mod.name}")
+            if arg.sort != mod.arg_sort:
+                raise SortMismatchError(mod.arg_sort, arg.sort, f"modality {mod.name}")
             node = _node(key, mod.result_sort)
             _set(node, "mod", mod)
-            _set(node, "args", args)
+            _set(node, "arg", arg)
         return node
 
 
@@ -289,27 +278,27 @@ def var2(name: str) -> Var:
 
 
 def dia(f: Formula) -> Dia:
-    return Dia(DIA, (f,))
+    return Dia(DIA, f)
 
 
 def box(f: Formula) -> Box:
-    return Box(DIA, (f,))
+    return Box(DIA, f)
 
 
 def dia_inv(f: Formula) -> Dia:
-    return Dia(DIA_INV, (f,))
+    return Dia(DIA_INV, f)
 
 
 def box_inv(f: Formula) -> Box:
-    return Box(DIA_INV, (f,))
+    return Box(DIA_INV, f)
 
 
 def wbox(f: Formula) -> Box:
-    return Box(WBOX, (f,))
+    return Box(WBOX, f)
 
 
 def wbox_inv(f: Formula) -> Box:
-    return Box(WBOX_INV, (f,))
+    return Box(WBOX_INV, f)
 
 
 _LEAVES = frozenset({Var, Bot, Top})
@@ -326,7 +315,8 @@ def _walk(root: Formula, memo, build: Callable[[Formula], object], leaves=_LEAVE
     by seeding the memo with them.  A node is built after its children, left
     to right, and ``build`` reads their results from the memo.  Nodes whose
     class is in ``leaves`` (leaf or modal classes) are built without
-    entering their children.
+    entering their children.  Any other node is binary, or unary (``Neg``
+    or a modal node) with its one child in ``arg``.
     """
     stack = [root]
     while stack:
@@ -338,11 +328,8 @@ def _walk(root: Formula, memo, build: Callable[[Formula], object], leaves=_LEAVE
         elif isinstance(f, _Binary):
             stack += f, _READY, f.right, f.left
             continue
-        elif isinstance(f, Neg):
-            stack += f, _READY, f.arg
-            continue
         elif type(f) not in leaves:
-            stack += f, _READY, *reversed(f.args)
+            stack += f, _READY, f.arg
             continue
         memo[f] = build(f)
     return memo[root]
@@ -355,7 +342,7 @@ def _rebuild(f: Formula, images) -> Formula:
     if isinstance(f, Neg):
         return Neg(images[f.arg])
     if isinstance(f, _Modal):
-        return type(f)(f.mod, tuple(images[a] for a in f.args))
+        return type(f)(f.mod, images[f.arg])
     return f
 
 
@@ -439,6 +426,6 @@ def translate_rho(f: Formula) -> Formula:
         target = _RHO_IMAGE.get(g.mod.name)
         if target is None or isinstance(g, Dia):
             raise SignatureError(f"modality {g.mod.name!r} is not in the window dialect")
-        return Box(target, (Neg(images[g.args[0]]),))
+        return Box(target, Neg(images[g.arg]))
 
     return _walk(f, images, image)

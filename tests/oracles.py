@@ -204,17 +204,17 @@ def extension(frame, val, f) -> set[str]:
         if isinstance(f, Imp):
             return (set(carrier) - left) | right
         return {w for w in carrier if (w in left) == (w in right)}
-    args = [extension(frame, val, a) for a in f.args]
+    arg = extension(frame, val, f.arg)
     rel = frame.relations[f.mod.name]
     out = set()
     for w in carrier:
-        succ = [t[1:] for t in rel if t[0] == w]
+        succ = [u for v, u in rel if v == w]
         if isinstance(f, Box) and f.mod.window:
-            holds = all((w, u) in rel for u in args[0])
+            holds = all((w, u) in rel for u in arg)
         elif isinstance(f, Dia):
-            holds = any(all(u in a for u, a in zip(t, args)) for t in succ)
+            holds = any(u in arg for u in succ)
         else:
-            holds = all(any(u in a for u, a in zip(t, args)) for t in succ)
+            holds = all(u in arg for u in succ)
         if holds:
             out.add(w)
     return out
@@ -569,7 +569,7 @@ class _SortSolver:
                 f"position requires {expected}",
                 node.pos,
             )
-        self.solve(node.children[0], mod.arg_sorts[0])
+        self.solve(node.children[0], mod.arg_sort)
         return mod.result_sort
 
     def _solve_binary(self, node: _Node, expected: str | None) -> str | None:
@@ -610,8 +610,8 @@ def _build_ast(node: _Node, sort: str, sig: Signature, table: dict[str, str]) ->
     if node.kind == "modal":
         cls, mod_name = MODAL_TOKENS[node.name]
         mod = sig.modality(mod_name)
-        arg = _build_ast(node.children[0], mod.arg_sorts[0], sig, table)
-        return cls(mod, (arg,))
+        arg = _build_ast(node.children[0], mod.arg_sort, sig, table)
+        return cls(mod, arg)
     left = _build_ast(node.children[0], sort, sig, table)
     right = _build_ast(node.children[1], sort, sig, table)
     return _BINARY_CLASSES[node.kind](left, right)

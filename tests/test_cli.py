@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptlogic import FormalContext, cli, lattices
 from conceptlogic.cli import _check_line, run_cli
@@ -309,6 +311,13 @@ class TestEvalAssignments:
         )
         assert code == 2 and "does not occur" in err
 
+    def test_repeated_assignment_rejected(self):
+        code, out, err = invoke(
+            ["eval", "--formula", "p", "--sort", "1", "--assign", "p=g1", "--assign", "p=g2", K0]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: variable 'p' is assigned more than once\n"
+
     def test_empty_assignment_is_empty_set(self):
         code, out, _ = invoke(
             [
@@ -396,3 +405,68 @@ class TestVerifySuites:
         code, peak_kib = map(int, done.stdout.split())
         assert code == 0
         assert peak_kib < 60 * 1024  # ru_maxrss is in KiB on Linux
+
+
+# What the fuzzer draws proof scripts from: per dialect, formulas that parse
+# in it, plus ones that parse in neither; headers and rule words, mostly well
+# formed; integer operands that may name no line; and record indices that are
+# mostly in sequence.
+DIAMOND_FORMULAS = [
+    "p:1 -> p:1", "(p:1 -> q:1) -> (~q:1 -> ~p:1)", "box (p:1 -> p:1)", "box ~q:1 -> box ~p:1",
+    "p:1 -> box- dia p:1", "x:2 -> box dia- x:2", "#t", "dia p:1 | ~dia p:1", "p:1",
+]
+WINDOW_FORMULAS = [
+    "p:1 -> p:1", "~(p:1 & ~p:1)", "boxm (p:1 & ~p:1)", "boxm ~p:1", "p:1 -> boxm- boxm p:1",
+    "x:2 -> boxm boxm- x:2", "boxm- x:2", "#f",
+]
+BROKEN_FORMULAS = ["p &", "dia", "", "p", "q:3"]
+SCRIPT_HEADERS = [
+    "var p : 1", "var x : 2", "premise: p:1 -> q:1", "premise: p &", "var r : 3",
+    "#t and #f are constants",
+]
+SCRIPT_RULES = (
+    ["pl", "axiom", "axiom K_dia", "axiom B1", "axiom K1", "premise", "mp", "mp"] * 2
+    + ["ug dia", "ug dia-", "ug boxm", "ug boxm-"] * 2
+    + ["ug nope", "ug", "modus"]
+)
+SUBSTITUTIONS = ["ph1 = p:1", "ps = q:1", "ps1 = x:2", "x = p", "ph1 p"]
+
+
+@st.composite
+def proof_scripts(draw):
+    system = draw(st.sampled_from(["KB2", "KF", "K"] * 3 + ["S5", None]))
+    lines = [] if system is None else [f"system: {system}"]
+    formulas = (WINDOW_FORMULAS if system == "KF" else DIAMOND_FORMULAS) * 6 + BROKEN_FORMULAS
+    records = 0
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(SCRIPT_HEADERS)))
+            continue
+        records += 1
+        index = draw(st.sampled_from([str(records)] * 10 + ["0", "x"]))
+        operands = draw(st.lists(st.integers(0, records + 1), max_size=3))
+        rule = " ".join([draw(st.sampled_from(SCRIPT_RULES)), *map(str, operands)])
+        record = f"{index} | {draw(st.sampled_from(formulas))} | {rule}"
+        if draw(st.integers(0, 4)) == 0:
+            record += f" | {draw(st.sampled_from(SUBSTITUTIONS))}"
+        lines.append(record)
+    return "\n".join(lines) + "\n"
+
+
+class TestProofScriptFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(proof_scripts())
+    def test_any_script_keeps_the_exit_contract(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.prf"
+        path.write_text(text)
+        code, out, err = invoke(["check-proof", str(path)])
+        assert code in (0, 1, 2, 3)
+        # a verdict goes to the output stream, a refusal to the error stream
+        assert (out == "") == (err != "") == (code >= 2)
+
+    def test_ug_with_three_operands_is_a_script_error(self, tmp_path):
+        path = tmp_path / "ug3.prf"
+        path.write_text("system: KB2\nvar p : 1\n1 | p -> p | pl\n2 | box (p -> p) | ug dia 1 3\n")
+        code, out, err = invoke(["check-proof", str(path)])
+        assert (code, out) == (2, "")
+        assert "'ug' takes a modality and a line number" in err

@@ -35,10 +35,8 @@ from conceptlogic.syntax import (
     Dia,
     Iff,
     Imp,
-    Modality,
     Neg,
     Or,
-    Signature,
     Top,
     Var,
     variables,
@@ -46,19 +44,10 @@ from conceptlogic.syntax import (
 
 import oracles
 
-POLY = Signature(
-    ("sa", "sb", "sc"),
-    (
-        Modality("mix", ("sa", "sb"), "sc"),
-        Modality("back", ("sc",), "sa"),
-        Modality("suff", ("sa",), "sb", window=True),
-    ),
-)
 
-
-def random_formula(rng, sig, sort, depth, n_vars=2):
-    """Random formula over any signature; window modalities are box-only."""
-    mods = [m for m in sig.modalities if m.result_sort == sort]
+def random_formula(rng, sort, depth, n_vars=2):
+    """Random FULL formula; window modalities are box-only."""
+    mods = [m for m in FULL.modalities if m.result_sort == sort]
     kinds = ["var", "bot", "top"]
     if depth > 0:
         kinds += ["neg", "and", "or", "imp", "iff"] + ["mod"] * 3 * bool(mods)
@@ -70,32 +59,31 @@ def random_formula(rng, sig, sort, depth, n_vars=2):
     if kind == "top":
         return Top(sort)
     if kind == "neg":
-        return Neg(random_formula(rng, sig, sort, depth - 1, n_vars))
+        return Neg(random_formula(rng, sort, depth - 1, n_vars))
     if kind == "mod":
         m = rng.choice(mods)
-        args = tuple(random_formula(rng, sig, s, depth - 1, n_vars) for s in m.arg_sorts)
-        return (Box if m.window or rng.random() < 0.5 else Dia)(m, args)
+        arg = random_formula(rng, m.arg_sort, depth - 1, n_vars)
+        return (Box if m.window or rng.random() < 0.5 else Dia)(m, arg)
     cls = {"and": And, "or": Or, "imp": Imp, "iff": Iff}[kind]
     return cls(
-        random_formula(rng, sig, sort, depth - 1, n_vars),
-        random_formula(rng, sig, sort, depth - 1, n_vars),
+        random_formula(rng, sort, depth - 1, n_vars),
+        random_formula(rng, sort, depth - 1, n_vars),
     )
 
 
-def random_poly_frame(rng):
-    carriers = {"sa": ("a1", "a2"), "sb": ("b1", "b2"), "sc": ("c1", "c2", "c3")}
+def random_independent_frame(rng):
+    """A FULL frame whose four relations are drawn independently."""
+    carriers = {SORT1: ("g1", "g2", "g3"), SORT2: ("m1", "m2")}
     relations = {
-        "mix": [
-            (c, a, b)
-            for c in carriers["sc"]
-            for a in carriers["sa"]
-            for b in carriers["sb"]
-            if rng.random() < 0.4
-        ],
-        "back": [(a, c) for a in carriers["sa"] for c in carriers["sc"] if rng.random() < 0.5],
-        "suff": [(b, a) for b in carriers["sb"] for a in carriers["sa"] if rng.random() < 0.5],
+        m.name: [
+            (w, u)
+            for w in carriers[m.result_sort]
+            for u in carriers[m.arg_sort]
+            if rng.random() < 0.5
+        ]
+        for m in FULL.modalities
     }
-    return SortedFrame(carriers, relations, POLY)
+    return SortedFrame(carriers, relations, FULL)
 
 
 def space(frame, formulas):
@@ -103,27 +91,27 @@ def space(frame, formulas):
     return 1 << sum(frame.carrier_size(v.sort) for v in vs)
 
 
-def draw(rng, frame, sig, sorts, n, limit=1 << 10):
+def draw(rng, frame, sorts, n, limit=1 << 10):
     """n random formulas of the given sorts whose joint valuation space fits the oracle."""
     while True:
-        formulas = [random_formula(rng, sig, s, 3) for s in sorts[:n]]
+        formulas = [random_formula(rng, s, 3) for s in sorts[:n]]
         if space(frame, formulas) <= limit:
             return formulas
 
 
-def assert_agrees(rng, frame, sig):
+def assert_agrees(rng, frame):
     sorts = list(frame.carriers)
     sort = rng.choice(sorts)
-    (f,) = draw(rng, frame, sig, [sort], 1)
+    (f,) = draw(rng, frame, [sort], 1)
     assert falsify(frame, f) == oracles.falsify(frame, f)
 
-    premises_and_conclusion = draw(rng, frame, sig, [sort] * 3, rng.randint(1, 3))
+    premises_and_conclusion = draw(rng, frame, [sort] * 3, rng.randint(1, 3))
     *premises, conclusion = premises_and_conclusion
     assert consequence_countermodel(frame, premises, conclusion) == (
         oracles.consequence_countermodel(frame, premises, conclusion)
     )
 
-    mixed = draw(rng, frame, sig, [rng.choice(sorts) for _ in range(3)], 3)
+    mixed = draw(rng, frame, [rng.choice(sorts) for _ in range(3)], 3)
     *premises, conclusion = mixed
     assert global_consequence(frame, premises, conclusion) == (
         oracles.global_consequence(frame, premises, conclusion)
@@ -135,7 +123,7 @@ def assert_agrees(rng, frame, sig):
     got = truth_set(Model(frame, Valuation(val)), f)
     assert set(got.members(frame.carrier(sort))) == oracles.extension(frame, val, f)
 
-    f2, g = draw(rng, frame, sig, [sort, sort], 2)
+    f2, g = draw(rng, frame, [sort, sort], 2)
     ev = FrameEvaluator(frame, variables(f2) | variables(g) | {Var("extra", sorts[0])})
     assert ev.valid(f2) == (oracles.falsify(frame, f2) is None)
     assert ev.equivalent(f2, g) == oracles.equivalent(frame, f2, g)
@@ -146,13 +134,15 @@ def assert_agrees(rng, frame, sig):
 def test_context_frames(seed):
     rng = random.Random(seed)
     frame = context_to_frame(oracles.random_context(rng, 3, 3))
-    assert_agrees(rng, frame, FULL)
+    assert_agrees(rng, frame)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_polyadic_frame(seed):
+    """Frames whose four relations are independent, so none is its partner's
+    converse and the diamond and window modalities read different relations."""
     rng = random.Random(1000 + seed)
-    assert_agrees(rng, random_poly_frame(rng), POLY)
+    assert_agrees(rng, random_independent_frame(rng))
 
 
 def test_countermodel_in_a_later_block():
@@ -166,8 +156,8 @@ def test_countermodel_in_a_later_block():
     frame = context_to_frame(ctx)
     p, q, r = (Var(n, SORT1) for n in "pqr")
     x = Var("x", SORT2)
-    noise = And(Or(q, Neg(q)), Or(r, Neg(Dia(FULL.modality("dia-"), (x,)))))
-    has_attr = Dia(FULL.modality("dia-"), (Top(SORT2),))
+    noise = And(Or(q, Neg(q)), Or(r, Neg(Dia(FULL.modality("dia-"), x))))
+    has_attr = Dia(FULL.modality("dia-"), Top(SORT2))
     f = Neg(And(And(p, has_attr), noise))
     assert space(frame, [f]) == 1 << 19
     assert 8 << 13 == _BLOCK
@@ -180,7 +170,7 @@ def test_countermodel_in_a_later_block():
         ((p, ("g4",)), (q, ("g4",)), (r, ()), (x, ())), "g4"
     )
     assert global_consequence(frame, [Imp(p, Neg(has_attr))], f)
-    assert not global_consequence(frame, [Dia(FULL.modality("dia"), (r,))], f)
+    assert not global_consequence(frame, [Dia(FULL.modality("dia"), r)], f)
     ev = FrameEvaluator(frame, [p, q, r, x])
     assert not ev.valid(f)
     assert ev.valid(Imp(And(p, has_attr), Or(Neg(noise), Neg(f))))
@@ -209,7 +199,7 @@ def test_multi_check_scan_fails_in_different_blocks(monkeypatch):
     )
     frame = context_to_frame(ctx)
     p, q = Var("p", SORT1), Var("q", SORT1)
-    has_attr = Dia(FULL.modality("dia-"), (Top(SORT2),))
+    has_attr = Dia(FULL.modality("dia-"), Top(SORT2))
     pairs = [
         (Neg(And(p, has_attr)), None),  # p = {g5}: index 16 << 5, block 32
         (Neg(And(q, has_attr)), None),  # q = {g5}: index 16, block 1
@@ -245,11 +235,11 @@ def test_multi_check_scan_against_oracle(seed, monkeypatch):
     monkeypatch.setattr(semantics, "_BLOCK", 1 << 1)
     rng = random.Random(2000 + seed)
     if seed % 2:
-        frame, sig = random_poly_frame(rng), POLY
+        frame = random_independent_frame(rng)
     else:
-        frame, sig = context_to_frame(oracles.random_context(rng, 3, 3)), FULL
+        frame = context_to_frame(oracles.random_context(rng, 3, 3))
     sorts = list(frame.carriers)
-    formulas = draw(rng, frame, sig, [rng.choice(sorts) for _ in range(8)], 8)
+    formulas = draw(rng, frame, [rng.choice(sorts) for _ in range(8)], 8)
     pairs = []
     for f in formulas:
         partners = [g for g in formulas if g.sort == f.sort and g is not f]

@@ -33,6 +33,7 @@ from conceptlogic.syntax import (
     dia,
     dia_inv,
     var1,
+    var2,
     variables,
     wbox,
     wbox_inv,
@@ -43,6 +44,14 @@ from oracles import k0
 
 P, Q = var1("p"), var1("q")
 SEEDS = [P, Q, And(P, Q), Top(SORT1), Bot(SORT1)]
+
+
+# each kind's forward (extent to intent) and backward modality
+KIND_MODALITIES = {
+    ConceptKind.FC: (wbox, wbox_inv),
+    ConceptKind.PC: (dia, box_inv),
+    ConceptKind.OC: (box, dia_inv),
+}
 
 
 def seed_family(kind):
@@ -103,6 +112,34 @@ class TestMemberPair:
         assert not member_pair(
             LogicalConceptPair(P, dia(P), ConceptKind.PC), frame
         )
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_agrees_with_the_four_condition_definition(self, kind):
+        # member_pair checks the two linking biconditionals; the definition
+        # also asks both sides to be closed (or open) under the kind's
+        # modalities, which the linking ones imply
+        fwd, bwd = KIND_MODALITIES[kind]
+        x = var2("x")
+        rng = random.Random(83)
+        verdicts = set()
+        for _ in range(6):
+            frame = context_to_frame(oracles.random_context(rng, 3, 3))
+            pairs = [
+                generate_pair(P, kind),
+                generate_pair(And(P, Q), kind),
+                LogicalConceptPair(P, fwd(P), kind),  # extent side may fail
+                LogicalConceptPair(bwd(x), x, kind),  # intent side may fail
+                LogicalConceptPair(bwd(fwd(P)), fwd(Q), kind),  # sides unlinked
+            ]
+            for pair in pairs:
+                e, i = pair.extent, pair.intent
+                want = all(
+                    oracles.equivalent(frame, f, g)
+                    for f, g in [(e, bwd(fwd(e))), (i, fwd(bwd(i))), (e, bwd(i)), (fwd(e), i)]
+                )
+                assert member_pair(pair, frame) == want, pair
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_top_seed_denotes_full_concept(self):
         frame = context_to_frame(k0())

@@ -14,7 +14,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).parent.parent / "src" / "conceptlogic"
 
 ALLOWED = {
-    ("formats", "structured_lines"): "the CLI's structured payloads nest three deep",
     ("suites", "random_formula"): "its depth is bounded by max_depth",
 }
 

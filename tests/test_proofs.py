@@ -314,7 +314,7 @@ class TestCheckProof:
                     j.implication + (1 if j.implication >= 4 else 0),
                 )
             elif isinstance(j, UGRef):
-                j = UGRef(j.modality, j.source + (1 if j.source >= 4 else 0), j.position)
+                j = UGRef(j.modality, j.source + (1 if j.source >= 4 else 0))
             padded.append(ProofLine(line.index + 1, line.formula, j))
         kb2 = script.system()
         assert check_proof(padded, script.premises, kb2).accepted

@@ -34,12 +34,8 @@ from conceptlogic.syntax import (
     SORT1,
     SORT2,
     And,
-    Box,
-    Dia,
     Imp,
-    Modality,
     Neg,
-    Signature,
     Top,
     Var,
     box,
@@ -204,43 +200,6 @@ class TestDualClause:
             assert truth_set(model, dia(f)) == truth_set(
                 model, Neg(box(Neg(f)))
             )
-
-    def test_ternary_modality(self):
-        sig = Signature(
-            ("sa", "sb", "sc"),
-            (Modality("mix", ("sa", "sb"), "sc"),),
-        )
-        frame = SortedFrame(
-            {"sa": ("a1", "a2"), "sb": ("b1",), "sc": ("c1", "c2")},
-            {"mix": [("c1", "a1", "b1"), ("c2", "a2", "b1")]},
-            sig,
-        )
-        mod = sig.modality("mix")
-        u, v = Var("u", "sa"), Var("v", "sb")
-        model = Model(frame, Valuation({u: {"a1"}, v: {"b1"}}))
-        got = truth_set(model, Dia(mod, (u, v)))
-        assert set(got.members(frame.carrier("sc"))) == {"c1"}
-        got_box = truth_set(model, Box(mod, (u, v)))
-        # c2's only tuple has a2, which fails u; v holds, so the box still holds
-        assert set(got_box.members(frame.carrier("sc"))) == {"c1", "c2"}
-
-    def test_polyadic_dual(self):
-        sig = Signature(
-            (SORT1, SORT2), (Modality("pairup", (SORT1, SORT1), SORT2),)
-        )
-        frame = SortedFrame(
-            {SORT1: ("u", "v"), SORT2: ("w", "z")},
-            {"pairup": [("w", "u", "v"), ("z", "v", "v")]},
-            sig,
-        )
-        mod = sig.modality("pairup")
-        a, b = var1("a"), var1("b")
-        for a_set in [set(), {"u"}, {"v"}, {"u", "v"}]:
-            for b_set in [set(), {"u"}, {"v"}, {"u", "v"}]:
-                model = Model(frame, Valuation({a: a_set, b: b_set}))
-                lhs = truth_set(model, Dia(mod, (a, b)))
-                rhs = truth_set(model, Neg(Box(mod, (Neg(a), Neg(b)))))
-                assert lhs == rhs
 
 
 class TestFrameValidity:

@@ -75,23 +75,17 @@ class TestConstruction:
 
     def test_window_modalities_are_box_only(self):
         with pytest.raises(SignatureError):
-            Dia(WBOX, (P,))
-
-    def test_polyadic_arity_checked(self):
-        tern = Modality("join", (SORT1, SORT2), SORT1)
-        Dia(tern, (P, Q))
-        with pytest.raises(SortMismatchError):
-            Dia(tern, (P,))
-
-    def test_window_must_be_unary(self):
-        with pytest.raises(SignatureError):
-            Modality("w2", (SORT1, SORT1), SORT2, window=True)
+            Dia(WBOX, P)
 
     def test_signature_validation(self):
         with pytest.raises(SignatureError):
-            Signature((SORT1,), (DIA,))  # uses unknown sort s2
+            Modality("d3", SORT1, "s3")  # uses unknown sort s3
         with pytest.raises(SignatureError):
-            Signature((SORT1, SORT2), (DIA, DIA))
+            Modality("d3", "s3", SORT2)
+        with pytest.raises(SignatureError):
+            Signature((DIA, DIA))
+        with pytest.raises(SignatureError):
+            Signature((DIA,))  # names unknown converse dia-
 
 
 class TestInterning:
@@ -99,7 +93,7 @@ class TestInterning:
         assert Var("p", SORT1) is Var("p", SORT1)
         assert Var("p", SORT1) is not Var("p", SORT2)
         assert Imp(P, wbox_inv(Q)) is Imp(var1("p"), wbox_inv(var2("q")))
-        assert Dia(Modality("dia", (SORT1,), SORT2, converse="dia-"), (P,)) is dia(P)
+        assert Dia(Modality("dia", SORT1, SORT2, converse="dia-"), P) is dia(P)
         assert parse_formula("p -> boxm- q", SORT1) is Imp(P, wbox_inv(Q))
 
     def test_normalize_is_idempotent_by_identity(self):
@@ -122,7 +116,7 @@ class TestInterning:
         with pytest.raises(SortMismatchError):
             box(Q)
         with pytest.raises(SignatureError):
-            Dia(WBOX, (P,))
+            Dia(WBOX, P)
         # a failed construction registers nothing
         with pytest.raises(SortMismatchError):
             And(var1("fresh"), var2("fresh2"))
@@ -286,7 +280,7 @@ def random_formula(rng, sort, depth, sig=FULL, n_vars=3):
         return Neg(random_formula(rng, sort, depth - 1, sig, n_vars))
     if pick == "mod":
         cls, m = rng.choice(mods_to[sort])
-        return cls(m, (random_formula(rng, m.arg_sorts[0], depth - 1, sig, n_vars),))
+        return cls(m, random_formula(rng, m.arg_sort, depth - 1, sig, n_vars))
     cls = {"and": And, "or": Or, "imp": Imp, "iff": Iff}[pick]
     return cls(
         random_formula(rng, sort, depth - 1, sig, n_vars),
