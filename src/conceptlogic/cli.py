@@ -10,6 +10,7 @@ command succeeds and any checked property holds, 1 when a property fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -47,7 +48,15 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command parser, built on the first ``run_cli`` call of a process.
+
+    Reusing it is safe: ``parse_args`` starts each call from a fresh
+    namespace, ``action="append"`` copies its default list before it
+    appends, and argparse looks up ``sys.stdout``/``sys.stderr`` only when
+    it prints.  Handlers are bound here, once.
+    """
     parser = argparse.ArgumentParser(
         prog="conceptlogic",
         description="Concept lattices and two-sorted modal logics over formal contexts",
@@ -259,7 +268,8 @@ def _cmd_check_proof(args: argparse.Namespace, out) -> int:
     if verdict.accepted:
         print("accepted", file=out)
         return EXIT_OK
-    print(f"rejected at line {verdict.line}: {verdict.reason}", file=out)
+    where = "" if verdict.line is None else f" at line {verdict.line}"
+    print(f"rejected{where}: {verdict.reason}", file=out)
     return EXIT_PROPERTY_FAILED
 
 

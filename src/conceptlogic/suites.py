@@ -42,6 +42,11 @@ from .syntax import (
 _VAR_POOLS = {SORT1: ("p", "q", "r"), SORT2: ("x", "y", "z")}
 
 
+_KINDS = ["var", "bot", "top", "neg", "and", "or", "imp", "iff", "mod"]
+_KIND_WEIGHTS = [5, 1, 1, 3, 4, 2, 2, 1, 6]
+_BINARY = {"and": And, "or": Or, "imp": Imp, "iff": Iff}
+
+
 def random_formula(
     rng: random.Random,
     sort: str,
@@ -52,17 +57,16 @@ def random_formula(
     """Random dialect formula; variable names are disjoint per sort."""
     mods = {}
     for m in sig.modalities:
-        mods.setdefault(m.result_sort, [])
-        if m.window:
-            mods[m.result_sort].append((Box, m))
-        else:
-            mods[m.result_sort].append((Dia, m))
-            mods[m.result_sort].append((Box, m))
-    kinds = ["var", "bot", "top", "neg", "and", "or", "imp", "iff", "mod"]
-    weights = [5, 1, 1, 3, 4, 2, 2, 1, 6]
+        forms = mods.setdefault(m.result_sort, [])
+        forms += [(Box, m)] if m.window else [(Dia, m), (Box, m)]
+    return _random_formula(rng, sort, max_depth, mods, n_vars)
+
+
+def _random_formula(rng: random.Random, sort: str, max_depth: int, mods, n_vars: int) -> Formula:
+    """``random_formula`` with the modal forms of each result sort in ``mods``."""
     while True:
         kind = (
-            rng.choices(kinds, weights)[0]
+            rng.choices(_KINDS, _KIND_WEIGHTS)[0]
             if max_depth > 0
             else rng.choices(["var", "bot", "top"], [6, 1, 1])[0]
         )
@@ -75,14 +79,13 @@ def random_formula(
     if kind == "top":
         return Top(sort)
     if kind == "neg":
-        return Neg(random_formula(rng, sort, max_depth - 1, sig, n_vars))
+        return Neg(_random_formula(rng, sort, max_depth - 1, mods, n_vars))
     if kind == "mod":
         cls, m = rng.choice(mods[sort])
-        return cls(m, random_formula(rng, m.arg_sort, max_depth - 1, sig, n_vars))
-    cls = {"and": And, "or": Or, "imp": Imp, "iff": Iff}[kind]
-    return cls(
-        random_formula(rng, sort, max_depth - 1, sig, n_vars),
-        random_formula(rng, sort, max_depth - 1, sig, n_vars),
+        return cls(m, _random_formula(rng, m.arg_sort, max_depth - 1, mods, n_vars))
+    return _BINARY[kind](
+        _random_formula(rng, sort, max_depth - 1, mods, n_vars),
+        _random_formula(rng, sort, max_depth - 1, mods, n_vars),
     )
 
 

@@ -22,19 +22,23 @@ visited once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 from weakref import ref
 
 from .context import SORT1, SORT2
 from .errors import SignatureError, SortMismatchError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Modality:
     """A unary modality symbol from ``arg_sort`` to ``result_sort``.
 
     ``window`` marks the sufficiency interpretation (box form only).
     ``converse`` names the partner modality in a bidirectional signature.
+
+    Modalities are interned like formula nodes: equal fields give the same
+    object, so ``==`` and ``hash`` are identity and a modal node's intern
+    key hashes without a Python-level call.
     """
 
     name: str
@@ -43,10 +47,23 @@ class Modality:
     window: bool = False
     converse: str | None = None
 
+    # by their fields; a handful per signature, so held strongly
+    _interned: ClassVar[dict[tuple, "Modality"]] = {}
+
+    def __new__(cls, name, arg_sort, result_sort, window=False, converse=None):
+        # an interned modality goes through ``__init__`` again, with equal fields
+        mod = cls._interned.get((name, arg_sort, result_sort, window, converse))
+        return mod if mod is not None else super().__new__(cls)
+
     def __post_init__(self) -> None:
         for s in (self.arg_sort, self.result_sort):
             if s not in (SORT1, SORT2):
                 raise SignatureError(f"modality {self.name!r} uses unknown sort {s!r}")
+        key = (self.name, self.arg_sort, self.result_sort, self.window, self.converse)
+        self._interned.setdefault(key, self)
+
+    def __reduce__(self):  # a copy or an unpickled modality is the interned one
+        return Modality, (self.name, self.arg_sort, self.result_sort, self.window, self.converse)
 
 
 @dataclass(frozen=True)

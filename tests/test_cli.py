@@ -23,7 +23,8 @@ from conceptlogic.suites import random_valuation
 from conceptlogic.syntax import And, Imp, Neg, dia, dia_inv, var1, wbox, wbox_inv
 
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).parent.parent / "src"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src"
 GOLDEN = DATA / "golden"
 K0 = str(DATA / "k0.cxt")
 
@@ -44,6 +45,17 @@ class TestGoldenTranscripts:
         want = (GOLDEN / f"{case['name']}.txt").read_text()
         assert out == want
         assert code == case["exit"]
+
+    @pytest.mark.parametrize("case", MANIFEST, ids=[c["name"] for c in MANIFEST])
+    def test_byte_exact_in_a_fresh_process(self, case):
+        # one parser per process, built for this one call
+        done = subprocess.run(
+            [sys.executable, "-m", "conceptlogic.cli", *case["args"]],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            timeout=60,
+        )
+        assert done.stdout == (GOLDEN / f"{case['name']}.txt").read_bytes()
+        assert done.returncode == case["exit"]
 
     @pytest.mark.parametrize("case", MANIFEST[-2:], ids=["yao", "all-seed7"])
     def test_deterministic_across_runs(self, case):
@@ -115,6 +127,16 @@ class TestExitCodes:
         code, out, err = invoke([*command, str(path)])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text", [None, "system: KF\n# no proof lines\n"], ids=["devnull", "header-and-comment"]
+    )
+    def test_empty_proof_script_names_no_line(self, tmp_path, text):
+        path = os.devnull
+        if text is not None:
+            path = tmp_path / "empty.prf"
+            path.write_text(text)
+        assert invoke(["check-proof", str(path)]) == (1, "rejected: empty script\n", "")
 
     def test_system_mismatch_reported(self):
         script = DATA / "proofs" / "kf_b1.prf"
@@ -217,6 +239,148 @@ class TestArguments:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("usage: conceptlogic")
         assert "unrecognized arguments: --seed 1" in done.stderr
+
+
+# Calls run one after another in one process: every command, a usage error
+# before a valid call, both help texts, and the appending flags given and
+# then left out.
+MIXED_SEQUENCE = [
+    *FULL_RUNS.values(),
+    ["valid", "--formula", "p", "--sort", "3", K0],
+    ["valid", "--formula", "p", "--sort", "1", K0],
+    ["--help"],
+    ["verify", "--help"],
+    ["consequence", "--premise", "p", "--conclusion", "p", "--sort", "1", K0],
+    ["consequence", "--conclusion", "p", "--sort", "1", K0],
+    ["eval", "--formula", "p", "--sort", "1", "--assign", "p=g1", K0],
+    ["eval", "--formula", "p", "--sort", "1", K0],
+    ["check-proof", os.devnull],
+    ["concepts", "--kind", "fc", "nope.cxt"],
+    ["translate", "--formula", "~boxm- x", "--sort", "1"],
+]
+
+_FIRST_CALL_SCRIPT = """
+import io
+from conceptlogic import cli
+print(cli._build_parser.cache_info().currsize)
+for _ in range(3):
+    cli.run_cli(["translate", "--formula", "p", "--sort", "1"], io.StringIO(), io.StringIO())
+info = cli._build_parser.cache_info()
+print(info.currsize, info.misses)
+"""
+
+
+class TestParserReuse:
+    """``run_cli`` builds its parser on its first call and reuses it."""
+
+    def test_import_does_not_build_the_parser(self):
+        done = subprocess.run(
+            [sys.executable, "-c", _FIRST_CALL_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=30,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n1 1\n", "")
+
+    def test_mixed_sequence_prints_what_fresh_parsers_print(self):
+        invoke(MIXED_SEQUENCE[0])
+        built = cli._build_parser.cache_info().misses
+        shared = [invoke(argv) for argv in MIXED_SEQUENCE]
+        assert cli._build_parser.cache_info().misses == built
+        fresh = []
+        for argv in MIXED_SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(invoke(argv))
+        assert shared == fresh
+        codes = [code for code, _, _ in shared[len(FULL_RUNS):]]
+        assert codes == [2, 1, 0, 0, 0, 1, 0, 2, 1, 2, 0]
+        assert shared[-4][1:] == ("", "error: unassigned variables: p (use --assign)\n")
+
+
+# Arbitrary lines, and the lines a context document is made of, for the
+# fuzzers below.
+TEXT_LINES = st.text(max_size=12).map(lambda t: t.replace("\n", ""))
+NAMES = ["g1", "g2", "g3", "m1", "m2", "m3", "", " ", "X", "a,b", "\u00e9", "# c", "g1 "]
+SIZES = st.sampled_from([1, 1, 2, 2, 3, 0])
+
+
+def _mutated(draw, lines):
+    """``lines`` with up to three lines replaced, deleted or inserted."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        lines[i:i + draw(st.integers(0, 1))] = draw(st.lists(TEXT_LINES, max_size=1))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n", " "]))
+
+
+@st.composite
+def cxt_documents(draw):
+    n, m = draw(SIZES), draw(SIZES)
+    lines = ["B", "", str(n), str(m), ""]
+    lines += [draw(st.sampled_from(NAMES)) for _ in range(n + m)]
+    lines += ["".join(draw(st.sampled_from("XXXX....x ")) for _ in range(m)) for _ in range(n)]
+    return _mutated(draw, lines)
+
+
+@st.composite
+def csv_documents(draw):
+    n, m = draw(SIZES), draw(SIZES)
+    cells = st.sampled_from(["1", "0", "1", "0", "X", ".", "x", " 1", "2", ""])
+    lines = [",".join(["", *(draw(st.sampled_from(NAMES)) for _ in range(m))])]
+    for _ in range(n):
+        lines.append(",".join([draw(st.sampled_from(NAMES)), *(draw(cells) for _ in range(m))]))
+    return _mutated(draw, lines)
+
+
+PREFIX_WORDS = ["dia", "box", "dia-", "box-", "boxm", "boxm-", "~"]
+BINARY_WORDS = ["&", "|", "->", "<->"]
+FORMULA_TOKENS = [
+    "p", "q", "p:1", "x:2", "y", "p:2", "q:3", *PREFIX_WORDS, *BINARY_WORDS,
+    "(", ")", "#t", "#f", "-", ":", "1", "",
+]
+# well-formed up to sorts, with parentheses around every binary connective
+GRAMMATICAL_FORMULAS = st.recursive(
+    st.sampled_from(["p", "q", "x", "y", "p:1", "x:2", "q:2", "#t", "#f"]),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(PREFIX_WORDS), inner).map(" ".join),
+        st.tuples(inner, st.sampled_from(BINARY_WORDS), inner).map(lambda t: "(%s %s %s)" % t),
+    ),
+    max_leaves=6,
+)
+FORMULA_TEXTS = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(FORMULA_TOKENS), max_size=12).map(" ".join),
+    GRAMMATICAL_FORMULAS,
+)
+
+
+def assert_exit_contract(code, out, err):
+    assert code in (0, 1, 2, 3)
+    # a result goes to the output stream, a refusal to the error stream
+    assert (out == "") == (err != "") == (code >= 2)
+
+
+class TestInputFuzz:
+    """Arbitrary text as a context file or a formula keeps the exit-code
+    contract; thousands of calls share the one parser."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.one_of(st.text(max_size=60), cxt_documents()))
+    def test_any_cxt_keeps_the_exit_contract(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.cxt"
+        path.write_text(text, encoding="utf-8")
+        assert_exit_contract(*invoke(["concepts", "--kind", "fc", str(path)]))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.one_of(st.text(max_size=60), csv_documents()))
+    def test_any_csv_keeps_the_exit_contract(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+        assert_exit_contract(*invoke(["concepts", "--kind", "fc", str(path)]))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(FORMULA_TEXTS, st.sampled_from(["1", "2"]))
+    def test_any_formula_keeps_the_exit_contract(self, text, sort):
+        assert_exit_contract(*invoke(["valid", "--formula", text, "--sort", sort, K0]))
+        assert_exit_contract(*invoke(["translate", "--formula", text, "--sort", sort]))
 
 
 DEEP = 10**5
@@ -459,10 +623,7 @@ class TestProofScriptFuzz:
     def test_any_script_keeps_the_exit_contract(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "fuzz.prf"
         path.write_text(text)
-        code, out, err = invoke(["check-proof", str(path)])
-        assert code in (0, 1, 2, 3)
-        # a verdict goes to the output stream, a refusal to the error stream
-        assert (out == "") == (err != "") == (code >= 2)
+        assert_exit_contract(*invoke(["check-proof", str(path)]))
 
     def test_ug_with_three_operands_is_a_script_error(self, tmp_path):
         path = tmp_path / "ug3.prf"

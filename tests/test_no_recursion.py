@@ -14,7 +14,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).parent.parent / "src" / "conceptlogic"
 
 ALLOWED = {
-    ("suites", "random_formula"): "its depth is bounded by max_depth",
+    ("suites", "_random_formula"): "its depth is bounded by max_depth",
 }
 
 
