@@ -6,7 +6,10 @@ names, and one incidence row per object over the characters ``X`` and ``.``.
 CSV files carry attribute names in the first row, object names in the first
 column, and cells ``1``/``0`` or ``X``/``.``; the serializer always emits
 ``1``/``0``.  Parsing then serializing reproduces a well-formed document
-byte-for-byte (CXT) or normalizes the cell style (CSV).
+byte-for-byte (CXT) or normalizes the cell style (CSV).  Serializing then
+parsing gives the same context: a serializer raises ``CxtFormatError`` for a
+name its format cannot carry, which is one with a line break, or in CSV one
+with a comma or with leading or trailing white space.
 """
 
 from __future__ import annotations
@@ -62,7 +65,18 @@ def parse_cxt(text: str) -> FormalContext:
     return FormalContext.from_bools(objects, attributes, rows)
 
 
+def _check_names(ctx: FormalContext, fmt: str, cannot_carry) -> None:
+    for name in ctx.objects + ctx.attributes:
+        if cannot_carry(name):
+            raise CxtFormatError(f"{fmt} cannot carry the name {name!r}")
+
+
+def _breaks_line(name: str) -> bool:
+    return "".join(name.splitlines()) != name  # each line break splitlines knows
+
+
 def serialize_cxt(ctx: FormalContext) -> str:
+    _check_names(ctx, "CXT", _breaks_line)
     lines = ["B", "", str(ctx.n_objects), str(ctx.n_attributes), ""]
     lines.extend(ctx.objects)
     lines.extend(ctx.attributes)
@@ -116,6 +130,7 @@ def parse_csv(text: str) -> FormalContext:
 
 
 def serialize_csv(ctx: FormalContext) -> str:
+    _check_names(ctx, "CSV", lambda n: _breaks_line(n) or "," in n or n != n.strip())
     lines = ["," + ",".join(ctx.attributes)]
     for g, name in enumerate(ctx.objects):
         row = ctx.rows[g]

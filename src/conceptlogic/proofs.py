@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceededError, ProofScriptError, SignatureError
+from .errors import BudgetExceededError, ConceptLogicError, ProofScriptError, SignatureError
 from .parser import SORT_DIGITS, parse_formula, print_formula
 from .semantics import (
     DEFAULT_BUDGET,
@@ -197,32 +197,22 @@ def system_KF() -> ProofSystem:
     x, y = Var("ps1", SORT2), Var("ps2", SORT2)
     schemes = (
         AxiomScheme("PL", None),
-        AxiomScheme(
-            "K1",
-            Imp(wbox(And(a, Neg(b))), Imp(wbox(Neg(a)), wbox(Neg(b)))),
-        ),
+        AxiomScheme("K1", Imp(wbox(And(a, Neg(b))), Imp(wbox(Neg(a)), wbox(Neg(b))))),
         AxiomScheme("B1", Imp(a, wbox_inv(wbox(a)))),
-        AxiomScheme(
-            "K2",
-            Imp(wbox_inv(And(x, Neg(y))), Imp(wbox_inv(Neg(x)), wbox_inv(Neg(y)))),
-        ),
+        AxiomScheme("K2", Imp(wbox_inv(And(x, Neg(y))), Imp(wbox_inv(Neg(x)), wbox_inv(Neg(y))))),
         AxiomScheme("B2", Imp(x, wbox(wbox_inv(x)))),
     )
     return ProofSystem("KF", KF_SIG, schemes)
 
 
-_SYSTEMS: dict[str, Callable[[], ProofSystem]] = {
-    "K": lambda: system_K(RS),
-    "KB2": system_KB2,
-    "KF": system_KF,
-}
+_SYSTEMS = {"K": system_K(RS), "KB2": system_KB2(), "KF": system_KF()}
 
 
 def get_system(name: str) -> ProofSystem:
-    try:
-        return _SYSTEMS[name.upper()]()
-    except KeyError:
+    system = _SYSTEMS.get(name.upper())
+    if system is None:
         raise ProofScriptError(f"unknown proof system {name!r}")
+    return system
 
 
 # --- proof lines and checking -------------------------------------------------
@@ -395,78 +385,6 @@ def _check_ug(
     return Verdict(True)
 
 
-def conclusion_of(lines: Sequence[ProofLine]) -> Formula:
-    return lines[-1].formula
-
-
-def establishes(
-    lines: Sequence[ProofLine],
-    premises: Sequence[Formula],
-    target: Formula,
-    system: ProofSystem,
-) -> bool:
-    """Does an accepted script prove ``target`` from ``premises``?
-
-    Either the script cites the premises directly and concludes the target,
-    or it is premise-free and concludes (p1 & ... & pn) -> target for some
-    premises pi; both styles are recognized.
-    """
-    if not check_proof(lines, premises, system).accepted:
-        return False
-    last = normalize(conclusion_of(lines))
-    if last == normalize(target):
-        return True
-    norm_premises = {normalize(p) for p in premises}
-    # conjunction-implication form: peel the antecedent into conjuncts
-    nf = last
-    want = normalize(target)
-    if isinstance(nf, Neg) and isinstance(nf.arg, And) and isinstance(nf.arg.right, Neg):
-        antecedent, consequent = nf.arg.left, nf.arg.right.arg
-        if consequent == want:
-            conjuncts = _flatten_and(antecedent)
-            return all(c in norm_premises for c in conjuncts)
-    return False
-
-
-def _flatten_and(f: Formula) -> list[Formula]:
-    conjuncts, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack += g.right, g.left
-        else:
-            conjuncts.append(g)
-    return conjuncts
-
-
-def delete_line(lines: Sequence[ProofLine], index: int) -> list[ProofLine]:
-    """Remove an uncited line and renumber the remaining references."""
-    cited = set()
-    for line in lines:
-        j = line.justification
-        if isinstance(j, MPRef):
-            cited |= {j.antecedent, j.implication}
-        elif isinstance(j, UGRef):
-            cited.add(j.source)
-    if index in cited:
-        raise ProofScriptError(f"line {index} is cited elsewhere")
-
-    def shift(ref: int) -> int:
-        return ref - 1 if ref > index else ref
-
-    out = []
-    for line in lines:
-        if line.index == index:
-            continue
-        j = line.justification
-        if isinstance(j, MPRef):
-            j = MPRef(shift(j.antecedent), shift(j.implication))
-        elif isinstance(j, UGRef):
-            j = UGRef(j.modality, shift(j.source))
-        out.append(ProofLine(shift(line.index), line.formula, j))
-    return out
-
-
 def soundness_probe(
     system: ProofSystem,
     lines: Sequence[ProofLine],
@@ -485,7 +403,7 @@ def soundness_probe(
     verdict = check_proof(lines, premises, system)
     if not verdict.accepted:
         raise ProofScriptError(f"script rejected: {verdict.reason}", verdict.line)
-    conclusion = conclusion_of(lines)
+    conclusion = lines[-1].formula
     same_sort = all(p.sort == conclusion.sort for p in premises)
     for frame in frames:
         if not frame.bidirectional:
@@ -505,7 +423,9 @@ def soundness_probe(
 # --- proof script files -------------------------------------------------------
 
 # One record per numbered line:  INDEX | FORMULA | RULE [| SUBST]
-# Rules: 'axiom [NAME]', 'pl', 'premise N', 'mp I J', 'ug MOD I'.
+# Rules: 'axiom [NAME]', 'pl' (short for 'axiom PL'), 'premise N', 'mp I J',
+# 'ug MOD I'.  SUBST is 'mv = FORMULA, ...'.  A '|' inside parentheses is a
+# disjunction, not a separator.
 # Headers: 'system: NAME', 'var NAME : 1|2', 'premise: FORMULA', '#' comments.
 # A line whose first non-blank character is '#' is a comment; no record or
 # header starts with one.  Elsewhere a '#' starts a comment unless it is the
@@ -529,19 +449,22 @@ class ProofScript:
 _RULE_RE = re.compile(r"^\s*(\S+)(.*)$")
 
 
+def _fields(record: str) -> list[str]:
+    """The record split on each '|' that is outside parentheses."""
+    fields: list[str] = []
+    for piece in record.split("|"):
+        if fields and fields[-1].count("(") > fields[-1].count(")"):
+            fields[-1] += "|" + piece
+        else:
+            fields.append(piece)
+    return [f.strip() for f in fields]
+
+
 def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
-    system_id = default_system
+    system_id, sig = default_system, None
     declarations: dict[str, str] = {}
     premises: list[Formula] = []
     lines: list[ProofLine] = []
-    sig: Signature | None = None
-
-    def ensure_sig() -> Signature:
-        nonlocal sig
-        if sig is None:
-            sig = get_system(system_id).sig
-        return sig
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT.split(raw, 1)[0].strip()
         if not stripped or raw.lstrip().startswith("#"):
@@ -550,7 +473,7 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
             if premises or lines:
                 raise ProofScriptError("system header must come first", lineno)
             system_id = stripped.split(":", 1)[1].strip()
-            get_system(system_id)  # validate early
+            sig = get_system(system_id).sig
             continue
         if stripped.lower().startswith("var "):
             m = re.match(r"var\s+(\w+)\s*:\s*([12])$", stripped)
@@ -558,16 +481,16 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
                 raise ProofScriptError("expected 'var NAME : 1|2'", lineno)
             declarations[m.group(1)] = SORT_DIGITS[m.group(2)]
             continue
+        if sig is None:
+            sig = get_system(system_id).sig
         if stripped.lower().startswith("premise:"):
             body = stripped.split(":", 1)[1].strip()
             try:
-                premises.append(
-                    parse_formula(body, None, ensure_sig(), declarations)
-                )
-            except Exception as exc:
+                premises.append(parse_formula(body, None, sig, declarations))
+            except ConceptLogicError as exc:
                 raise ProofScriptError(f"bad premise formula: {exc}", lineno)
             continue
-        parts = [p.strip() for p in stripped.split("|")]
+        parts = _fields(stripped)
         if len(parts) not in (3, 4):
             raise ProofScriptError(
                 "expected 'INDEX | FORMULA | RULE' with an optional '| SUBST'", lineno
@@ -577,11 +500,11 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
         except ValueError:
             raise ProofScriptError(f"bad line index {parts[0]!r}", lineno)
         try:
-            formula = parse_formula(parts[1], None, ensure_sig(), declarations)
-        except Exception as exc:
+            formula = parse_formula(parts[1], None, sig, declarations)
+        except ConceptLogicError as exc:
             raise ProofScriptError(f"bad formula: {exc}", lineno)
         justification = _parse_rule(
-            parts[2], parts[3] if len(parts) == 4 else None, ensure_sig(), declarations, lineno
+            parts[2], parts[3] if len(parts) == 4 else None, sig, declarations, lineno
         )
         lines.append(ProofLine(index, formula, justification))
     return ProofScript(system_id, premises, lines)
@@ -599,27 +522,22 @@ def _parse_rule(
         raise ProofScriptError("missing rule", lineno)
     rule = match.group(1).lower()
     rest = match.group(2).split()
-    if rule == "pl":
-        if rest:
+    if rule in ("pl", "axiom"):
+        if rule == "pl" and rest:
             raise ProofScriptError("'pl' takes no arguments", lineno)
-        return AxiomRef("PL")
-    if rule == "axiom":
-        name = rest[0] if rest else None
-        subst = None
-        if subst_text:
-            pairs = []
-            for item in subst_text.split(","):
-                if "=" not in item:
-                    raise ProofScriptError("substitution items look like 'mv = FORMULA'", lineno)
-                mv, body = item.split("=", 1)
-                try:
-                    pairs.append(
-                        (mv.strip(), parse_formula(body.strip(), None, sig, declarations))
-                    )
-                except Exception as exc:
-                    raise ProofScriptError(f"bad substitution formula: {exc}", lineno)
-            subst = tuple(pairs)
-        return AxiomRef(name, subst)
+        name = "PL" if rule == "pl" else rest[0] if rest else None
+        if not subst_text:
+            return AxiomRef(name)
+        pairs = []
+        for item in subst_text.split(","):
+            if "=" not in item:
+                raise ProofScriptError("substitution items look like 'mv = FORMULA'", lineno)
+            mv, body = item.split("=", 1)
+            try:
+                pairs.append((mv.strip(), parse_formula(body.strip(), None, sig, declarations)))
+            except ConceptLogicError as exc:
+                raise ProofScriptError(f"bad substitution formula: {exc}", lineno)
+        return AxiomRef(name, tuple(pairs))
     if rule == "premise":
         if len(rest) != 1 or not rest[0].isdigit():
             raise ProofScriptError("'premise' takes one premise number", lineno)
@@ -635,93 +553,123 @@ def _parse_rule(
     raise ProofScriptError(f"unknown rule {rule!r}", lineno)
 
 
+def _field(f: Formula) -> str:
+    """``f`` as a record field: parenthesized if it holds a disjunction's '|'."""
+    text = print_formula(f)
+    return f"({text})" if "|" in text else text
+
+
 def serialize_proof_script(script: ProofScript) -> str:
+    """Script text that ``parse_proof_script`` reads back as an equal script.
+
+    A variable name used at both sorts, or a formula with no variable or
+    modality to fix its sort, cannot be written and raises
+    ``ProofScriptError``.
+    """
     digit = {sort: d for d, sort in SORT_DIGITS.items()}
+    formulas = list(script.premises)
+    for line in script.lines:
+        formulas.append(line.formula)
+        formulas += (f for _, f in getattr(line.justification, "subst", None) or ())
+    sorts: dict[str, str] = {}
+    for f in formulas:
+        names = sorted(variables(f), key=lambda v: v.name)
+        if not names:
+            classes: dict[Formula, type] = {}
+            _walk(f, classes, type)
+            if {Dia, Box}.isdisjoint(classes.values()):
+                text = print_formula(f)
+                raise ProofScriptError(f"no variable or modality fixes the sort of {text}")
+        for v in names:
+            if sorts.setdefault(v.name, v.sort) != v.sort:
+                raise ProofScriptError(f"variable {v.name!r} is used at both sorts")
     out = [f"system: {script.system_id}"]
-    declared: set[str] = set()
-    for f in script.premises + [l.formula for l in script.lines]:
-        for v in sorted(variables(f), key=lambda v: v.name):
-            if v.name not in declared:
-                declared.add(v.name)
-                out.append(f"var {v.name} : {digit[v.sort]}")
-    for p in script.premises:
-        out.append(f"premise: {print_formula(p)}")
+    out += (f"var {name} : {digit[sort]}" for name, sort in sorts.items())
+    out += (f"premise: {print_formula(p)}" for p in script.premises)
     for line in script.lines:
         j = line.justification
         if isinstance(j, AxiomRef):
-            rule = "pl" if j.name == "PL" else ("axiom" + (f" {j.name}" if j.name else ""))
+            rule = "pl" if j.name == "PL" else "axiom" + (f" {j.name}" if j.name else "")
+            if j.subst:
+                rule += " | " + ", ".join(f"{mv} = {_field(f)}" for mv, f in j.subst)
         elif isinstance(j, PremiseRef):
             rule = f"premise {j.pid}"
         elif isinstance(j, MPRef):
             rule = f"mp {j.antecedent} {j.implication}"
         else:
             rule = f"ug {j.modality} {j.source}"
-        out.append(f"{line.index} | {print_formula(line.formula)} | {rule}")
+        out.append(f"{line.index} | {_field(line.formula)} | {rule}")
     return "\n".join(out) + "\n"
 
 
 # --- translation of window-system proofs into the diamond system --------------
 
 
-class _Emitter:
+class _Derivation:
+    """A derivation under construction: its primitive rules, and the derived
+    rules that the window-axiom images are built from.  Each method emits
+    its lines and returns the index of the last; ``mp`` and the derived
+    rules read the formulas of the cited lines, which must be the
+    builder's own ``Imp`` lines where an implication is cited."""
+
     def __init__(self):
         self.lines: list[ProofLine] = []
 
     def emit(self, formula: Formula, justification: Justification) -> int:
-        index = len(self.lines) + 1
-        self.lines.append(ProofLine(index, formula, justification))
-        return index
+        self.lines.append(ProofLine(len(self.lines) + 1, formula, justification))
+        return len(self.lines)
+
+    def formula(self, i: int) -> Formula:
+        return self.lines[i - 1].formula
+
+    def mp(self, i: int, j: int) -> int:
+        """From line i and line j, ``i -> c``, derive c."""
+        return self.emit(self.formula(j).right, MPRef(i, j))
+
+    def pl_mp(self, i: int, f: Formula) -> int:
+        """From line i and the tautology ``(line i) -> f``, derive f."""
+        return self.mp(i, self.emit(Imp(self.formula(i), f), AxiomRef("PL")))
+
+    def lift(self, mod: Modality, i: int) -> int:
+        """From line i, ``a -> b``, derive ``[mod] a -> [mod] b``."""
+        f = self.formula(i)
+        ug = self.emit(Box(mod, f), UGRef(mod.name, i))
+        k = Imp(Box(mod, f), Imp(Box(mod, f.left), Box(mod, f.right)))
+        return self.mp(ug, self.emit(k, AxiomRef(f"K_{mod.name}")))
+
+    def chain(self, i: int, j: int) -> int:
+        """From line i, ``a -> b``, and line j, ``b -> c``, derive ``a -> c``."""
+        ab, bc = self.formula(i), self.formula(j)
+        pl = self.emit(Imp(ab, Imp(bc, Imp(ab.left, bc.right))), AxiomRef("PL"))
+        return self.mp(j, self.mp(i, pl))
 
 
-def _expand_converse(
-    em: _Emitter, a: Formula, mod: Modality, back: Modality, axiom: str
-) -> int:
-    """Derive ``a -> back-box ~mod-box ~a`` from the converse axiom
-    ``a -> back-box mod-dia a``, duality and distribution: the image of the
-    window axiom B1 (``mod`` dia, ``back`` dia-) or B2 (the other way)."""
-
-    def back_box(f: Formula) -> Box:
-        return Box(back, f)
-
-    da, nbn = Dia(mod, a), Neg(Box(mod, Neg(a)))
-    l1 = em.emit(Imp(a, back_box(da)), AxiomRef(axiom))
-    l2 = em.emit(Iff(da, nbn), AxiomRef(f"Dual_{mod.name}"))
-    l3 = em.emit(Imp(Iff(da, nbn), Imp(da, nbn)), AxiomRef("PL"))
-    l4 = em.emit(Imp(da, nbn), MPRef(l2, l3))
-    l5 = em.emit(back_box(Imp(da, nbn)), UGRef(back.name, l4))
-    l6 = em.emit(
-        Imp(back_box(Imp(da, nbn)), Imp(back_box(da), back_box(nbn))),
-        AxiomRef(f"K_{back.name}"),
-    )
-    l7 = em.emit(Imp(back_box(da), back_box(nbn)), MPRef(l5, l6))
-    goal = Imp(a, back_box(nbn))
-    l8 = em.emit(
-        Imp(Imp(a, back_box(da)), Imp(Imp(back_box(da), back_box(nbn)), goal)),
-        AxiomRef("PL"),
-    )
-    l9 = em.emit(Imp(Imp(back_box(da), back_box(nbn)), goal), MPRef(l1, l8))
-    return em.emit(goal, MPRef(l7, l9))
+def _expand_converse(d: _Derivation, axiom: str, a: Formula, mod: Modality) -> int:
+    """The image of window axiom B1 (``mod`` dia) or B2 (dia-):
+    ``a -> back-box ~mod-box ~a`` from the converse axiom ``a -> back-box
+    mod-dia a``, where back is the converse of ``mod``, by duality."""
+    back, da, nbn = RS.modality(mod.converse), Dia(mod, a), Neg(Box(mod, Neg(a)))
+    converse = d.emit(Imp(a, Box(back, da)), AxiomRef(axiom))
+    dual = d.emit(Iff(da, nbn), AxiomRef(f"Dual_{mod.name}"))
+    return d.chain(converse, d.lift(back, d.pl_mp(dual, Imp(da, nbn))))
 
 
-def _expand_k_window(
-    em: _Emitter, a: Formula, b: Formula, boxer, ug_mod: str, k_name: str
-) -> int:
-    x = Neg(And(a, Neg(b)))
-    y = Imp(Neg(Neg(a)), Neg(Neg(b)))
-    l1 = em.emit(Imp(x, y), AxiomRef("PL"))
-    l2 = em.emit(boxer(Imp(x, y)), UGRef(ug_mod, l1))
-    l3 = em.emit(
-        Imp(boxer(Imp(x, y)), Imp(boxer(x), boxer(y))), AxiomRef(k_name)
-    )
-    l4 = em.emit(Imp(boxer(x), boxer(y)), MPRef(l2, l3))
-    z = Imp(boxer(Neg(Neg(a))), boxer(Neg(Neg(b))))
-    l5 = em.emit(Imp(boxer(y), z), AxiomRef(k_name))
-    goal = Imp(boxer(x), z)
-    l6 = em.emit(
-        Imp(Imp(boxer(x), boxer(y)), Imp(Imp(boxer(y), z), goal)), AxiomRef("PL")
-    )
-    l7 = em.emit(Imp(Imp(boxer(y), z), goal), MPRef(l4, l6))
-    return em.emit(goal, MPRef(l5, l7))
+def _expand_k_window(d: _Derivation, a: Formula, b: Formula, mod: Modality) -> int:
+    """The image of window axiom K1 (``mod`` dia) or K2 (dia-): distribution
+    of ``[mod]`` over ``~(a & ~b) -> ~~a -> ~~b``, applied twice."""
+    x, y = Neg(And(a, Neg(b))), Imp(Neg(Neg(a)), Neg(Neg(b)))
+    outer = d.lift(mod, d.emit(Imp(x, y), AxiomRef("PL")))
+    inner = Imp(Box(mod, y), Imp(Box(mod, y.left), Box(mod, y.right)))
+    return d.chain(outer, d.emit(inner, AxiomRef(f"K_{mod.name}")))
+
+
+# window axiom -> its KB2 derivation, from the translated metavariable binding
+_EXPANSIONS: dict[str, Callable[[_Derivation, dict[str, Formula]], int]] = {
+    "B1": lambda d, m: _expand_converse(d, "B1", m["ph1"], DIA),
+    "B2": lambda d, m: _expand_converse(d, "B2", m["ps1"], DIA_INV),
+    "K1": lambda d, m: _expand_k_window(d, m["ph1"], m["ph2"], DIA),
+    "K2": lambda d, m: _expand_k_window(d, m["ps1"], m["ps2"], DIA_INV),
+}
 
 
 def translate_proof(script: ProofScript) -> ProofScript:
@@ -729,60 +677,29 @@ def translate_proof(script: ProofScript) -> ProofScript:
 
     Premises, tautologies, and modus ponens map one-to-one; the refutation
     generalizations become plain generalizations; each window axiom instance
-    expands into a short mechanical derivation from the translated KB2
-    axioms (converse axiom plus duality, or distribution twice).
+    expands into a short derivation from the translated KB2 axioms (converse
+    axiom plus duality, or distribution twice), built from the derived rules
+    of ``_Derivation``.
     """
     if script.system_id.upper() != "KF":
         raise ProofScriptError("only window-system scripts are translated")
-    system = script.system()
     verdict = script.check()
     if not verdict.accepted:
         raise ProofScriptError(f"script rejected: {verdict.reason}", verdict.line)
-    em = _Emitter()
-    final_index: dict[int, int] = {}
-    premises = [translate_rho(p) for p in script.premises]
+    d = _Derivation()
+    at: dict[int, int] = {}  # window line -> the index of its image
     for line in script.lines:
         j = line.justification
-        image = translate_rho(line.formula)
-        if isinstance(j, PremiseRef):
-            final_index[line.index] = em.emit(image, j)
+        if isinstance(j, AxiomRef):
+            name, binding = match_axiom(line.formula, script.system())
+            if name in _EXPANSIONS:
+                m = {v.name: translate_rho(f) for v, f in binding.items()}
+                at[line.index] = _EXPANSIONS[name](d, m)
+                continue
+            j = AxiomRef("PL")
         elif isinstance(j, MPRef):
-            final_index[line.index] = em.emit(
-                image, MPRef(final_index[j.antecedent], final_index[j.implication])
-            )
+            j = MPRef(at[j.antecedent], at[j.implication])
         elif isinstance(j, UGRef):
-            target = _RHO_IMAGE.get(j.modality)
-            if target is None:
-                raise ProofScriptError(f"unexpected modality {j.modality!r}", line.index)
-            final_index[line.index] = em.emit(
-                image, UGRef(target.name, final_index[j.source])
-            )
-        elif isinstance(j, AxiomRef):
-            matched = match_axiom(line.formula, system)
-            if matched is None:
-                raise ProofScriptError("axiom line matches no scheme", line.index)
-            name, binding = matched
-            by_name = {v.name: translate_rho(f) for v, f in binding.items()}
-            if name == "PL":
-                final_index[line.index] = em.emit(image, AxiomRef("PL"))
-            elif name == "B1":
-                final_index[line.index] = _expand_converse(
-                    em, by_name["ph1"], DIA, DIA_INV, "B1"
-                )
-            elif name == "B2":
-                final_index[line.index] = _expand_converse(
-                    em, by_name["ps1"], DIA_INV, DIA, "B2"
-                )
-            elif name == "K1":
-                final_index[line.index] = _expand_k_window(
-                    em, by_name["ph1"], by_name["ph2"], box, "dia", "K_dia"
-                )
-            elif name == "K2":
-                final_index[line.index] = _expand_k_window(
-                    em, by_name["ps1"], by_name["ps2"], box_inv, "dia-", "K_dia-"
-                )
-            else:  # pragma: no cover
-                raise ProofScriptError(f"unhandled scheme {name!r}", line.index)
-        else:  # pragma: no cover
-            raise ProofScriptError("unknown justification", line.index)
-    return ProofScript("KB2", premises, em.lines)
+            j = UGRef(_RHO_IMAGE[j.modality].name, at[j.source])
+        at[line.index] = d.emit(translate_rho(line.formula), j)
+    return ProofScript("KB2", [translate_rho(p) for p in script.premises], d.lines)

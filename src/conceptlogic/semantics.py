@@ -32,6 +32,7 @@ from .context import FormalContext, SortedSubset, _or_over, iter_bits
 from .errors import (
     BudgetExceededError,
     FrameError,
+    SignatureError,
     SortMismatchError,
     ValuationError,
 )
@@ -82,6 +83,8 @@ class SortedFrame:
             if not self.carriers.get(s):
                 raise FrameError(f"carrier for sort {s!r} must be non-empty")
         for s, ws in self.carriers.items():
+            if s not in (SORT1, SORT2):
+                raise FrameError(f"unknown sort {s!r}: carriers are for {SORT1!r} and {SORT2!r}")
             if len(set(ws)) != len(ws):
                 raise FrameError(f"carrier for sort {s!r} has duplicate worlds")
         self._index = {
@@ -291,7 +294,9 @@ class _Slices:
         argument) complements the OR of the slices over the complemented
         mask.
         """
-        full, masks = self.full, self.frame._succ[f.mod.name]
+        full, masks = self.full, self.frame._succ.get(f.mod.name)
+        if masks is None:
+            raise SignatureError(f"modality {f.mod.name!r} is not in the frame's signature")
         if f.mod.window:
             every = (1 << len(arg)) - 1
             masks = [every ^ m for m in masks]

@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptlogic import FormalContext
 from conceptlogic.errors import CxtFormatError
@@ -82,6 +84,46 @@ class TestCsv:
     def test_load_dispatches_on_extension(self):
         assert load_context(str(DATA / "k0.cxt")) == k0()
         assert load_context(str(DATA / "k0.csv")) == k0()
+
+
+# every character str.splitlines breaks on, stated independently of the code
+LINE_BREAKS = set("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+CHARS = st.one_of(st.sampled_from(sorted(LINE_BREAKS) + list("ab ,\t")), st.characters())
+NAMES = st.text(CHARS, max_size=4)
+
+
+@st.composite
+def contexts(draw):
+    objects = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    attributes = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    row = st.integers(0, 2 ** len(attributes) - 1)
+    rows = draw(st.lists(row, min_size=len(objects), max_size=len(objects)))
+    return FormalContext(tuple(objects), tuple(attributes), tuple(rows))
+
+
+def round_trip(parse, serialize, ctx, cannot_carry):
+    """parse(serialize(ctx)) is ctx, unless ctx has a name the format cannot
+    carry, and then serializing refuses it."""
+    if any(cannot_carry(name) for name in ctx.objects + ctx.attributes):
+        with pytest.raises(CxtFormatError, match="cannot carry the name"):
+            serialize(ctx)
+    else:
+        assert parse(serialize(ctx)) == ctx
+
+
+class TestRoundTrips:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(contexts())
+    def test_cxt(self, ctx):
+        round_trip(parse_cxt, serialize_cxt, ctx, lambda n: not LINE_BREAKS.isdisjoint(n))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(contexts())
+    def test_csv(self, ctx):
+        def cannot_carry(n):
+            return not LINE_BREAKS.isdisjoint(n) or "," in n or n != n.strip()
+
+        round_trip(parse_csv, serialize_csv, ctx, cannot_carry)
 
 
 class TestDot:

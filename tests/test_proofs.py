@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptlogic.errors import BudgetExceededError, ProofScriptError
 from conceptlogic.proofs import (
@@ -14,8 +16,6 @@ from conceptlogic.proofs import (
     ProofScript,
     UGRef,
     check_proof,
-    delete_line,
-    establishes,
     get_system,
     is_tautology,
     match_axiom,
@@ -30,6 +30,7 @@ from conceptlogic.semantics import context_to_frame, frame_valid
 from conceptlogic.syntax import (
     KF,
     SORT1,
+    SORT2,
     And,
     Bot,
     Iff,
@@ -302,7 +303,7 @@ class TestCheckProof:
         lines = [ProofLine(2, Imp(P, P), AxiomRef("PL"))]
         assert not check_proof(lines, [], kb2).accepted
 
-    def test_deleting_unused_line_preserves_acceptance(self):
+    def test_unused_line_preserves_acceptance(self):
         script = load("antitone_kb2.prf")
         padded = list(script.lines[:3])
         padded.append(ProofLine(4, Imp(Q, Q), AxiomRef("PL")))  # unused
@@ -316,29 +317,7 @@ class TestCheckProof:
             elif isinstance(j, UGRef):
                 j = UGRef(j.modality, j.source + (1 if j.source >= 4 else 0))
             padded.append(ProofLine(line.index + 1, line.formula, j))
-        kb2 = script.system()
-        assert check_proof(padded, script.premises, kb2).accepted
-        trimmed = delete_line(padded, 4)
-        assert trimmed == list(script.lines)
-        assert check_proof(trimmed, script.premises, kb2).accepted
-
-    def test_delete_cited_line_refused(self):
-        script = load("antitone_kb2.prf")
-        with pytest.raises(ProofScriptError):
-            delete_line(script.lines, 1)
-
-
-class TestEstablishes:
-    def test_premise_style(self):
-        script = load("antitone_kb2.prf")
-        target = Imp(box(Neg(Q)), box(Neg(P)))
-        assert establishes(script.lines, script.premises, target, script.system())
-
-    def test_conjunction_implication_style(self):
-        kb2 = system_KB2()
-        lines = [ProofLine(1, Imp(And(P, Q), P), AxiomRef("PL"))]
-        assert establishes(lines, [P, Q], P, kb2)
-        assert not establishes(lines, [Q], P, kb2)
+        assert check_proof(padded, script.premises, script.system()).accepted
 
 
 class TestSoundness:
@@ -484,3 +463,63 @@ class TestScriptParsing:
         assert sys_k.id == "K"
         got = match_axiom(Iff(dia(P), Neg(box(Neg(P)))), sys_k)
         assert got is not None and got[0] == "Dual_dia"
+
+
+def _random_script(system_id: str, rng: random.Random) -> ProofScript:
+    """A script of any shape, not a derivation: each formula is a disjunction
+    with a variable in it, and axiom lines may carry substitutions."""
+    system = get_system(system_id)
+
+    def formula():
+        sort = rng.choice([SORT1, SORT2])
+        f = random_formula(rng, sort, rng.randint(0, 3), sig=system.sig, n_vars=2)
+        return Or(f, var1("p") if sort == SORT1 else var2("x"))
+
+    lines = []
+    for index in range(1, rng.randint(1, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            name = rng.choice([None, *(s.name for s in system.schemes)])
+            mvs = rng.sample(["ph", "ph1", "ps2"], rng.randint(0, 2))
+            subst = tuple((mv, formula()) for mv in mvs)
+            j = AxiomRef(name, subst or None)
+        elif kind == 1:
+            j = PremiseRef(rng.randint(1, 3))
+        elif kind == 2:
+            j = MPRef(rng.randint(1, 9), rng.randint(1, 9))
+        else:
+            j = UGRef(rng.choice(system.sig.modalities).name, rng.randint(1, 9))
+        lines.append(ProofLine(index, formula(), j))
+    return ProofScript(system_id, [formula() for _ in range(rng.randint(0, 2))], lines)
+
+
+class TestScriptRoundTrip:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.sampled_from(["K", "KB2", "KF"]), st.integers(0, 2**32 - 1))
+    def test_parse_of_serialize_is_the_script(self, system_id, seed):
+        script = _random_script(system_id, random.Random(seed))
+        assert parse_proof_script(serialize_proof_script(script)) == script
+
+    def test_disjunction_record(self):
+        script = ProofScript("KB2", [], [ProofLine(1, Or(P, Neg(P)), AxiomRef("PL"))])
+        text = serialize_proof_script(script)
+        assert text.endswith("1 | (p | ~p) | pl\n")
+        assert parse_proof_script(text) == script and script.check().accepted
+
+    def test_substitution_is_written_and_declared(self):
+        inst = Imp(Or(X, Y), box(dia_inv(Or(X, Y))))
+        script = ProofScript("KB2", [], [ProofLine(1, inst, AxiomRef("B2", (("ps", Or(X, Y)),)))])
+        text = serialize_proof_script(script)
+        assert text == (
+            "system: KB2\nvar x : 2\nvar y : 2\n"
+            "1 | (x | y -> box dia- (x | y)) | axiom B2 | ps = (x | y)\n"
+        )
+        assert parse_proof_script(text) == script and script.check().accepted
+
+    def test_unwritable_scripts_are_refused(self):
+        both = ProofScript("KB2", [Var("p", SORT2)], [ProofLine(1, P, PremiseRef(1))])
+        with pytest.raises(ProofScriptError, match="used at both sorts"):
+            serialize_proof_script(both)
+        constant = ProofScript("KB2", [], [ProofLine(1, Top(SORT2), AxiomRef("PL"))])
+        with pytest.raises(ProofScriptError, match="fixes the sort"):
+            serialize_proof_script(constant)

@@ -8,6 +8,7 @@ from conceptlogic import FormalContext, OperatorKind, apply_operator
 from conceptlogic.errors import (
     BudgetExceededError,
     FrameError,
+    SignatureError,
     SortMismatchError,
     ValuationError,
 )
@@ -36,6 +37,7 @@ from conceptlogic.syntax import (
     And,
     Imp,
     Neg,
+    Or,
     Top,
     Var,
     box,
@@ -113,6 +115,17 @@ class TestContextFrameCorrespondence:
     def test_empty_carrier_rejected(self):
         with pytest.raises(FrameError):
             SortedFrame({SORT1: (), SORT2: ("b",)}, {}, RS)
+
+    def test_third_sort_carrier_rejected(self):
+        with pytest.raises(FrameError, match="unknown sort 's3'"):
+            SortedFrame({SORT1: ("a",), SORT2: ("b",), "s3": ("c",)}, {}, RS)
+
+    def test_modality_outside_the_frame_signature(self):
+        frame = SortedFrame({SORT1: ("a",), SORT2: ("b",)}, {}, RS)
+        with pytest.raises(SignatureError, match="'boxm' is not in the frame's signature"):
+            frame_valid(frame, Or(wbox(P), Neg(wbox(P))))
+        with pytest.raises(SignatureError, match="'boxm' is not in the frame's signature"):
+            truth_set(Model(frame, Valuation({P: ()})), wbox(P))
 
 
 class TestTruthSets:
