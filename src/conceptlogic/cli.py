@@ -15,7 +15,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from .errors import BudgetExceededError, ConceptLogicError
-from .formats import export_dot, load_context, read_text, structured_lines
+from .formats import export_dot, load_context, read_text
 from .lattices import ConceptKind, build_lattice, enumerate_concepts, verify_yao_isomorphisms
 from .logical import member_class
 from .parser import parse_formula, print_formula
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         kind, ("--format", dict(choices=["text", "structured"], default="text")), context,
     )
     command(
-        "lattice", _cmd_lattice, "concept lattice with covering relation",
+        "lattice", _cmd_concepts, "concept lattice with covering relation",
         kind, ("--format", dict(choices=["text", "dot", "structured"], default="text")), context,
     )
     assign = dict(
@@ -126,62 +126,51 @@ def _set_names(subset, carrier) -> str:
     return "{" + ",".join(subset.members(carrier)) + "}"
 
 
-def _concept_payload(ctx, concepts):
-    return [
-        {
-            "extent": list(c.extent.members(ctx.objects)),
-            "intent": list(c.intent.members(ctx.attributes)),
-        }
-        for c in concepts
-    ]
-
-
-def _emit_structured(out, payload: dict) -> None:
-    out.write("\n".join(structured_lines("", payload)) + "\n")
-
-
-def _print_concepts(out, ctx, kind: ConceptKind, concepts) -> None:
-    print(f"kind={kind.value} count={len(concepts)}", file=out)
+def _text_lines(ctx, kind: ConceptKind, concepts, lattice):
+    yield f"kind={kind.value} count={len(concepts)}\n"
     for i, c in enumerate(concepts):
-        print(
+        yield (
             f"{i}: extent={_set_names(c.extent, ctx.objects)} "
-            f"intent={_set_names(c.intent, ctx.attributes)}",
-            file=out,
+            f"intent={_set_names(c.intent, ctx.attributes)}\n"
         )
+    if lattice is not None:
+        yield from (f"cover: {low} < {high}\n" for low, high in lattice.covers())
+        yield f"top={lattice.top} bottom={lattice.bottom}\n"
+
+
+def _structured_lines(ctx, kind: ConceptKind, concepts, lattice):
+    yield f"kind={kind.value}\nconcepts.count={len(concepts)}\n"
+    for i, c in enumerate(concepts):
+        for side, names in (
+            ("extent", c.extent.members(ctx.objects)),
+            ("intent", c.intent.members(ctx.attributes)),
+        ):
+            key = f"concepts.{i}.{side}"
+            yield f"{key}.count={len(names)}\n"
+            yield from (f"{key}.{j}={name}\n" for j, name in enumerate(names))
+    if lattice is not None:
+        covers = lattice.covers()
+        yield f"covers.count={len(covers)}\n"
+        for i, (low, high) in enumerate(covers):
+            yield f"covers.{i}.count=2\ncovers.{i}.0={low}\ncovers.{i}.1={high}\n"
+        yield f"top={lattice.top}\nbottom={lattice.bottom}\n"
 
 
 def _cmd_concepts(args: argparse.Namespace, out) -> int:
+    """``concepts``, and ``lattice``, which adds covers, top and bottom; each
+    format is written line by line as it is produced."""
     ctx = load_context(args.context)
     kind = ConceptKind(args.kind)
     concepts = enumerate_concepts(ctx, kind)
-    if args.format == "structured":
-        _emit_structured(out, {"kind": kind.value, "concepts": _concept_payload(ctx, concepts)})
-    else:
-        _print_concepts(out, ctx, kind, concepts)
-    return EXIT_OK
-
-
-def _cmd_lattice(args: argparse.Namespace, out) -> int:
-    ctx = load_context(args.context)
-    kind = ConceptKind(args.kind)
-    lattice = build_lattice(enumerate_concepts(ctx, kind), kind, ctx)
+    lattice = None
+    if args.command == "lattice":
+        lattice = build_lattice(concepts, kind, ctx)
+        concepts = lattice.concepts
     if args.format == "dot":
         out.write(export_dot(lattice))
-        return EXIT_OK
-    if args.format == "structured":
-        payload = {
-            "kind": kind.value,
-            "concepts": _concept_payload(ctx, lattice.concepts),
-            "covers": [list(c) for c in lattice.covers()],
-            "top": lattice.top,
-            "bottom": lattice.bottom,
-        }
-        _emit_structured(out, payload)
-        return EXIT_OK
-    _print_concepts(out, ctx, kind, lattice.concepts)
-    for low, high in lattice.covers():
-        print(f"cover: {low} < {high}", file=out)
-    print(f"top={lattice.top} bottom={lattice.bottom}", file=out)
+    else:
+        lines = _structured_lines if args.format == "structured" else _text_lines
+        out.writelines(lines(ctx, kind, concepts, lattice))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Context documents (CXT and CSV), DOT export, and structured text output.
+"""Context documents (CXT and CSV) and DOT export.
 
 The CXT layout: line 1 is the marker ``B``, line 2 blank, lines 3-4 the
 object and attribute counts, line 5 blank, then object names, attribute
@@ -173,28 +173,3 @@ def export_dot(lattice: ConceptLattice) -> str:
         out.append(f"  n{low} -> n{high};")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def structured_lines(prefix: str, value) -> list[str]:
-    """Flatten a value into ``key=value`` lines in document order; an array
-    gives a ``count`` line, then its items under indexed keys.
-
-    An explicit stack of (key, value) pairs holds the pending items, so
-    nesting costs no recursion, and each key is formatted once.
-    """
-    out: list[str] = []
-    stack = [(prefix, value)]
-    while stack:
-        key, v = stack.pop()
-        if isinstance(v, dict):
-            items = [(f"{key}.{k}" if key else str(k), x) for k, x in v.items()]
-        elif isinstance(v, (list, tuple)):
-            out.append(f"{key}.count={len(v)}")
-            items = [(f"{key}.{i}", x) for i, x in enumerate(v)]
-        else:
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            out.append(f"{key}={v}")
-            continue
-        stack += reversed(items)
-    return out

@@ -98,6 +98,13 @@ _NEG_ENTRY = (_NEG,)
 _ROOT = object()
 
 
+def reads_as_variable(name: str) -> bool:
+    """Whether the tokenizer reads ``name`` as one variable; a modal word
+    such as ``dia`` or ``box`` it reads as a modality."""
+    m = _TOKEN.fullmatch(name)
+    return m is not None and m.group("var") == name
+
+
 def _normalize_sort(sort) -> str | None:
     if sort is None:
         return None

@@ -1,6 +1,6 @@
 """Hilbert-style proof checking for the two-sorted modal systems.
 
-Three systems are provided: the base system K over a relational signature
+Three systems are provided: the base system K over the diamond dialect
 (propositional tautologies, the distribution axioms, the duality axioms,
 modus ponens, and universal generalization), the bidirectional system KB2
 (K over the diamond dialect plus the converse axioms B1/B2), and the window
@@ -21,8 +21,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceededError, ConceptLogicError, ProofScriptError, SignatureError
-from .parser import SORT_DIGITS, parse_formula, print_formula
+from .errors import BudgetExceededError, ConceptLogicError, ProofScriptError
+from .parser import SORT_DIGITS, parse_formula, print_formula, reads_as_variable
 from .semantics import (
     DEFAULT_BUDGET,
     SortedFrame,
@@ -172,23 +172,20 @@ def _dual_scheme(mod: Modality) -> AxiomScheme:
     return AxiomScheme(f"Dual_{mod.name}", Iff(Dia(mod, ph), Neg(Box(mod, Neg(ph)))))
 
 
-def system_K(sig: Signature, id: str = "K") -> ProofSystem:
-    """The base system over a relational signature (no window modalities)."""
-    if any(m.window for m in sig.modalities):
-        raise SignatureError("system K is defined over relational signatures only")
+def system_K() -> ProofSystem:
+    """The base system over the diamond dialect ``RS``."""
     schemes = [AxiomScheme("PL", None)]
-    schemes += (_k_scheme(mod) for mod in sig.modalities)
-    schemes += (_dual_scheme(mod) for mod in sig.modalities)
-    return ProofSystem(id, sig, tuple(schemes))
+    schemes += (_k_scheme(mod) for mod in RS.modalities)
+    schemes += (_dual_scheme(mod) for mod in RS.modalities)
+    return ProofSystem("K", RS, tuple(schemes))
 
 
 def system_KB2() -> ProofSystem:
     """K over the diamond dialect plus both converse axioms."""
-    base = system_K(RS, "KB2")
     p, q = Var("ph", SORT1), Var("ps", SORT2)
     b1 = AxiomScheme("B1", Imp(p, box_inv(dia(p))))
     b2 = AxiomScheme("B2", Imp(q, box(dia_inv(q))))
-    return ProofSystem("KB2", RS, base.schemes + (b1, b2))
+    return ProofSystem("KB2", RS, system_K().schemes + (b1, b2))
 
 
 def system_KF() -> ProofSystem:
@@ -205,7 +202,7 @@ def system_KF() -> ProofSystem:
     return ProofSystem("KF", KF_SIG, schemes)
 
 
-_SYSTEMS = {"K": system_K(RS), "KB2": system_KB2(), "KF": system_KF()}
+_SYSTEMS = {"K": system_K(), "KB2": system_KB2(), "KF": system_KF()}
 
 
 def get_system(name: str) -> ProofSystem:
@@ -479,6 +476,8 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
             m = re.match(r"var\s+(\w+)\s*:\s*([12])$", stripped)
             if not m:
                 raise ProofScriptError("expected 'var NAME : 1|2'", lineno)
+            if not reads_as_variable(m.group(1)):
+                raise ProofScriptError(f"{m.group(1)!r} is not a variable name", lineno)
             declarations[m.group(1)] = SORT_DIGITS[m.group(2)]
             continue
         if sig is None:
@@ -525,6 +524,8 @@ def _parse_rule(
     if rule in ("pl", "axiom"):
         if rule == "pl" and rest:
             raise ProofScriptError("'pl' takes no arguments", lineno)
+        if len(rest) > 1:
+            raise ProofScriptError("'axiom' takes at most a scheme name", lineno)
         name = "PL" if rule == "pl" else rest[0] if rest else None
         if not subst_text:
             return AxiomRef(name)
@@ -538,6 +539,8 @@ def _parse_rule(
             except ConceptLogicError as exc:
                 raise ProofScriptError(f"bad substitution formula: {exc}", lineno)
         return AxiomRef(name, tuple(pairs))
+    if subst_text and rule in ("premise", "mp", "ug"):
+        raise ProofScriptError(f"'{rule}' takes no substitution", lineno)
     if rule == "premise":
         if len(rest) != 1 or not rest[0].isdigit():
             raise ProofScriptError("'premise' takes one premise number", lineno)
@@ -562,8 +565,9 @@ def _field(f: Formula) -> str:
 def serialize_proof_script(script: ProofScript) -> str:
     """Script text that ``parse_proof_script`` reads back as an equal script.
 
-    A variable name used at both sorts, or a formula with no variable or
-    modality to fix its sort, cannot be written and raises
+    A variable name used at both sorts or that the tokenizer does not read
+    as a variable (a modal word such as ``dia``), or a formula with no
+    variable or modality to fix its sort, cannot be written and raises
     ``ProofScriptError``.
     """
     digit = {sort: d for d, sort in SORT_DIGITS.items()}
@@ -581,6 +585,8 @@ def serialize_proof_script(script: ProofScript) -> str:
                 text = print_formula(f)
                 raise ProofScriptError(f"no variable or modality fixes the sort of {text}")
         for v in names:
+            if not reads_as_variable(v.name):
+                raise ProofScriptError(f"{v.name!r} does not read back as a variable name")
             if sorts.setdefault(v.name, v.sort) != v.sort:
                 raise ProofScriptError(f"variable {v.name!r} is used at both sorts")
     out = [f"system: {script.system_id}"]

@@ -22,6 +22,8 @@ from conceptlogic.semantics import context_to_frame
 from conceptlogic.suites import random_valuation
 from conceptlogic.syntax import And, Imp, Neg, dia, dia_inv, var1, wbox, wbox_inv
 
+from oracles import random_context
+
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src"
@@ -62,6 +64,65 @@ class TestGoldenTranscripts:
         first = invoke(case["args"])
         second = invoke(case["args"])
         assert first == second
+
+
+def _text_lattice(text):
+    """(kind, concepts, covers, top, bottom) read from ``lattice`` text output."""
+    head, *lines, ends = text.splitlines()
+    kind, count = (field.split("=")[1] for field in head.split())
+    concepts = [line.split(": ", 1)[1] for line in lines if not line.startswith("cover: ")]
+    assert len(concepts) == int(count)
+    concepts = [
+        tuple(tuple(filter(None, side.split("=")[1][1:-1].split(","))) for side in c.split())
+        for c in concepts
+    ]
+    covers = [tuple(map(int, line[7:].split(" < "))) for line in lines if line.startswith("cover: ")]
+    top, bottom = (int(field.split("=")[1]) for field in ends.split())
+    return kind, concepts, covers, top, bottom
+
+
+def _structured_lattice(text):
+    """The same five items read from ``lattice --format structured`` output."""
+    pairs = [line.split("=", 1) for line in text.splitlines()]
+    keys = dict(pairs)
+    assert len(keys) == len(pairs)
+
+    def array(key):
+        return [keys[f"{key}.{i}"] for i in range(int(keys[f"{key}.count"]))]
+
+    concepts = [
+        tuple(tuple(array(f"concepts.{i}.{side}")) for side in ("extent", "intent"))
+        for i in range(int(keys["concepts.count"]))
+    ]
+    covers = [tuple(map(int, array(f"covers.{i}"))) for i in range(int(keys["covers.count"]))]
+    return keys["kind"], concepts, covers, int(keys["top"]), int(keys["bottom"])
+
+
+class TestLatticeFormats:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_text_and_structured_list_the_same_lattice(self, tmp_path_factory, seed):
+        ctx = random_context(random.Random(seed), 5, 5)
+        path = tmp_path_factory.getbasetemp() / "random.cxt"
+        path.write_text(serialize_cxt(ctx))
+        for kind in ConceptKind:
+            argv = ["lattice", "--kind", kind.value, str(path)]
+            code, text, _ = invoke(argv)
+            assert code == 0
+            code, structured, _ = invoke([*argv[:3], "--format", "structured", str(path)])
+            assert code == 0
+            lattice = lattices.build_lattice(lattices.enumerate_concepts(ctx, kind), kind, ctx)
+            want = (
+                kind.value,
+                [
+                    (c.extent.members(ctx.objects), c.intent.members(ctx.attributes))
+                    for c in lattice.concepts
+                ],
+                lattice.covers(),
+                lattice.top,
+                lattice.bottom,
+            )
+            assert _text_lattice(text) == _structured_lattice(structured) == want
 
 
 class TestExitCodes:

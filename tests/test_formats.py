@@ -15,7 +15,6 @@ from conceptlogic.formats import (
     parse_cxt,
     serialize_csv,
     serialize_cxt,
-    structured_lines,
 )
 from conceptlogic.lattices import ConceptKind, build_lattice, enumerate_concepts
 
@@ -158,13 +157,3 @@ class TestDot:
         lat = build_lattice(enumerate_concepts(ctx, ConceptKind.FC), ConceptKind.FC, ctx)
         assert '\\"' in export_dot(lat)
 
-
-class TestStructured:
-    def test_nested_payload(self):
-        lines = structured_lines("", {"kind": "fc", "concepts": [{"extent": ["g1"]}]})
-        assert "kind=fc" in lines
-        assert "concepts.count=1" in lines
-        assert "concepts.0.extent.0=g1" in lines
-
-    def test_booleans(self):
-        assert structured_lines("ok", True) == ["ok=true"]

@@ -1,5 +1,6 @@
 """Tests for the proof kernel: tautologies, axiom matching, checking, translation."""
 
+import io
 import random
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptlogic.cli import run_cli
 from conceptlogic.errors import BudgetExceededError, ProofScriptError
 from conceptlogic.proofs import (
     AxiomRef,
@@ -458,6 +460,29 @@ class TestScriptParsing:
         with pytest.raises(ProofScriptError):
             parse_proof_script("premise: p:1\nsystem: KF\n")
 
+    @pytest.mark.parametrize(
+        "record, extra, message",
+        [
+            ("3 | p | premise 1", " | ph = p", "'premise' takes no substitution"),
+            ("3 | q | mp 1 2", " | ph = p", "'mp' takes no substitution"),
+            ("3 | box p | ug dia 1", " | ph = p", "'ug' takes no substitution"),
+            ("3 | p -> p | axiom PL", " junk words", "'axiom' takes at most a scheme name"),
+        ],
+        ids=["premise-subst", "mp-subst", "ug-subst", "axiom-extra-words"],
+    )
+    def test_text_the_checker_would_not_read_is_refused(self, tmp_path, record, extra, message):
+        head = "system: KB2\nvar p : 1\nvar q : 1\npremise: p\npremise: p -> q\n"
+        head += "1 | p | premise 1\n2 | p -> q | premise 2\n"
+        assert parse_proof_script(head + record + "\n").check().accepted
+        with pytest.raises(ProofScriptError, match=message) as exc:
+            parse_proof_script(head + record + extra + "\n")
+        assert exc.value.line == 8
+        path = tmp_path / "extra.prf"
+        path.write_text(head + record + extra + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(["check-proof", str(path)], out, err) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: line 8: {message}\n")
+
     def test_generic_system_k(self):
         sys_k = get_system("K")
         assert sys_k.id == "K"
@@ -523,3 +548,13 @@ class TestScriptRoundTrip:
         constant = ProofScript("KB2", [], [ProofLine(1, Top(SORT2), AxiomRef("PL"))])
         with pytest.raises(ProofScriptError, match="fixes the sort"):
             serialize_proof_script(constant)
+
+    @pytest.mark.parametrize("word", ["dia", "box", "boxm"])
+    def test_modal_word_variable_names_are_refused(self, word):
+        v = Var(word, SORT1)
+        script = ProofScript("KB2", [], [ProofLine(1, Or(v, Neg(v)), AxiomRef("PL"))])
+        with pytest.raises(ProofScriptError, match="does not read back as a variable name"):
+            serialize_proof_script(script)
+        with pytest.raises(ProofScriptError, match=f"'{word}' is not a variable name") as exc:
+            parse_proof_script(f"system: KB2\nvar {word} : 1\n1 | (p:1 | ~p) | pl\n")
+        assert exc.value.line == 2
