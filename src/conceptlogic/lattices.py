@@ -4,10 +4,11 @@ Formal concepts use the derivation pair (+, -); property-oriented concepts
 the (poss, nec_inv) adjunction; object-oriented concepts the (nec, poss_inv)
 adjunction.  Extent sets of FC/PC form closure systems and OC extents a
 kernel (union-closed) system; intents are closed for FC/OC and open for PC.
-Enumeration runs a lectic next-closure scan over the smaller carrier, on a
-kernel system through complements; covers, meets, joins and the Yao checks
-also run on int masks over ``ctx.rows`` and ``ctx.cols``.  A brute-force
-fixpoint scan over ``closure`` is the oracle for small carriers.
+Enumeration (a lectic next-closure scan), covers (upper neighbours) and the
+Yao checks run in one closure system per kind, which ``_closure_system``
+chooses on the smaller carrier, a kernel system through complements; meets
+and joins combine int masks over ``ctx.rows`` and ``ctx.cols``.  A
+brute-force fixpoint scan over ``closure`` is the oracle for small carriers.
 """
 
 from __future__ import annotations
@@ -124,34 +125,39 @@ def _next_closure_masks(n: int, clo: Callable[[int], int]) -> list[int]:
         current = nxt
 
 
-def _fixpoints(n: int, op: Callable[[int], int], closing: bool) -> list[int]:
-    """Fixpoints of a closure (``closing``) or interior operator on n-bit masks;
-    an interior operator is scanned as its complement-conjugate closure."""
-    if closing:
-        return _next_closure_masks(n, op)
-    full = (1 << n) - 1
-    return [full ^ m for m in _next_closure_masks(n, lambda c: full ^ op(full ^ c))]
-
-
 def _lectic_key(mask: int) -> str:
     """Sorts like ``tuple(iter_bits(mask))``: bit i is character i, '1' for a
     member and '2' otherwise, cut after the last member."""
     return bin(mask)[:1:-1].replace("0", "2") if mask else ""
 
 
-def _concept_masks(ctx: FormalContext, kind: ConceptKind) -> list[tuple[int, int]]:
-    """(extent, intent) masks of the kind's concepts, scanned over the smaller
-    carrier and sorted as ``enumerate_concepts`` lists them."""
+def _closure_system(
+    ctx: FormalContext, kind: ConceptKind
+) -> tuple[str, int, int, Callable[[int], int], Callable[[int], int], bool]:
+    """``(side, n, flip, other, close, reverse)``: the one closure system the
+    kind's concepts are scanned in, on the smaller carrier (extents on a tie).
+    A side set x has the n-bit key ``x ^ flip``; a union-closed side is keyed
+    by its complements (``flip`` is all ones), which are intersection-closed.
+    ``other`` maps a side set across and ``close`` closes a key.  Key
+    inclusion is the order by extent on the meet's side and its ``reverse``
+    on the other, where FC intents and complements shrink as extents grow.
+    """
     side = "extent" if ctx.n_objects <= ctx.n_attributes else "intent"
-    first, then = _kernels(kind, side, ctx)
-    closing = (side, True) in _MEET_JOIN[kind]
-    closed = _fixpoints(min(ctx.n_objects, ctx.n_attributes), lambda x: then(first(x)), closing)
-    pairs = [(x, first(x)) for x in closed] if side == "extent" else [(first(x), x) for x in closed]
+    n = min(ctx.n_objects, ctx.n_attributes)
+    other, then = _kernels(kind, side, ctx)
+    meet, join = _MEET_JOIN[kind]
+    flip = 0 if (side, True) in (meet, join) else (1 << n) - 1
+    close = (lambda c: flip ^ then(other(flip ^ c))) if flip else (lambda x: then(other(x)))
+    return side, n, flip, other, close, side != meet[0]
+
+
+def _concept_masks(ctx: FormalContext, kind: ConceptKind) -> list[tuple[int, int]]:
+    """(extent, intent) masks of the kind's concepts, scanned in its
+    ``_closure_system`` and sorted as ``enumerate_concepts`` lists them."""
+    side, n, flip, other, close, _ = _closure_system(ctx, kind)
+    closed = [key ^ flip for key in _next_closure_masks(n, close)]
+    pairs = [(x, other(x)) for x in closed] if side == "extent" else [(other(x), x) for x in closed]
     return sorted(pairs, key=lambda p: _lectic_key(p[0]))
-
-
-def _canonical_key(concept: SemanticConcept) -> tuple[int, ...]:
-    return concept.extent.indices()
 
 
 def enumerate_concepts(ctx: FormalContext, kind: ConceptKind) -> list[SemanticConcept]:
@@ -178,41 +184,44 @@ def enumerate_concepts_bruteforce(
         sub = SortedSubset(SORT1, mask, n)
         if closure(kind, "extent", sub, ctx).bits == mask:
             concepts.append(SemanticConcept(sub, apply_operator(forward, sub, ctx), kind))
-    return sorted(concepts, key=_canonical_key)
+    return sorted(concepts, key=lambda c: _lectic_key(c.extent.bits))
 
 
 def _upper_covers(
-    keys: list[int], n: int, clo: Callable[[int], int], side: str
+    concepts: list[SemanticConcept], kind: ConceptKind, ctx: FormalContext
 ) -> list[tuple[int, int]]:
-    """Covering pairs of a closure system on n bits, listed by its closed sets.
+    """Covering pairs by extent of a concept list, in the kind's ``_closure_system``.
 
-    ``clo(key | 1 << g)`` for each g outside a closed set is a candidate; it
-    is an upper cover iff every g it adds produces it.  A missing bottom or
+    ``close(key | 1 << g)`` for each g outside a key is a candidate; it is an
+    upper cover of the key iff every g it adds produces it, and the pair is
+    flipped where keys reverse the order by extent.  A missing bottom or
     candidate means a missing concept, since covers reach all from the bottom.
     """
+    side, n, flip, _, close, reverse = _closure_system(ctx, kind)
+    keys = [getattr(c, side).bits ^ flip for c in concepts]
     index = {key: i for i, key in enumerate(keys)}
 
     def locate(closed: int) -> int:
         if closed not in index:
             raise LatticeError(
-                f"{side} {list(iter_bits(closed))} is missing: concept list incomplete"
+                f"{side} {list(iter_bits(closed ^ flip))} is missing: concept list incomplete"
             )
         return index[closed]
 
-    locate(clo(0))
+    locate(close(0))
     out = []
     for i, key in enumerate(keys):
         hits: dict[int, int] = {}
         rest = (1 << n) - 1 & ~key
         while rest:
             low = rest & -rest
-            candidate = clo(key | low)
+            candidate = close(key | low)
             hits[candidate] = hits.get(candidate, 0) + 1
             rest ^= low
         for candidate, count in hits.items():
             j = locate(candidate)
             if count == (candidate & ~key).bit_count():
-                out.append((i, j))
+                out.append((j, i) if reverse else (i, j))
     return sorted(out)
 
 
@@ -235,12 +244,7 @@ class ConceptLattice:
             side: {getattr(c, side).bits: i for i, c in enumerate(self.concepts)}
             for side in ("extent", "intent")
         }
-        # covers run in the closure system the meet intersects
-        side = _MEET_JOIN[self.kind][0][0]
-        first, then = _kernels(self.kind, side, self.ctx)
-        n = self.ctx.n_objects if side == "extent" else self.ctx.n_attributes
-        keys = [getattr(c, side).bits for c in self.concepts]
-        self._covers = _upper_covers(keys, n, lambda x: then(first(x)), side)
+        self._covers = _upper_covers(self.concepts, self.kind, self.ctx)
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -276,10 +280,9 @@ def build_lattice(
     concepts: Iterable[SemanticConcept], kind: ConceptKind, ctx: FormalContext
 ) -> ConceptLattice:
     """Order the full concept list and find its covers by upper neighbours in
-    the closure system the meet intersects (OC: intents, whose order is the
-    order by extent).  Raises ``LatticeError`` when the list misses a
-    concept."""
-    return ConceptLattice(kind, ctx, sorted(concepts, key=_canonical_key))
+    the kind's ``_closure_system``.  Raises ``LatticeError`` when the list
+    misses a concept."""
+    return ConceptLattice(kind, ctx, sorted(concepts, key=lambda c: _lectic_key(c.extent.bits)))
 
 
 @dataclass

@@ -444,6 +444,7 @@ class ProofScript:
 
 
 _RULE_RE = re.compile(r"^\s*(\S+)(.*)$")
+_NUMBER = re.compile(r"[0-9]+")  # record numbers are ASCII digits only
 
 
 def _fields(record: str) -> list[str]:
@@ -494,10 +495,9 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
             raise ProofScriptError(
                 "expected 'INDEX | FORMULA | RULE' with an optional '| SUBST'", lineno
             )
-        try:
-            index = int(parts[0])
-        except ValueError:
+        if not _NUMBER.fullmatch(parts[0]):
             raise ProofScriptError(f"bad line index {parts[0]!r}", lineno)
+        index = int(parts[0])
         try:
             formula = parse_formula(parts[1], None, sig, declarations)
         except ConceptLogicError as exc:
@@ -542,15 +542,15 @@ def _parse_rule(
     if subst_text and rule in ("premise", "mp", "ug"):
         raise ProofScriptError(f"'{rule}' takes no substitution", lineno)
     if rule == "premise":
-        if len(rest) != 1 or not rest[0].isdigit():
+        if len(rest) != 1 or not _NUMBER.fullmatch(rest[0]):
             raise ProofScriptError("'premise' takes one premise number", lineno)
         return PremiseRef(int(rest[0]))
     if rule == "mp":
-        if len(rest) != 2 or not all(r.isdigit() for r in rest):
+        if len(rest) != 2 or not all(map(_NUMBER.fullmatch, rest)):
             raise ProofScriptError("'mp' takes two line numbers", lineno)
         return MPRef(int(rest[0]), int(rest[1]))
     if rule == "ug":
-        if len(rest) == 2 and rest[1].isdigit():
+        if len(rest) == 2 and _NUMBER.fullmatch(rest[1]):
             return UGRef(rest[0], int(rest[1]))
         raise ProofScriptError("'ug' takes a modality and a line number", lineno)
     raise ProofScriptError(f"unknown rule {rule!r}", lineno)

@@ -24,6 +24,7 @@ pure and immutable-by-convention; models can be shared freely.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -64,10 +65,10 @@ class SortedFrame:
 
     A relation entry for a modality from sort ``a`` to sort ``s`` is a pair
     ``(w, u)`` of a world ``w`` of the result sort ``s`` and a world ``u`` of
-    the argument sort ``a``.  When ``bidirectional`` is set, every modality
-    with a declared converse must have the converse relation table, and this
-    is validated at construction.  Carriers are disjoint by sort tagging, so
-    equal world names in different sorts are allowed.
+    the argument sort ``a``.  The frame is ``bidirectional`` when each
+    modality's table is the converse of its declared partner's, which is
+    read off the tables on first use.  Carriers are disjoint by sort
+    tagging, so equal world names in different sorts are allowed.
     """
 
     def __init__(
@@ -75,7 +76,6 @@ class SortedFrame:
         carriers: Mapping[str, Sequence[str]],
         relations: Mapping[str, Iterable[tuple[str, ...]]],
         sig: Signature = FULL,
-        bidirectional: bool = False,
     ):
         self.sig = sig
         self.carriers = {s: tuple(ws) for s, ws in carriers.items()}
@@ -106,20 +106,15 @@ class SortedFrame:
                 masks[result[w]] |= 1 << arg[u]
             self.relations[m.name] = table
             self._succ[m.name] = masks
-        self.bidirectional = bidirectional
-        if bidirectional:
-            self._check_converses()
 
-    def _check_converses(self) -> None:
-        for m in self.sig.modalities:
-            if m.converse is None:
-                continue
-            backward = {(b, a) for a, b in self.relations[m.converse]}
-            if self.relations[m.name] != backward:
-                raise FrameError(
-                    f"bidirectional frame: relation for {m.converse!r} is not "
-                    f"the converse of {m.name!r}"
-                )
+    @functools.cached_property
+    def bidirectional(self) -> bool:
+        """Whether every modality's table is the converse of its partner's."""
+        return all(
+            self.relations[m.name] == {(b, a) for a, b in self.relations[m.converse]}
+            for m in self.sig.modalities
+            if m.converse is not None
+        )
 
     def carrier(self, sort: str) -> tuple[str, ...]:
         try:
@@ -191,7 +186,7 @@ def context_to_frame(ctx: FormalContext) -> SortedFrame:
     relations = {
         m.name: transpose if m.arg_sort == SORT1 else incidence for m in FULL.modalities
     }
-    return SortedFrame(carriers, relations, FULL, bidirectional=True)
+    return SortedFrame(carriers, relations, FULL)
 
 
 def frame_to_context(frame: SortedFrame) -> FormalContext:
@@ -222,7 +217,7 @@ def complement_frame(frame: SortedFrame) -> SortedFrame:
     for m in frame.sig.modalities:
         full = itertools.product(frame.carrier(m.result_sort), frame.carrier(m.arg_sort))
         relations[m.name] = set(full) - frame.relations[m.name]
-    return SortedFrame(frame.carriers, relations, frame.sig, frame.bidirectional)
+    return SortedFrame(frame.carriers, relations, frame.sig)
 
 
 # Valuations per slice block when a scan streams the valuation space.

@@ -15,7 +15,7 @@ import pytest
 
 from conceptlogic import FormalContext, OperatorKind, apply_operator
 from conceptlogic.cli import run_cli
-from conceptlogic.errors import FrameError
+from conceptlogic.errors import FrameError, ProofScriptError
 from conceptlogic.formats import parse_csv, parse_cxt, serialize_csv, serialize_cxt
 from conceptlogic.lattices import (
     ConceptKind,
@@ -23,11 +23,18 @@ from conceptlogic.lattices import (
     enumerate_concepts_bruteforce,
     verify_yao_isomorphisms,
 )
-from conceptlogic.proofs import parse_proof_script, system_KB2, system_KF, translate_proof
+from conceptlogic.proofs import (
+    parse_proof_script,
+    soundness_probe,
+    system_KB2,
+    system_KF,
+    translate_proof,
+)
 from conceptlogic.semantics import (
     Model,
     SortedFrame,
     context_to_frame,
+    frame_to_context,
     frame_valid,
     satisfies,
     truth_set,
@@ -230,31 +237,24 @@ def test_criterion_6_soundness_sweep():
                 if not frame_valid(frame, inst, budget=1 << 14):
                     invalid += 1
     # a frame whose second relation is not the converse of the first
-    falsified = not frame_valid(
-        SortedFrame(
-            {SORT1: ("a",), SORT2: ("b",)},
-            {"dia": [("b", "a")], "dia-": []},
-            RS,
-            bidirectional=False,
-        ),
-        Imp(Var("q", SORT2), box(dia_inv(Var("q", SORT2)))),
+    non_converse = SortedFrame(
+        {SORT1: ("a",), SORT2: ("b",)},
+        {"dia": [("b", "a")], "dia-": []},
+        RS,
     )
-    try:
-        SortedFrame(
-            {SORT1: ("a",), SORT2: ("b",)},
-            {"dia": [("b", "a")], "dia-": []},
-            RS,
-            bidirectional=True,
-        )
-        rejected = False
-    except FrameError:
-        rejected = True
-    ok = invalid == 0 and falsified and rejected
+    falsified = not frame_valid(non_converse, Imp(Var("q", SORT2), box(dia_inv(Var("q", SORT2)))))
+    with pytest.raises(FrameError):
+        frame_to_context(non_converse)
+    script = parse_proof_script("system: KB2\nvar p : 1\n1 | p -> p | pl\n")
+    with pytest.raises(ProofScriptError):
+        soundness_probe(script.system(), script.lines, script.premises, [non_converse])
+    ok = invalid == 0 and falsified and not non_converse.bidirectional
     report(
         6,
         ok,
         f"{checked} axiom instances frame-valid across 50 bidirectional frames; "
-        f"non-converse frame falsifies a converse axiom and is rejected when flagged",
+        f"non-converse frame falsifies a converse axiom, reads as not bidirectional "
+        f"and is refused as a context and by the soundness probe",
     )
 
 

@@ -635,7 +635,8 @@ class TestVerifySuites:
 # What the fuzzer draws proof scripts from: per dialect, formulas that parse
 # in it, plus ones that parse in neither; headers and rule words, mostly well
 # formed; integer operands that may name no line; and record indices that are
-# mostly in sequence.
+# mostly in sequence.  Indices and operands are sometimes numbers that are not
+# ASCII digits.
 DIAMOND_FORMULAS = [
     "p:1 -> p:1", "(p:1 -> q:1) -> (~q:1 -> ~p:1)", "box (p:1 -> p:1)", "box ~q:1 -> box ~p:1",
     "p:1 -> box- dia p:1", "x:2 -> box dia- x:2", "#t", "dia p:1 | ~dia p:1", "p:1",
@@ -655,6 +656,9 @@ SCRIPT_RULES = (
     + ["ug nope", "ug", "modus"]
 )
 SUBSTITUTIONS = ["ph1 = p:1", "ps = q:1", "ps1 = x:2", "x = p", "ph1 p"]
+# numbers that str.isdigit or int() accept but a script does not: a
+# superscript, an Arabic-Indic digit, and an underscore-grouped literal
+BAD_NUMBERS = ["²", "١", "1_0"]
 
 
 @st.composite
@@ -668,9 +672,13 @@ def proof_scripts(draw):
             lines.append(draw(st.sampled_from(SCRIPT_HEADERS)))
             continue
         records += 1
-        index = draw(st.sampled_from([str(records)] * 10 + ["0", "x"]))
-        operands = draw(st.lists(st.integers(0, records + 1), max_size=3))
-        rule = " ".join([draw(st.sampled_from(SCRIPT_RULES)), *map(str, operands)])
+        index = draw(st.sampled_from([str(records)] * 10 + ["0", "x", *BAD_NUMBERS]))
+        operands = [
+            draw(st.sampled_from(BAD_NUMBERS)) if draw(st.integers(0, 9)) == 0
+            else str(draw(st.integers(0, records + 1)))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        rule = " ".join([draw(st.sampled_from(SCRIPT_RULES)), *operands])
         record = f"{index} | {draw(st.sampled_from(formulas))} | {rule}"
         if draw(st.integers(0, 4)) == 0:
             record += f" | {draw(st.sampled_from(SUBSTITUTIONS))}"
@@ -683,7 +691,7 @@ class TestProofScriptFuzz:
     @given(proof_scripts())
     def test_any_script_keeps_the_exit_contract(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "fuzz.prf"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert_exit_contract(*invoke(["check-proof", str(path)]))
 
     def test_ug_with_three_operands_is_a_script_error(self, tmp_path):

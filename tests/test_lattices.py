@@ -5,10 +5,12 @@ import random
 import pytest
 
 from conceptlogic import FormalContext, complement_context
+from conceptlogic import lattices
 from conceptlogic.context import (
     SORT1,
     SORT2,
     SortedSubset,
+    _kernel,
     iter_bits,
 )
 from conceptlogic.errors import LatticeError, SortMismatchError
@@ -203,6 +205,23 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
 
+# random contexts of each orientation: (max objects, max attributes, accept)
+SHAPES = {
+    "square": (8, 8, lambda n_g, n_m: min(n_g, n_m) >= 5),
+    "tall": (12, 5, lambda n_g, n_m: n_g >= 2 * n_m >= 6),
+    "wide": (5, 12, lambda n_g, n_m: n_m >= 2 * n_g >= 6),
+}
+
+
+def shaped_contexts(rng, shape, count):
+    max_objects, max_attributes, accept = SHAPES[shape]
+    while count:
+        ctx = oracles.random_context(rng, max_objects, max_attributes)
+        if accept(ctx.n_objects, ctx.n_attributes):
+            count -= 1
+            yield ctx
+
+
 class TestLattice:
     def test_fc_k0_is_two_chain(self):
         ctx = k0()
@@ -288,14 +307,50 @@ class TestLattice:
     @pytest.mark.parametrize("kind", list(ConceptKind))
     def test_covers_equal_oracle_randomized(self, kind):
         rng = random.Random(92)
-        checked = 0
-        while checked < 30:
-            ctx = oracles.random_context(rng, 8, 8)
-            if min(ctx.n_objects, ctx.n_attributes) < 5:
-                continue
-            lat = build_lattice(enumerate_concepts(ctx, kind), kind, ctx)
-            assert lat.covers() == oracles.covers(lat)
-            checked += 1
+        for shape in SHAPES:
+            for ctx in shaped_contexts(rng, shape, 30):
+                lat = build_lattice(enumerate_concepts(ctx, kind), kind, ctx)
+                assert lat.covers() == oracles.covers(lat)
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_every_dropped_concept_reported(self, kind):
+        # covers are scanned on the smaller carrier, extents on a tie; each
+        # concept is that closure system's bottom or an upper cover of
+        # another, so without it a candidate is missing, named by its own set
+        rng = random.Random(93)
+        for shape in SHAPES:
+            for ctx in shaped_contexts(rng, shape, 8):
+                side = "extent" if ctx.n_objects <= ctx.n_attributes else "intent"
+                concepts = enumerate_concepts(ctx, kind)
+                for i, dropped in enumerate(concepts):
+                    named = list(getattr(dropped, side).indices())
+                    with pytest.raises(LatticeError) as exc:
+                        build_lattice(concepts[:i] + concepts[i + 1:], kind, ctx)
+                    assert str(exc.value) == f"{side} {named} is missing: concept list incomplete"
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_covers_close_over_the_smaller_carrier(self, kind, monkeypatch):
+        calls = 0
+
+        def counting_kernel(op, ctx):
+            kernel = _kernel(op, ctx)
+
+            def counted(mask):
+                nonlocal calls
+                calls += 1
+                return kernel(mask)
+
+            return counted
+
+        monkeypatch.setattr(lattices, "_kernel", counting_kernel)
+        rng = random.Random(94)
+        for shape in ("tall", "wide"):
+            for ctx in shaped_contexts(rng, shape, 10):
+                concepts = enumerate_concepts(ctx, kind)
+                calls = 0
+                build_lattice(concepts, kind, ctx)
+                # a closure applies two kernels
+                assert calls / 2 <= len(concepts) * min(ctx.n_objects, ctx.n_attributes)
 
     def test_intent_order_correspondence(self):
         # FC intents shrink as extents grow; PC/OC intents grow with extents

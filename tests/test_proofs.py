@@ -483,6 +483,29 @@ class TestScriptParsing:
         assert run_cli(["check-proof", str(path)], out, err) == 2
         assert (out.getvalue(), err.getvalue()) == ("", f"error: line 8: {message}\n")
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("3 | q | mp ² 2", "'mp' takes two line numbers"),
+            ("3 | p | premise ³", "'premise' takes one premise number"),
+            ("3 | box p | ug dia ¹", "'ug' takes a modality and a line number"),
+            ("١ | q | mp 1 2", "bad line index '١'"),
+            ("1_0 | q | mp 1 2", "bad line index '1_0'"),
+        ],
+        ids=["mp-superscript", "premise-superscript", "ug-superscript", "index-arabic", "index-underscore"],
+    )
+    def test_numbers_are_ascii_digits(self, tmp_path, record, message):
+        head = "system: KB2\nvar p : 1\nvar q : 1\npremise: p\npremise: p -> q\n"
+        head += "1 | p | premise 1\n2 | p -> q | premise 2\n"
+        with pytest.raises(ProofScriptError, match=message) as exc:
+            parse_proof_script(head + record + "\n")
+        assert exc.value.line == 8
+        path = tmp_path / "number.prf"
+        path.write_text(head + record + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(["check-proof", str(path)], out, err) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: line 8: {message}\n")
+
     def test_generic_system_k(self):
         sys_k = get_system("K")
         assert sys_k.id == "K"

@@ -8,11 +8,13 @@ from conceptlogic import FormalContext, OperatorKind, apply_operator
 from conceptlogic.errors import (
     BudgetExceededError,
     FrameError,
+    ProofScriptError,
     SignatureError,
     SortMismatchError,
     ValuationError,
 )
 from conceptlogic.parser import parse_formula
+from conceptlogic.proofs import parse_proof_script, soundness_probe
 from conceptlogic.semantics import (
     Countermodel,
     FrameEvaluator,
@@ -95,22 +97,28 @@ class TestContextFrameCorrespondence:
         assert frame.carrier(SORT1) == ("g1",)
         assert frame.carrier(SORT2) == ("m1",)
 
-    def test_non_converse_frame_rejected_when_flagged(self):
-        with pytest.raises(FrameError):
-            SortedFrame(
-                {SORT1: ("a",), SORT2: ("b",)},
-                {"dia": [("b", "a")], "dia-": []},
-                RS,
-                bidirectional=True,
-            )
-        # the same data is constructible with the flag off
+    def test_non_converse_frame_is_not_bidirectional(self):
+        # constructible, but read off its tables as not bidirectional, so
+        # the context and soundness readings refuse it
         frame = SortedFrame(
             {SORT1: ("a",), SORT2: ("b",)},
             {"dia": [("b", "a")], "dia-": []},
             RS,
-            bidirectional=False,
         )
         assert not frame.bidirectional
+        with pytest.raises(FrameError, match="only bidirectional frames"):
+            frame_to_context(frame)
+        script = parse_proof_script("system: KB2\nvar p : 1\n1 | p -> p | pl\n")
+        with pytest.raises(ProofScriptError, match="requires bidirectional frames"):
+            soundness_probe(script.system(), script.lines, script.premises, [frame])
+        # the converse tables make it bidirectional, with no flag to set
+        converse = SortedFrame(
+            {SORT1: ("a",), SORT2: ("b",)},
+            {"dia": [("b", "a")], "dia-": [("a", "b")]},
+            RS,
+        )
+        assert converse.bidirectional
+        assert soundness_probe(script.system(), script.lines, script.premises, [converse])
 
     def test_empty_carrier_rejected(self):
         with pytest.raises(FrameError):
@@ -237,8 +245,8 @@ class TestFrameValidity:
             {SORT1: ("a",), SORT2: ("b",)},
             {"dia": [("b", "a")], "dia-": []},
             RS,
-            bidirectional=False,
         )
+        assert not frame.bidirectional
         assert not frame_valid(frame, parse_formula("q -> box dia- q", SORT2))
 
     def test_budget_refusal_counts_assignments(self):
