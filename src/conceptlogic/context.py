@@ -202,6 +202,10 @@ class OperatorKind(Enum):
     POSS_INV = "poss_inv"
     NEC_INV = "nec_inv"
 
+    # members are singletons: hash by identity, without ``Enum.__hash__``'s
+    # Python-level call
+    __hash__ = object.__hash__
+
     @property
     def input_sort(self) -> str:
         return SORT1 if self in _FORWARD else SORT2

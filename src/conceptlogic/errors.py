@@ -38,7 +38,7 @@ class ValuationError(ConceptLogicError):
 
 
 class FrameError(ConceptLogicError):
-    """Invalid relational frame: bad carriers, relations, or converse pairs."""
+    """Invalid relational frame: bad carriers or relations."""
 
 
 class BudgetExceededError(ConceptLogicError):

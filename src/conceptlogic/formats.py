@@ -14,9 +14,13 @@ with a comma or with leading or trailing white space.
 
 from __future__ import annotations
 
+import re
+
 from .context import FormalContext
 from .errors import ConceptLogicError, CxtFormatError
 from .lattices import ConceptLattice
+
+_COUNT = re.compile(r"[0-9]+")  # counts are ASCII digits only, as serialized
 
 
 def parse_cxt(text: str) -> FormalContext:
@@ -32,11 +36,10 @@ def parse_cxt(text: str) -> FormalContext:
         raise CxtFormatError("first line must be 'B'", 1)
     if get(1).strip():
         raise CxtFormatError("second line must be blank", 2)
-    try:
-        n_objects = int(get(2).strip())
-        n_attributes = int(get(3).strip())
-    except ValueError:
+    counts = get(2).strip(), get(3).strip()
+    if not all(map(_COUNT.fullmatch, counts)):
         raise CxtFormatError("lines 3-4 must be the object and attribute counts", 3)
+    n_objects, n_attributes = map(int, counts)
     if n_objects < 1 or n_attributes < 1:
         raise CxtFormatError("counts must be at least 1", 3)
     if get(4).strip():

@@ -37,6 +37,8 @@ class ConceptKind(Enum):
     PC = "pc"
     OC = "oc"
 
+    __hash__ = object.__hash__  # by identity, as ``context.OperatorKind``
+
 
 # each kind's forward (extent to intent) and backward operator
 _OPERATORS = {

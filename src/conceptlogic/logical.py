@@ -18,7 +18,6 @@ frame explicitly; nothing here assumes a single ambient context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .context import FormalContext, OperatorKind, complement_context
@@ -140,20 +139,6 @@ def generate_pair(seed: Formula, kind: ConceptKind) -> LogicalConceptPair:
     return _completed(kind, "intent", forward(seed))
 
 
-class TransformDirection(Enum):
-    PC_OF_K_TO_OC_OF_KC = "pc_of_K_to_oc_of_Kc"
-    FC_OF_K_TO_PC_OF_KC = "fc_of_K_to_pc_of_Kc"
-    FC_OF_K_TO_OC_OF_KC = "fc_of_K_to_oc_of_Kc"
-
-
-# the Yao clause each direction follows
-_CLAUSE = {
-    TransformDirection.FC_OF_K_TO_PC_OF_KC: "a",
-    TransformDirection.PC_OF_K_TO_OC_OF_KC: "b",
-    TransformDirection.FC_OF_K_TO_OC_OF_KC: "c",
-}
-
-
 def _image(pair: LogicalConceptPair, clause: str) -> LogicalConceptPair:
     """A pair's image under a Yao clause: translated onto the complemented
     context when the target lies there, then negated on each flipped side."""
@@ -168,21 +153,21 @@ def _image(pair: LogicalConceptPair, clause: str) -> LogicalConceptPair:
 
 def transform_pair(
     pair: LogicalConceptPair,
-    direction: TransformDirection,
+    clause: str,
     source_frame: SortedFrame | None = None,
     target_frame: SortedFrame | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> LogicalConceptPair:
-    """Map a pair across one complement correspondence (a Yao clause).
+    """Map a pair across the Yao clause ``"a"``, ``"b"`` or ``"c"`` of
+    ``lattices._YAO``.
 
     Negation swaps the property/object orientation; the window-to-diamond
-    translation moves formal pairs onto the complemented context.  Clause b
-    (componentwise negation, ``PC_OF_K_TO_OC_OF_KC``) stays on the same
-    context: its target frame is the source's, whatever the name says.  When
+    translation moves formal pairs onto the complemented context.  Clause a
+    maps FC(K) to PC(Kc), clause c FC(K) to OC(Kc), and clause b
+    (componentwise negation) PC(K) to OC(K), on the same context.  When
     frames are supplied, source membership and target membership are
     verified.
     """
-    clause = _CLAUSE[direction]
     source = _YAO[clause][0]
     if pair.kind != source:
         raise SortMismatchError(source.name, pair.kind.name, "transform_pair")

@@ -650,11 +650,13 @@ class _Derivation:
         return self.mp(j, self.mp(i, pl))
 
 
-def _expand_converse(d: _Derivation, axiom: str, a: Formula, mod: Modality) -> int:
-    """The image of window axiom B1 (``mod`` dia) or B2 (dia-):
-    ``a -> back-box ~mod-box ~a`` from the converse axiom ``a -> back-box
-    mod-dia a``, where back is the converse of ``mod``, by duality."""
-    back, da, nbn = RS.modality(mod.converse), Dia(mod, a), Neg(Box(mod, Neg(a)))
+def _expand_converse(
+    d: _Derivation, axiom: str, a: Formula, mod: Modality, back: Modality
+) -> int:
+    """The image of window axiom B1 (``mod`` dia, ``back`` dia-) or B2 (the
+    reverse): ``a -> back-box ~mod-box ~a`` from the converse axiom
+    ``a -> back-box mod-dia a``, by duality."""
+    da, nbn = Dia(mod, a), Neg(Box(mod, Neg(a)))
     converse = d.emit(Imp(a, Box(back, da)), AxiomRef(axiom))
     dual = d.emit(Iff(da, nbn), AxiomRef(f"Dual_{mod.name}"))
     return d.chain(converse, d.lift(back, d.pl_mp(dual, Imp(da, nbn))))
@@ -671,8 +673,8 @@ def _expand_k_window(d: _Derivation, a: Formula, b: Formula, mod: Modality) -> i
 
 # window axiom -> its KB2 derivation, from the translated metavariable binding
 _EXPANSIONS: dict[str, Callable[[_Derivation, dict[str, Formula]], int]] = {
-    "B1": lambda d, m: _expand_converse(d, "B1", m["ph1"], DIA),
-    "B2": lambda d, m: _expand_converse(d, "B2", m["ps1"], DIA_INV),
+    "B1": lambda d, m: _expand_converse(d, "B1", m["ph1"], DIA, DIA_INV),
+    "B2": lambda d, m: _expand_converse(d, "B2", m["ps1"], DIA_INV, DIA),
     "K1": lambda d, m: _expand_k_window(d, m["ph1"], m["ph2"], DIA),
     "K2": lambda d, m: _expand_k_window(d, m["ps1"], m["ps2"], DIA_INV),
 }

@@ -1,5 +1,9 @@
 """Two-sorted relational frames, models, truth sets, and exhaustive validity.
 
+A frame is the paper's two-sorted bidirectional frame: a carrier per sort
+and one relation leaving each sort, which every modality into that sort
+reads, so the diamond and window dialects evaluate on every frame.
+
 One evaluator computes every truth value here, bit-sliced over valuations:
 a formula's truth is one int per world of its sort, whose bit k is its
 truth at that world under the k-th valuation.  Connectives are word
@@ -33,12 +37,10 @@ from .context import FormalContext, SortedSubset, _or_over, iter_bits
 from .errors import (
     BudgetExceededError,
     FrameError,
-    SignatureError,
     SortMismatchError,
     ValuationError,
 )
 from .syntax import (
-    FULL,
     SORT1,
     SORT2,
     And,
@@ -50,7 +52,6 @@ from .syntax import (
     Imp,
     Neg,
     Or,
-    Signature,
     Top,
     Var,
     _walk,
@@ -61,23 +62,22 @@ DEFAULT_BUDGET = 1 << 20
 
 
 class SortedFrame:
-    """Finite carriers per sort plus one relation table per modality.
+    """Finite carriers per sort plus one relation leaving each sort.
 
-    A relation entry for a modality from sort ``a`` to sort ``s`` is a pair
-    ``(w, u)`` of a world ``w`` of the result sort ``s`` and a world ``u`` of
-    the argument sort ``a``.  The frame is ``bidirectional`` when each
-    modality's table is the converse of its declared partner's, which is
-    read off the tables on first use.  Carriers are disjoint by sort
-    tagging, so equal world names in different sorts are allowed.
+    ``relations[s]`` is a set of pairs ``(w, u)`` of a world ``w`` of sort
+    ``s`` and a world ``u`` of the other sort; every modality whose result
+    sort is ``s`` (diamond, box and window alike) reads it.  The frame is
+    ``bidirectional`` when the two relations are each other's converse, as
+    on the frame of a formal context.  A sort missing from ``relations``
+    relates nothing.  Carriers are disjoint by sort tagging, so equal world
+    names in different sorts are allowed.
     """
 
     def __init__(
         self,
         carriers: Mapping[str, Sequence[str]],
-        relations: Mapping[str, Iterable[tuple[str, ...]]],
-        sig: Signature = FULL,
+        relations: Mapping[str, Iterable[tuple[str, str]]],
     ):
-        self.sig = sig
         self.carriers = {s: tuple(ws) for s, ws in carriers.items()}
         for s in (SORT1, SORT2):
             if not self.carriers.get(s):
@@ -90,31 +90,28 @@ class SortedFrame:
         self._index = {
             s: {w: i for i, w in enumerate(ws)} for s, ws in self.carriers.items()
         }
-        for name in relations:
-            sig.modality(name)  # an unknown name raises
+        for s in relations:
+            if s not in (SORT1, SORT2):
+                raise FrameError(f"unknown sort {s!r}: relations leave {SORT1!r} and {SORT2!r}")
         self.relations: dict[str, frozenset[tuple[str, str]]] = {}
-        # per modality and result world: the mask of its related argument worlds
+        # per sort and world of it: the mask of its related worlds of the other sort
         self._succ: dict[str, list[int]] = {}
-        for m in sig.modalities:
-            table = frozenset((w, u) for w, u in relations.get(m.name, ()))
-            result, arg = self._index[m.result_sort], self._index[m.arg_sort]
-            masks = [0] * len(result)
+        for s, other in ((SORT1, SORT2), (SORT2, SORT1)):
+            table = frozenset((w, u) for w, u in relations.get(s, ()))
+            source, target = self._index[s], self._index[other]
+            masks = [0] * len(source)
             for w, u in table:
-                if w not in result or u not in arg:
-                    unknown = u if w in result else w
-                    raise FrameError(f"unknown world {unknown!r} in relation {m.name!r}")
-                masks[result[w]] |= 1 << arg[u]
-            self.relations[m.name] = table
-            self._succ[m.name] = masks
+                if w not in source or u not in target:
+                    unknown = u if w in source else w
+                    raise FrameError(f"unknown world {unknown!r} in the relation from {s!r}")
+                masks[source[w]] |= 1 << target[u]
+            self.relations[s] = table
+            self._succ[s] = masks
 
     @functools.cached_property
     def bidirectional(self) -> bool:
-        """Whether every modality's table is the converse of its partner's."""
-        return all(
-            self.relations[m.name] == {(b, a) for a, b in self.relations[m.converse]}
-            for m in self.sig.modalities
-            if m.converse is not None
-        )
+        """Whether the two relations are each other's converse."""
+        return self.relations[SORT1] == {(u, w) for w, u in self.relations[SORT2]}
 
     def carrier(self, sort: str) -> tuple[str, ...]:
         try:
@@ -172,52 +169,37 @@ class Model:
 def context_to_frame(ctx: FormalContext) -> SortedFrame:
     """The bidirectional frame of a context: carriers (G, M), both dialects.
 
-    Every forward modality of ``FULL`` is interpreted by the transpose of the
-    incidence relation and every converse modality by the incidence itself,
-    so diamond/box and window formulas evaluate over one frame.
+    The relation leaving the objects is the incidence and the one leaving
+    the attributes its converse, so diamond/box and window formulas evaluate
+    over one frame.
     """
     carriers = {SORT1: ctx.objects, SORT2: ctx.attributes}
-    transpose = [
-        (ctx.attributes[m], ctx.objects[g])
+    incidence = [
+        (ctx.objects[g], ctx.attributes[m])
         for g in range(ctx.n_objects)
         for m in iter_bits(ctx.rows[g])
     ]
-    incidence = [(b, a) for a, b in transpose]
-    relations = {
-        m.name: transpose if m.arg_sort == SORT1 else incidence for m in FULL.modalities
-    }
-    return SortedFrame(carriers, relations, FULL)
+    converse = [(b, a) for a, b in incidence]
+    return SortedFrame(carriers, {SORT1: incidence, SORT2: converse})
 
 
 def frame_to_context(frame: SortedFrame) -> FormalContext:
-    """Reconstruct the context from a bidirectional two-sorted frame.
-
-    Total on frames whose sorts are (s1, s2): the incidence is read off any
-    s2-to-s1 modality table; all such tables must agree.
-    """
+    """The context of a bidirectional frame: its incidence is the relation
+    leaving the objects."""
     if not frame.bidirectional:
         raise FrameError("only bidirectional frames correspond to contexts")
-    objects = frame.carrier(SORT1)
-    attributes = frame.carrier(SORT2)
-    tables = [
-        frame.relations[m.name]
-        for m in frame.sig.modalities
-        if m.arg_sort == SORT2 and m.result_sort == SORT1
-    ]
-    if not tables:
-        raise FrameError("frame has no s2 -> s1 modality to read the incidence from")
-    if any(t != tables[0] for t in tables[1:]):
-        raise FrameError("s2 -> s1 relation tables disagree; no single context")
-    return FormalContext.from_pairs(objects, attributes, tables[0])
+    return FormalContext.from_pairs(
+        frame.carrier(SORT1), frame.carrier(SORT2), frame.relations[SORT1]
+    )
 
 
 def complement_frame(frame: SortedFrame) -> SortedFrame:
-    """Complement every relation table; preserves bidirectionality."""
-    relations: dict[str, set[tuple[str, str]]] = {}
-    for m in frame.sig.modalities:
-        full = itertools.product(frame.carrier(m.result_sort), frame.carrier(m.arg_sort))
-        relations[m.name] = set(full) - frame.relations[m.name]
-    return SortedFrame(frame.carriers, relations, frame.sig)
+    """Complement both relations; preserves bidirectionality."""
+    relations = {
+        s: set(itertools.product(frame.carrier(s), frame.carrier(other))) - frame.relations[s]
+        for s, other in ((SORT1, SORT2), (SORT2, SORT1))
+    }
+    return SortedFrame(frame.carriers, relations)
 
 
 # Valuations per slice block when a scan streams the valuation space.
@@ -289,9 +271,7 @@ class _Slices:
         argument) complements the OR of the slices over the complemented
         mask.
         """
-        full, masks = self.full, self.frame._succ.get(f.mod.name)
-        if masks is None:
-            raise SignatureError(f"modality {f.mod.name!r} is not in the frame's signature")
+        full, masks = self.full, self.frame._succ[f.sort]
         if f.mod.window:
             every = (1 << len(arg)) - 1
             masks = [every ^ m for m in masks]

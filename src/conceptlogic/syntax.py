@@ -33,8 +33,10 @@ from .errors import SignatureError, SortMismatchError
 class Modality:
     """A unary modality symbol from ``arg_sort`` to ``result_sort``.
 
-    ``window`` marks the sufficiency interpretation (box form only).
-    ``converse`` names the partner modality in a bidirectional signature.
+    ``window`` marks the sufficiency interpretation (box form only).  A
+    frame interprets every modality into sort ``s`` by its one relation
+    leaving ``s``, so the converse of a modality is the one of the other
+    direction with the same ``window`` flag.
 
     Modalities are interned like formula nodes: equal fields give the same
     object, so ``==`` and ``hash`` are identity and a modal node's intern
@@ -45,25 +47,24 @@ class Modality:
     arg_sort: str
     result_sort: str
     window: bool = False
-    converse: str | None = None
 
     # by their fields; a handful per signature, so held strongly
     _interned: ClassVar[dict[tuple, "Modality"]] = {}
 
-    def __new__(cls, name, arg_sort, result_sort, window=False, converse=None):
+    def __new__(cls, name, arg_sort, result_sort, window=False):
         # an interned modality goes through ``__init__`` again, with equal fields
-        mod = cls._interned.get((name, arg_sort, result_sort, window, converse))
+        mod = cls._interned.get((name, arg_sort, result_sort, window))
         return mod if mod is not None else super().__new__(cls)
 
     def __post_init__(self) -> None:
         for s in (self.arg_sort, self.result_sort):
             if s not in (SORT1, SORT2):
                 raise SignatureError(f"modality {self.name!r} uses unknown sort {s!r}")
-        key = (self.name, self.arg_sort, self.result_sort, self.window, self.converse)
+        key = (self.name, self.arg_sort, self.result_sort, self.window)
         self._interned.setdefault(key, self)
 
     def __reduce__(self):  # a copy or an unpickled modality is the interned one
-        return Modality, (self.name, self.arg_sort, self.result_sort, self.window, self.converse)
+        return Modality, (self.name, self.arg_sort, self.result_sort, self.window)
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,6 @@ class Signature:
         if len(set(names)) != len(names):
             raise SignatureError("modality names must be unique")
         object.__setattr__(self, "_by_name", {m.name: m for m in self.modalities})
-        for m in self.modalities:
-            if m.converse is not None and m.converse not in names:
-                raise SignatureError(
-                    f"modality {m.name!r} names unknown converse {m.converse!r}"
-                )
 
     def modality(self, name: str) -> Modality:
         mod = self._by_name.get(name)
@@ -94,10 +90,10 @@ class Signature:
         return name in self._by_name
 
 
-DIA = Modality("dia", SORT1, SORT2, converse="dia-")
-DIA_INV = Modality("dia-", SORT2, SORT1, converse="dia")
-WBOX = Modality("boxm", SORT1, SORT2, window=True, converse="boxm-")
-WBOX_INV = Modality("boxm-", SORT2, SORT1, window=True, converse="boxm")
+DIA = Modality("dia", SORT1, SORT2)
+DIA_INV = Modality("dia-", SORT2, SORT1)
+WBOX = Modality("boxm", SORT1, SORT2, window=True)
+WBOX_INV = Modality("boxm-", SORT2, SORT1, window=True)
 
 RS = Signature((DIA, DIA_INV))
 KF = Signature((WBOX, WBOX_INV))

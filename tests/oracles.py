@@ -205,7 +205,7 @@ def extension(frame, val, f) -> set[str]:
             return (set(carrier) - left) | right
         return {w for w in carrier if (w in left) == (w in right)}
     arg = extension(frame, val, f.arg)
-    rel = frame.relations[f.mod.name]
+    rel = frame.relations[f.sort]
     out = set()
     for w in carrier:
         succ = [u for v, u in rel if v == w]

@@ -48,7 +48,6 @@ from conceptlogic.suites import (
 from conceptlogic.syntax import (
     FULL,
     KF,
-    RS,
     SORT1,
     SORT2,
     Imp,
@@ -239,8 +238,7 @@ def test_criterion_6_soundness_sweep():
     # a frame whose second relation is not the converse of the first
     non_converse = SortedFrame(
         {SORT1: ("a",), SORT2: ("b",)},
-        {"dia": [("b", "a")], "dia-": []},
-        RS,
+        {SORT1: [], SORT2: [("b", "a")]},
     )
     falsified = not frame_valid(non_converse, Imp(Var("q", SORT2), box(dia_inv(Var("q", SORT2)))))
     with pytest.raises(FrameError):

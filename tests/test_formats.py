@@ -50,6 +50,14 @@ class TestCxt:
         with pytest.raises(CxtFormatError):
             parse_cxt("B\n\nzero\n1\n\ng\nm\nX\n")
 
+    @pytest.mark.parametrize("count", ["1_0", "\uff12", "+3"])
+    def test_count_is_ascii_digits_only(self, count):
+        # int() reads each of these as a number; the serializer writes none
+        doc = f"B\n\n{count}\n1\n\n" + "".join(f"g{i}\n" for i in range(10)) + "m1\n"
+        with pytest.raises(CxtFormatError, match="lines 3-4 must be") as exc:
+            parse_cxt(doc + "X\n" * 10)
+        assert exc.value.line == 3
+
     def test_wrong_row_width(self):
         with pytest.raises(CxtFormatError):
             parse_cxt("B\n\n1\n2\n\ng\nm1\nm2\nX\n")

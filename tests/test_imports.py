@@ -1,7 +1,7 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses.
 
-Deleting code leaves imports behind that nothing reads.  This test parses
-every module except ``__init__.py``, which imports to re-export, and fails
+Deleting code leaves imports behind that nothing reads.  These tests parse
+every module except ``__init__.py``, which imports to re-export, and fail
 on a name an ``import`` or ``from ... import`` binds that no expression in
 the module reads.  ``from __future__`` imports are directives, not names.
 """
@@ -9,7 +9,8 @@ the module reads.  ``from __future__`` imports are directives, not names.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).parent.parent / "src" / "conceptlogic"
+TESTS = Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "conceptlogic"
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -35,6 +36,10 @@ def unused_imports(package: Path = PACKAGE) -> set[tuple[str, str]]:
 
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports() == set()
+
+
+def test_no_test_module_imports_a_name_it_never_uses():
+    assert unused_imports(TESTS) == set()
 
 
 def test_detector_sees_each_form_of_import(tmp_path):

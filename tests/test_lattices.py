@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conceptlogic import FormalContext, complement_context
+from conceptlogic import FormalContext, OperatorKind, complement_context
 from conceptlogic import lattices
 from conceptlogic.context import (
     SORT1,
@@ -35,6 +35,13 @@ ORACLES = {
     ConceptKind.PC: oracles.property_concepts,
     ConceptKind.OC: oracles.object_concepts,
 }
+
+
+@pytest.mark.parametrize("enum", [ConceptKind, OperatorKind])
+def test_kinds_hash_by_identity(enum):
+    # the kinds key the operator tables, so their hash must not be a Python call
+    for member in enum:
+        assert hash(member) == object.__hash__(member)
 
 
 def as_name_sets(ctx, concepts):

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from conceptlogic import FormalContext, OperatorKind, apply_operator
+from conceptlogic import FormalContext, OperatorKind, apply_operator, complement_context
 from conceptlogic.errors import (
     BudgetExceededError,
     FrameError,
     ProofScriptError,
-    SignatureError,
     SortMismatchError,
     ValuationError,
 )
@@ -33,13 +32,11 @@ from conceptlogic.semantics import (
 )
 from conceptlogic.syntax import (
     KF,
-    RS,
     SORT1,
     SORT2,
     And,
     Imp,
     Neg,
-    Or,
     Top,
     Var,
     box,
@@ -75,13 +72,12 @@ def names(model, f):
 class TestContextFrameCorrespondence:
     def test_k0_relations(self):
         frame = context_to_frame(k0())
-        assert frame.relations["dia"] == frozenset(
+        assert frame.relations[SORT2] == frozenset(
             {("m1", "g1"), ("m1", "g2"), ("m2", "g2")}
         )
-        assert frame.relations["dia-"] == frozenset(
+        assert frame.relations[SORT1] == frozenset(
             {("g1", "m1"), ("g2", "m1"), ("g2", "m2")}
         )
-        assert frame.relations["boxm"] == frame.relations["dia"]
         assert frame.bidirectional
 
     def test_round_trip(self):
@@ -93,17 +89,16 @@ class TestContextFrameCorrespondence:
     def test_one_by_one_empty(self):
         ctx = FormalContext(("g1",), ("m1",), (0,))
         frame = context_to_frame(ctx)
-        assert frame.relations["dia"] == frozenset()
+        assert frame.relations[SORT2] == frozenset()
         assert frame.carrier(SORT1) == ("g1",)
         assert frame.carrier(SORT2) == ("m1",)
 
     def test_non_converse_frame_is_not_bidirectional(self):
-        # constructible, but read off its tables as not bidirectional, so
-        # the context and soundness readings refuse it
+        # constructible, but read off its relations as not bidirectional,
+        # so the context and soundness readings refuse it
         frame = SortedFrame(
             {SORT1: ("a",), SORT2: ("b",)},
-            {"dia": [("b", "a")], "dia-": []},
-            RS,
+            {SORT1: [], SORT2: [("b", "a")]},
         )
         assert not frame.bidirectional
         with pytest.raises(FrameError, match="only bidirectional frames"):
@@ -111,29 +106,37 @@ class TestContextFrameCorrespondence:
         script = parse_proof_script("system: KB2\nvar p : 1\n1 | p -> p | pl\n")
         with pytest.raises(ProofScriptError, match="requires bidirectional frames"):
             soundness_probe(script.system(), script.lines, script.premises, [frame])
-        # the converse tables make it bidirectional, with no flag to set
+        # converse relations make it bidirectional, with no flag to set
         converse = SortedFrame(
             {SORT1: ("a",), SORT2: ("b",)},
-            {"dia": [("b", "a")], "dia-": [("a", "b")]},
-            RS,
+            {SORT1: [("a", "b")], SORT2: [("b", "a")]},
         )
         assert converse.bidirectional
         assert soundness_probe(script.system(), script.lines, script.premises, [converse])
 
     def test_empty_carrier_rejected(self):
         with pytest.raises(FrameError):
-            SortedFrame({SORT1: (), SORT2: ("b",)}, {}, RS)
+            SortedFrame({SORT1: (), SORT2: ("b",)}, {})
 
     def test_third_sort_carrier_rejected(self):
         with pytest.raises(FrameError, match="unknown sort 's3'"):
-            SortedFrame({SORT1: ("a",), SORT2: ("b",), "s3": ("c",)}, {}, RS)
+            SortedFrame({SORT1: ("a",), SORT2: ("b",), "s3": ("c",)}, {})
 
-    def test_modality_outside_the_frame_signature(self):
-        frame = SortedFrame({SORT1: ("a",), SORT2: ("b",)}, {}, RS)
-        with pytest.raises(SignatureError, match="'boxm' is not in the frame's signature"):
-            frame_valid(frame, Or(wbox(P), Neg(wbox(P))))
-        with pytest.raises(SignatureError, match="'boxm' is not in the frame's signature"):
-            truth_set(Model(frame, Valuation({P: ()})), wbox(P))
+    def test_relation_from_unknown_sort_rejected(self):
+        with pytest.raises(FrameError, match="unknown sort 's3'"):
+            SortedFrame({SORT1: ("a",), SORT2: ("b",)}, {"s3": [("a", "b")]})
+        with pytest.raises(FrameError, match="unknown sort 'dia'"):
+            SortedFrame({SORT1: ("a",), SORT2: ("b",)}, {"dia": [("b", "a")]})
+
+    def test_relation_to_unknown_world_rejected(self):
+        carriers = {SORT1: ("a",), SORT2: ("b",)}
+        with pytest.raises(FrameError, match="unknown world 'c' in the relation from 's1'"):
+            SortedFrame(carriers, {SORT1: [("a", "c")]})
+        with pytest.raises(FrameError, match="unknown world 'c' in the relation from 's2'"):
+            SortedFrame(carriers, {SORT2: [("c", "a")]})
+        # a world of the wrong sort is unknown on that side
+        with pytest.raises(FrameError, match="unknown world 'a' in the relation from 's2'"):
+            SortedFrame(carriers, {SORT2: [("a", "b")]})
 
 
 class TestTruthSets:
@@ -243,8 +246,7 @@ class TestFrameValidity:
     def test_axiom_b_fails_on_non_converse_frame(self):
         frame = SortedFrame(
             {SORT1: ("a",), SORT2: ("b",)},
-            {"dia": [("b", "a")], "dia-": []},
-            RS,
+            {SORT1: [], SORT2: [("b", "a")]},
         )
         assert not frame.bidirectional
         assert not frame_valid(frame, parse_formula("q -> box dia- q", SORT2))
@@ -319,6 +321,15 @@ class TestTranslationTheorem:
     def test_complement_frame_stays_bidirectional(self):
         frame = context_to_frame(k0())
         assert complement_frame(frame).bidirectional
+
+    def test_complement_frame_is_the_complement_context(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            ctx = oracles.random_context(rng)
+            frame = context_to_frame(ctx)
+            cframe = complement_frame(frame)
+            assert frame.bidirectional and cframe.bidirectional
+            assert frame_to_context(cframe) == complement_context(ctx)
 
     def test_validity_transfers_to_complement(self):
         # a formula is frame-valid iff its translation is valid on the

@@ -84,8 +84,6 @@ class TestConstruction:
             Modality("d3", "s3", SORT2)
         with pytest.raises(SignatureError):
             Signature((DIA, DIA))
-        with pytest.raises(SignatureError):
-            Signature((DIA,))  # names unknown converse dia-
 
 
 class TestInterning:
@@ -93,7 +91,7 @@ class TestInterning:
         assert Var("p", SORT1) is Var("p", SORT1)
         assert Var("p", SORT1) is not Var("p", SORT2)
         assert Imp(P, wbox_inv(Q)) is Imp(var1("p"), wbox_inv(var2("q")))
-        assert Dia(Modality("dia", SORT1, SORT2, converse="dia-"), P) is dia(P)
+        assert Dia(Modality("dia", SORT1, SORT2), P) is dia(P)
         assert parse_formula("p -> boxm- q", SORT1) is Imp(P, wbox_inv(Q))
 
     def test_normalize_is_idempotent_by_identity(self):
