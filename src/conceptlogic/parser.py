@@ -16,8 +16,8 @@ through a declaration table; elsewhere the sort is inferred from position
 (modalities fix argument sorts, Boolean connectives preserve them).  The
 printer emits minimal parentheses and round-trips through ``parse_formula``.
 
-The parser reads the text once: one compiled token pattern driven by
-``re.finditer``, and an operator-precedence loop with an operand stack and
+The parser reads the text once: one compiled token pattern matched at the
+current position, and an operator-precedence loop with an operand stack and
 an operator stack, so nesting depth costs no recursion.  Sorts are solved
 in the same pass.  The sort a position requires is known when the position
 is reached: inside a modality's operand it is the modality's argument sort,
@@ -29,6 +29,17 @@ the first operand at the root level that has a sort (a declared or suffixed
 variable, or a modality) fixes it.  If a bare variable or a constant comes
 before that, the pass finishes without building the root level, and the
 text is read a second time with the sort it found.
+
+A proof script restates earlier formulas in full, so its formulas are read
+with one memo of parenthesised groups (``_Groups``), made for the script
+and dropped with it.  It maps the text of each group that parsed, and that
+holds a variable or a modality, to its node.  A '(' whose group text is in
+the memo, at a position its sort fits, yields that node, and reading
+resumes after the matching ')'; a group of the other sort is read as usual,
+so every error is the one a fresh parse gives.  Finding a group's ')' takes
+one pass that pairs the parentheses of the formula.  The text the memo
+slices is bounded by the script's length, so deep nesting stays linear.
+``parse_formula`` keeps no memo.
 """
 
 from __future__ import annotations
@@ -129,11 +140,99 @@ def parse_formula(
     pre-declares them, and the sorts solved for new variables are bound into
     it, so a caller can share one table across several formulas.
     """
-    expected = _normalize_sort(expected_sort)
     table = {} if declarations is None else declarations
+    return _read(text, _normalize_sort(expected_sort), sig, table, None)
+
+
+class _Groups:
+    """The parenthesised groups one proof script has parsed, by their text.
+
+    A group is kept when it parsed to a formula and its text holds a
+    variable or a modality.  A root-level one of those fixes the group's
+    sort, and the variables in it are already declared, so while names
+    keep their sorts the same text always parses to the same node.  A
+    constant-only group such as ``(#t)`` is not kept: it reads at either
+    sort, and a stored one would settle a root sort that is still open.
+
+    Slicing a group's text costs its length, so it is bounded.  A '(' is
+    looked up only when some kept group has the length of its group.
+    ``room`` starts at the script's length, and every slice but a hit is
+    charged to it; a miss's slice is the key the group is kept under when
+    it closes, so no group is sliced twice in one pass.  A hit skips its
+    group, so hits slice each character at most once per pass.  However
+    deep the nesting, the work stays linear in the script's length.
+    """
+
+    __slots__ = ("nodes", "lengths", "room")
+
+    def __init__(self, room: int):
+        self.nodes: dict[str, Formula] = {}
+        self.lengths: set[int] = set()
+        self.room = room
+
+    def find(self, text: str, start: int, stop: int) -> tuple[Formula | None, str | None]:
+        """Look up the group ``text[start:stop]``: its kept node and its
+        text on a hit, ``None`` and the text sliced on a miss, and
+        ``(None, None)`` when it is not sliced."""
+        n = stop - start
+        if n not in self.lengths or n > self.room:
+            return None, None
+        key = text[start:stop]
+        x = self.nodes.get(key)
+        if x is None:
+            self.room -= n
+        return x, key
+
+    def keep(self, text: str, start: int, stop: int, key: str | None, x: Formula) -> None:
+        """Keep ``x`` as the node of the group ``text[start:stop]``; ``key``
+        is that text if ``find`` sliced it."""
+        if key is None:
+            if stop - start > self.room:
+                return
+            self.room -= stop - start
+            key = text[start:stop]
+        if key not in self.nodes and _FIXES_SORT.search(key):
+            self.nodes[key] = x
+            self.lengths.add(len(key))
+
+
+# In a group that parses, a letter or '_' not right after '#' starts a
+# variable or a modal word; after '#' it is the 'f' or 't' of a constant.
+_FIXES_SORT = re.compile(r"(?<!#)[^\W\d]")
+_PARENS = re.compile(r"[()]")
+
+
+def _stops(text: str) -> dict[int, int]:
+    """For each '(' that has a matching ')', the index just past that ')'.
+
+    Every '(' and ')' character is a token of its own, so this pairing is
+    the parser's wherever the text between them parses.
+    """
+    stops: dict[int, int] = {}
+    opens: list[int] = []
+    pieces = iter(_PARENS.split(text))  # the text between the parentheses
+    i = len(next(pieces))
+    for piece in pieces:
+        if text[i] == "(":
+            opens.append(i)
+        elif opens:
+            stops[opens.pop()] = i + 1
+        i += 1 + len(piece)
+    return stops
+
+
+def _read(
+    text: str,
+    expected: str | None,
+    sig: Signature,
+    table: dict[str, str],
+    groups: _Groups | None,
+) -> Formula:
+    """``parse_formula`` with the sort normalized, reusing the nodes of the
+    groups kept in ``groups`` if it is given."""
     if expected is not None:
-        return _parse(text, expected, sig, table)[0]
-    formula, root_sort = _parse(text, _ROOT, sig, table)
+        return _parse(text, expected, sig, table, groups)[0]
+    formula, root_sort = _parse(text, _ROOT, sig, table, groups)
     if formula is not None:
         return formula
     if root_sort is None:
@@ -141,11 +240,11 @@ def parse_formula(
             "cannot infer the formula's sort; declare a variable sort with ':1'/':2' "
             "or supply expected_sort"
         )
-    return _parse(text, root_sort, sig, table)[0]
+    return _parse(text, root_sort, sig, table, groups)[0]
 
 
 def _parse(
-    text: str, root, sig: Signature, table: dict[str, str]
+    text: str, root, sig: Signature, table: dict[str, str], groups: _Groups | None
 ) -> tuple[Formula | None, str | None]:
     """One pass over ``text``: the formula and the root sort.
 
@@ -153,13 +252,19 @@ def _parse(
     root sort is taken from the first root-level operand that has one, and
     root-level operands read before it are ``None``, as is every formula
     built from them; the caller reads the text again with the sort found.
+    A group kept in ``groups`` is not read again where its sort fits: its
+    node is the operand, and reading resumes after its ')'.
     """
     root_sort = None if root is _ROOT else root
     operands: list[Formula | None] = []
     ops: list[tuple] = []
     level = want = root  # sort of the current level, sort the next operand needs
     operand = True  # an operand comes next
-    for m in _TOKEN.finditer(text):
+    stops = None  # the '(' pairing, made when there is a kept group to look up
+    pos = 0
+    match = _TOKEN.match
+    while (m := match(text, pos)) is not None:
+        pos = m.end()
         kind = m.lastgroup
         if not operand:
             entry = _BINARY.get(kind)
@@ -177,8 +282,10 @@ def _parse(
                 _reduce(operands, ops.pop()[1])
             if not ops:
                 raise FormulaSyntaxError("unexpected trailing input ')'", m.start(kind))
-            level = ops.pop()[1]
+            _, level, start, key = ops.pop()
             x = operands.pop()
+            if groups is not None and x is not None:
+                groups.keep(text, start, pos, key, x)
         elif kind == "var" or kind == "sorted":
             name = m.group(kind)
             if not name.isascii() and not (name[0].isalpha() or name[0] == "_"):
@@ -208,9 +315,20 @@ def _parse(
                     root_sort = sort
                 x = Var(name, sort)
         elif kind == "lparen":
-            ops.append((_PAREN, level))
-            level = want
-            continue
+            x = key = None
+            if groups is not None and groups.lengths:
+                if stops is None:
+                    stops = _stops(text)
+                stop = stops.get(pos - 1)
+                if stop is not None:
+                    x, key = groups.find(text, pos - 1, stop)
+            if x is not None and want is _ROOT and root_sort is None:
+                root_sort = x.sort  # as the group's first sorted token would
+            elif x is None or x.sort != (root_sort if want is _ROOT else want):
+                ops.append((_PAREN, level, pos - 1, key))
+                level = want
+                continue
+            pos = stop
         elif kind == "neg":
             ops.append(_NEG_ENTRY)
             continue

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, ConceptLogicError, ProofScriptError
-from .parser import SORT_DIGITS, parse_formula, print_formula, reads_as_variable
+from .parser import SORT_DIGITS, _Groups, _read, print_formula, reads_as_variable
 from .semantics import (
     DEFAULT_BUDGET,
     SortedFrame,
@@ -448,19 +448,32 @@ _NUMBER = re.compile(r"[0-9]+")  # record numbers are ASCII digits only
 
 
 def _fields(record: str) -> list[str]:
-    """The record split on each '|' that is outside parentheses."""
+    """The record split on each '|' that is outside parentheses: a '|'
+    separates unless more '(' than ')' precede it in its field."""
     fields: list[str] = []
+    current: list[str] = []
+    depth = 0  # '(' minus ')' in the field so far
     for piece in record.split("|"):
-        if fields and fields[-1].count("(") > fields[-1].count(")"):
-            fields[-1] += "|" + piece
-        else:
-            fields.append(piece)
-    return [f.strip() for f in fields]
+        if current and depth <= 0:
+            fields.append("|".join(current).strip())
+            current, depth = [], 0
+        current.append(piece)
+        depth += piece.count("(") - piece.count(")")
+    fields.append("|".join(current).strip())
+    return fields
 
 
 def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
+    """Read a script.  A variable keeps one sort throughout it, so one memo
+    of parenthesised groups serves all its formulas: text a script repeats
+    is parsed once (see ``parser._Groups``)."""
     system_id, sig = default_system, None
     declarations: dict[str, str] = {}
+    groups = _Groups(len(text))
+
+    def read(body: str) -> Formula:
+        return _read(body, None, sig, declarations, groups)
+
     premises: list[Formula] = []
     lines: list[ProofLine] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -477,16 +490,20 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
             m = re.match(r"var\s+(\w+)\s*:\s*([12])$", stripped)
             if not m:
                 raise ProofScriptError("expected 'var NAME : 1|2'", lineno)
-            if not reads_as_variable(m.group(1)):
-                raise ProofScriptError(f"{m.group(1)!r} is not a variable name", lineno)
-            declarations[m.group(1)] = SORT_DIGITS[m.group(2)]
+            name, sort = m.group(1), SORT_DIGITS[m.group(2)]
+            if not reads_as_variable(name):
+                raise ProofScriptError(f"{name!r} is not a variable name", lineno)
+            if declarations.setdefault(name, sort) != sort:
+                raise ProofScriptError(
+                    f"variable {name!r} already has sort {declarations[name]}", lineno
+                )
             continue
         if sig is None:
             sig = get_system(system_id).sig
         if stripped.lower().startswith("premise:"):
             body = stripped.split(":", 1)[1].strip()
             try:
-                premises.append(parse_formula(body, None, sig, declarations))
+                premises.append(read(body))
             except ConceptLogicError as exc:
                 raise ProofScriptError(f"bad premise formula: {exc}", lineno)
             continue
@@ -499,22 +516,16 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
             raise ProofScriptError(f"bad line index {parts[0]!r}", lineno)
         index = int(parts[0])
         try:
-            formula = parse_formula(parts[1], None, sig, declarations)
+            formula = read(parts[1])
         except ConceptLogicError as exc:
             raise ProofScriptError(f"bad formula: {exc}", lineno)
-        justification = _parse_rule(
-            parts[2], parts[3] if len(parts) == 4 else None, sig, declarations, lineno
-        )
+        justification = _parse_rule(parts[2], parts[3] if len(parts) == 4 else None, read, lineno)
         lines.append(ProofLine(index, formula, justification))
     return ProofScript(system_id, premises, lines)
 
 
 def _parse_rule(
-    rule_text: str,
-    subst_text: str | None,
-    sig: Signature,
-    declarations: dict[str, str],
-    lineno: int,
+    rule_text: str, subst_text: str | None, read: Callable[[str], Formula], lineno: int
 ) -> Justification:
     match = _RULE_RE.match(rule_text)
     if not match:
@@ -535,7 +546,7 @@ def _parse_rule(
                 raise ProofScriptError("substitution items look like 'mv = FORMULA'", lineno)
             mv, body = item.split("=", 1)
             try:
-                pairs.append((mv.strip(), parse_formula(body.strip(), None, sig, declarations)))
+                pairs.append((mv.strip(), read(body.strip())))
             except ConceptLogicError as exc:
                 raise ProofScriptError(f"bad substitution formula: {exc}", lineno)
         return AxiomRef(name, tuple(pairs))

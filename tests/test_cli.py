@@ -470,6 +470,18 @@ assert falsify(context_to_frame(load_context(%r)), f) is not None
 print("ok")
 """
 
+# Two records with one formula nested 2*10^4 parentheses deep.  Slicing the
+# text of every nested group, or looking each one up, costs time and memory
+# quadratic in the depth; the group memo of a proof script must not.
+_DEEP_GROUPS_SCRIPT = """
+from conceptlogic.proofs import parse_proof_script
+line = "(" * 20000 + "p:1 -> p:1" + ")" * 20000
+script = parse_proof_script(f"1 | {line} | pl\\n2 | {line} | pl\\n")
+assert script.lines[0].formula is script.lines[1].formula
+assert script.check().accepted
+print("ok")
+"""
+
 
 class TestDeepFormulas:
     """Every formula walk is iterative: depth costs no recursion, and a
@@ -509,6 +521,14 @@ class TestDeepFormulas:
         env = dict(os.environ, PYTHONPATH=str(SRC))
         done = subprocess.run(
             [sys.executable, "-c", _SHARED_DAG_SCRIPT % str(DATA / "k0.cxt")],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+    def test_repeated_deep_group_is_parsed_in_linear_time(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", _DEEP_GROUPS_SCRIPT],
             env=env, capture_output=True, text=True, timeout=10,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")

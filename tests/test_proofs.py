@@ -17,6 +17,7 @@ from conceptlogic.proofs import (
     ProofLine,
     ProofScript,
     UGRef,
+    _fields,
     check_proof,
     get_system,
     is_tautology,
@@ -505,6 +506,52 @@ class TestScriptParsing:
         out, err = io.StringIO(), io.StringIO()
         assert run_cli(["check-proof", str(path)], out, err) == 2
         assert (out.getvalue(), err.getvalue()) == ("", f"error: line 8: {message}\n")
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "1 | p:1 -> p:1 | pl\nvar p : 2\n2 | p -> p | pl\n",
+            "var p : 1\nvar p : 2\n1 | p -> p | pl\n",
+        ],
+        ids=["after-use", "after-header"],
+    )
+    def test_var_header_may_not_change_a_sort(self, tmp_path, script):
+        lineno = script.count("\n", 0, script.index("var p : 2")) + 1
+        message = "variable 'p' already has sort s1"
+        with pytest.raises(ProofScriptError, match=message) as exc:
+            parse_proof_script(script)
+        assert exc.value.line == lineno
+        path = tmp_path / "rebind.prf"
+        path.write_text(script)
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(["check-proof", str(path)], out, err) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: line {lineno}: {message}\n")
+
+    def test_var_header_may_repeat_a_sort(self):
+        script = parse_proof_script("1 | p:1 -> p:1 | pl\nvar p : 1\n2 | p -> p | pl\n")
+        assert script.lines[0].formula is script.lines[1].formula
+        assert script.check().accepted
+
+    @pytest.mark.parametrize(
+        "record, fields",
+        [
+            ("1 | p | pl", ["1", "p", "pl"]),
+            ("1 | (p | q) | pl", ["1", "(p | q)", "pl"]),
+            ("2 | ((p | q) | (r | s)) | axiom | ph = (p | q)",
+             ["2", "((p | q) | (r | s))", "axiom", "ph = (p | q)"]),
+            ("3 | (p | (q | r) | pl", ["3", "(p | (q | r) | pl"]),
+            ("4 | p) | q | pl", ["4", "p)", "q", "pl"]),
+            ("5 | ) ( | p | pl", ["5", ") (", "p", "pl"]),
+            ("6 | (p)) | (q | r", ["6", "(p))", "(q | r"]),
+            ("((|)|x", ["((|)|x"]),
+            ("|", ["", ""]),
+            ("", [""]),
+        ],
+        ids=["plain", "or-in-parens", "nested", "unclosed", "stray-close", "close-open",
+             "over-closed", "deep-unclosed", "bare-bar", "empty"],
+    )
+    def test_fields_split_outside_parentheses(self, record, fields):
+        assert _fields(record) == fields
 
     def test_generic_system_k(self):
         sys_k = get_system("K")
