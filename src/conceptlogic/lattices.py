@@ -29,7 +29,7 @@ from .context import (
     complement_context,
     iter_bits,
 )
-from .errors import DimensionError, LatticeError, SortMismatchError
+from .errors import LatticeError, SortMismatchError
 
 
 class ConceptKind(Enum):
@@ -171,22 +171,6 @@ def enumerate_concepts(ctx: FormalContext, kind: ConceptKind) -> list[SemanticCo
         )
         for e, i in _concept_masks(ctx, kind)
     ]
-
-
-def enumerate_concepts_bruteforce(
-    ctx: FormalContext, kind: ConceptKind
-) -> list[SemanticConcept]:
-    """Oracle: scan all extent subsets for fixpoints of the extent composite."""
-    n = ctx.n_objects
-    if n > 12:
-        raise DimensionError("brute-force oracle is limited to 12 objects")
-    forward = _OPERATORS[kind][0]
-    concepts = []
-    for mask in range(1 << n):
-        sub = SortedSubset(SORT1, mask, n)
-        if closure(kind, "extent", sub, ctx).bits == mask:
-            concepts.append(SemanticConcept(sub, apply_operator(forward, sub, ctx), kind))
-    return sorted(concepts, key=lambda c: _lectic_key(c.extent.bits))
 
 
 def _upper_covers(

@@ -9,10 +9,12 @@ a formula's truth is one int per world of its sort, whose bit k is its
 truth at that world under the k-th valuation.  Connectives are word
 operations; a diamond is the OR of the argument slices over a world's
 successors, a box is its dual, and a window box is the complement of the OR
-of the argument slices over non-successors.  ``truth_set`` is the
-case of one valuation, and a tautology test (``proofs``) a one-world frame
-whose memo is seeded with the atoms' truth-table columns.  Evaluation runs on
-``syntax._walk``: children first, each shared node once, no recursion.
+of the argument slices over non-successors.  A batch of (formula,
+valuation) items is one block with item k's valuation at bit k, and each
+truth set is read off its item's bit (``_truth_sets``); ``truth_set`` is
+its one-item case.  A tautology test (``proofs``) is a one-world frame
+whose memo is seeded with the atoms' truth-table columns.  Evaluation runs
+on ``syntax._walk``: children first, each shared node once, no recursion.
 
 Every exhaustive check runs on one scanner, ``FrameEvaluator``: it
 enumerates all valuations of a variable set, refusing explicitly when the
@@ -148,22 +150,10 @@ class Valuation:
 
 @dataclass
 class Model:
-    """A frame plus a valuation; variable masks are computed lazily."""
+    """A frame plus a valuation."""
 
     frame: SortedFrame
     valuation: Valuation
-
-    def var_mask(self, v: Var) -> int:
-        worlds = self.valuation.worlds(v)
-        index = self.frame._index[v.sort]
-        mask = 0
-        for w in worlds:
-            if w not in index:
-                raise ValuationError(
-                    f"valuation of {v.name!r} mentions unknown world {w!r}"
-                )
-            mask |= 1 << index[w]
-        return mask
 
 
 def context_to_frame(ctx: FormalContext) -> SortedFrame:
@@ -299,17 +289,42 @@ def _block_slices(
     return out
 
 
+def _truth_sets(
+    frame: SortedFrame, items: Sequence[tuple[Formula, Valuation]]
+) -> list[SortedSubset]:
+    """Each (formula, valuation) item's truth set, item k read off bit k.
+
+    Blocks of at most ``_BLOCK`` items share one ``_Slices`` memo, so a
+    subformula common to several items is evaluated once.  A variable's bit
+    k is item k's valuation of it, 0 if item k's formula does not use it.
+    Errors name the first bad item's first bad variable in (sort, name) order.
+    """
+    out = []
+    for start in range(0, len(items), _BLOCK):
+        block = items[start : start + _BLOCK]
+        seeds: dict[Var, list[int]] = {}
+        for k, (f, valuation) in enumerate(block):
+            for v in _sorted_variables([f]):
+                worlds, index = valuation.worlds(v), frame._index[v.sort]
+                if unknown := worlds - index.keys():
+                    raise ValuationError(
+                        f"valuation of {v.name!r} mentions unknown world {min(unknown)!r}"
+                    )
+                column = seeds.setdefault(v, [0] * len(index))
+                for w in worlds:
+                    column[index[w]] |= 1 << k
+        ev = _Slices(frame, len(block), seeds)
+        for k, (f, _) in enumerate(block):
+            mask = 0
+            for i, s in enumerate(ev(f)):
+                mask |= (s >> k & 1) << i
+            out.append(SortedSubset(f.sort, mask, frame.carrier_size(f.sort)))
+    return out
+
+
 def truth_set(model: Model, f: Formula) -> SortedSubset:
     """All worlds of sort(f) where the formula holds."""
-    frame = model.frame
-    var_slices = {}
-    for v in _sorted_variables([f]):
-        mask = model.var_mask(v)
-        var_slices[v] = [mask >> i & 1 for i in range(frame.carrier_size(v.sort))]
-    mask = 0
-    for i, bit in enumerate(_Slices(frame, 1, var_slices)(f)):
-        mask |= bit << i
-    return SortedSubset(f.sort, mask, frame.carrier_size(f.sort))
+    return _truth_sets(model.frame, [(f, model.valuation)])[0]
 
 
 def satisfies(model: Model, world: str, f: Formula) -> bool:

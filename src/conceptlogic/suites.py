@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import random
 
-from .context import FormalContext, complement_context
-from .lattices import ConceptKind, VerificationReport
+from .context import FormalContext, complement_context, iter_bits
+from .lattices import ConceptKind, LawCheck, VerificationReport
 from .logical import generate_pair, verify_isomorphisms, verify_quotient_lattice
-from .semantics import (
-    DEFAULT_BUDGET,
-    Model,
-    Valuation,
-    context_to_frame,
-    truth_set,
-)
+from .parser import print_formula
+from .semantics import DEFAULT_BUDGET, Valuation, _truth_sets, context_to_frame
 from .syntax import (
     KF,
     SORT1,
@@ -106,30 +101,37 @@ _TRANSLATION_DEPTH = 4
 def suite_translation(ctx: FormalContext, seed: int) -> VerificationReport:
     """Pointwise agreement of window formulas with their translated images.
 
-    Samples random window-dialect formulas and valuations on the context's
-    frame and checks that each truth set equals the truth set of the
-    translation on the complemented frame, so they agree world by world.
+    Draws each random window-dialect formula, then a valuation on the
+    context's frame; decides all samples in one batch on the frame and all
+    translations in one batch on the complemented frame.  A failure names
+    the first disagreeing sample and the worlds where its truth sets differ.
     """
     rng = random.Random(seed)
     frame = context_to_frame(ctx)
     cframe = context_to_frame(complement_context(ctx))
-    report = VerificationReport("translation semantics")
-    violations = 0
+    samples = []
     for _ in range(_TRANSLATION_SAMPLES):
         sort = rng.choice([SORT1, SORT2])
         f = random_formula(rng, sort, _TRANSLATION_DEPTH, KF, n_vars=3)
-        val = random_valuation(rng, frame, variables(f))
-        if truth_set(Model(frame, val), f) != truth_set(
-            Model(cframe, val), translate_rho(f)
-        ):
-            violations += 1
-    report.add(
-        "pointwise agreement",
-        violations == 0,
-        f"{_TRANSLATION_SAMPLES - violations}/{_TRANSLATION_SAMPLES} sampled formulas "
-        "agree on every world",
-    )
-    return report
+        samples.append((f, random_valuation(rng, frame, variables(f))))
+    left = _truth_sets(frame, samples)
+    right = _truth_sets(cframe, [(translate_rho(f), val) for f, val in samples])
+    bad = [k for k, (a, b) in enumerate(zip(left, right)) if a != b]
+    detail = f"{len(samples) - len(bad)}/{len(samples)} sampled formulas agree on every world"
+    if bad:
+        k = bad[0]
+        f, val = samples[k]
+        assigned = "; ".join(
+            f"v({v.name})={{{','.join(w for w in frame.carrier(v.sort) if w in val.worlds(v))}}}"
+            for v in sorted(variables(f), key=lambda v: (v.sort, v.name))
+        )
+        differ = [frame.carrier(f.sort)[i] for i in iter_bits(left[k].bits ^ right[k].bits)]
+        detail += (
+            f"; first disagreement: sample {k}, sort {f.sort}, {print_formula(f)}, "
+            f"{assigned or 'empty valuation'}, differs at {','.join(differ)}"
+        )
+    check = LawCheck("pointwise agreement", not bad, detail)
+    return VerificationReport("translation semantics", [check])
 
 
 _SEEDS = (

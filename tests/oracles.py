@@ -11,8 +11,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from conceptlogic import FormalContext
+from conceptlogic import FormalContext, SortedSubset
 from conceptlogic.errors import FormulaSyntaxError
+from conceptlogic.lattices import ConceptKind, SemanticConcept
 from conceptlogic.parser import MODAL_TOKENS, SORT_DIGITS
 from conceptlogic.semantics import Countermodel
 from conceptlogic.syntax import (
@@ -105,6 +106,25 @@ def object_concepts(ctx: FormalContext) -> set[tuple[frozenset, frozenset]]:
         if op_poss_inv(ctx, B) == A:
             found.add((frozenset(A), frozenset(B)))
     return found
+
+
+def enumerate_concepts_bruteforce(ctx: FormalContext, kind: ConceptKind) -> list[SemanticConcept]:
+    """The kind's concepts as ``enumerate_concepts`` lists them: found by the
+    subset scans above and sorted by the tuple of their extent's indices."""
+    scan = {
+        ConceptKind.FC: formal_concepts,
+        ConceptKind.PC: property_concepts,
+        ConceptKind.OC: object_concepts,
+    }[kind]
+    concepts = [
+        SemanticConcept(
+            SortedSubset.from_names(SORT1, extent, ctx.objects),
+            SortedSubset.from_names(SORT2, intent, ctx.attributes),
+            kind,
+        )
+        for extent, intent in scan(ctx)
+    ]
+    return sorted(concepts, key=lambda c: c.extent.indices())
 
 
 def random_context(rng: random.Random, max_objects: int = 6, max_attributes: int = 6,

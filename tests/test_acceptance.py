@@ -20,7 +20,6 @@ from conceptlogic.formats import parse_csv, parse_cxt, serialize_csv, serialize_
 from conceptlogic.lattices import (
     ConceptKind,
     enumerate_concepts,
-    enumerate_concepts_bruteforce,
     verify_yao_isomorphisms,
 )
 from conceptlogic.proofs import (
@@ -65,7 +64,7 @@ from conceptlogic.syntax import (
     wbox_inv,
 )
 
-from oracles import random_context
+from oracles import enumerate_concepts_bruteforce, random_context
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"

@@ -13,14 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptlogic import FormalContext, cli, lattices
+from conceptlogic import FormalContext, cli, lattices, suites
 from conceptlogic.cli import _check_line, run_cli
 from conceptlogic.formats import load_context, serialize_cxt
 from conceptlogic.lattices import ConceptKind, LawCheck
 from conceptlogic.parser import parse_formula, print_formula
 from conceptlogic.semantics import context_to_frame
 from conceptlogic.suites import random_valuation
-from conceptlogic.syntax import And, Imp, Neg, dia, dia_inv, var1, wbox, wbox_inv
+from conceptlogic.syntax import (
+    SORT1,
+    And,
+    Imp,
+    Neg,
+    dia,
+    dia_inv,
+    translate_rho,
+    var1,
+    wbox,
+    wbox_inv,
+)
 
 from oracles import random_context
 
@@ -58,6 +69,19 @@ class TestGoldenTranscripts:
         )
         assert done.stdout == (GOLDEN / f"{case['name']}.txt").read_bytes()
         assert done.returncode == case["exit"]
+
+    @pytest.mark.parametrize("name", ["verify-all-seed7-k0", "eval-dia-p-k0"])
+    def test_byte_exact_under_two_hash_seeds(self, name):
+        # variable sets seed the evaluator's slices; set order must not show
+        (case,) = [c for c in MANIFEST if c["name"] == name]
+        for hash_seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-m", "conceptlogic.cli", *case["args"]],
+                cwd=ROOT, capture_output=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed),
+            )
+            assert done.stdout == (GOLDEN / f"{name}.txt").read_bytes(), hash_seed
+            assert done.returncode == case["exit"]
 
     @pytest.mark.parametrize("case", MANIFEST[-2:], ids=["yao", "all-seed7"])
     def test_deterministic_across_runs(self, case):
@@ -597,6 +621,31 @@ class TestVerifySuites:
         )
         assert code == 0, out
         assert "fail" not in out
+
+    @pytest.mark.parametrize(
+        "rho, line",
+        [
+            (
+                lambda f: f,
+                "translation pointwise agreement: fail (81/100 sampled formulas agree on "
+                "every world; first disagreement: sample 0, sort s2, boxm (r -> r), "
+                "v(r)={g1}, differs at m1)",
+            ),
+            (
+                lambda f: Neg(Neg(translate_rho(f))) if f.sort == SORT1 else Neg(translate_rho(f)),
+                "translation pointwise agreement: fail (48/100 sampled formulas agree on "
+                "every world; first disagreement: sample 0, sort s2, boxm (r -> r), "
+                "v(r)={g1}, differs at m1,m2)",
+            ),
+        ],
+        ids=["identity", "negated-on-sort-2"],
+    )
+    def test_failed_translation_names_its_witness(self, monkeypatch, rho, line):
+        # boxm (r -> r) holds at m1 alone on K; ~K relates m1 to no object
+        monkeypatch.setattr(suites, "translate_rho", rho)
+        code, out, _ = invoke(["verify", "--suite", "translation", "--seed", "7", K0])
+        assert code == 1
+        assert out == line + "\n"
 
     def test_failed_iso_law_names_its_witnesses(self, monkeypatch):
         # with f (clause b) the identity the images stay property-oriented,

@@ -6,10 +6,14 @@ failing valuation in product order, then the first failing world.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptlogic import FormalContext, semantics
+from conceptlogic.errors import ValuationError
 from conceptlogic.semantics import (
     _BLOCK,
     Countermodel,
@@ -39,6 +43,7 @@ from conceptlogic.syntax import (
     Or,
     Top,
     Var,
+    substitute,
     variables,
 )
 
@@ -242,3 +247,50 @@ def test_multi_check_scan_against_oracle(seed, monkeypatch):
     universe = set().union(*(variables(f) for f in formulas))
     got = FrameEvaluator(frame, universe).scan([as_check(pair) for pair in pairs])
     assert got == oracles.scan(frame, pairs)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 24),
+    block=st.sampled_from([1, 2, 3, 7, _BLOCK]),
+)
+def test_batched_truth_sets_equal_one_by_one_and_oracle(seed, n, block):
+    """Items of mixed sorts, over variable sets that are disjoint (another
+    name suffix) or overlap, with repeated formulas; a small ``_BLOCK``
+    splits the batch mid-way."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        frame = context_to_frame(oracles.random_context(rng, 3, 3))
+    else:
+        frame = random_independent_frame(rng)
+    drawn, items = [], []
+    for _ in range(n):
+        if drawn and rng.random() < 0.3:
+            f = rng.choice(drawn)
+        else:
+            f = random_formula(rng, rng.choice([SORT1, SORT2]), 3, n_vars=3)
+            suffix = rng.choice(["", "a", "b"])
+            f = substitute(f, {v: Var(v.name + suffix, v.sort) for v in variables(f)})
+            drawn.append(f)
+        val = {v: {w for w in frame.carrier(v.sort) if rng.random() < 0.5} for v in variables(f)}
+        items.append((f, val))
+    with mock.patch.object(semantics, "_BLOCK", block):
+        got = semantics._truth_sets(frame, [(f, Valuation(val)) for f, val in items])
+    assert len(got) == n
+    for (f, val), ts in zip(items, got):
+        assert ts == truth_set(Model(frame, Valuation(val)), f)
+        assert set(ts.members(frame.carrier(f.sort))) == oracles.extension(frame, val, f)
+
+
+def test_batch_reports_the_first_bad_item():
+    frame = context_to_frame(oracles.k0())
+    p, q = Var("p", SORT1), Var("q", SORT1)
+    items = [
+        (p, Valuation({p: {"g1"}})),
+        (And(p, q), Valuation({p: {"g2"}})),
+        (q, Valuation({q: {"nowhere"}})),
+    ]
+    with mock.patch.object(semantics, "_BLOCK", 2):
+        with pytest.raises(ValuationError, match=r"^variable 'q' of sort s1 is unassigned$"):
+            semantics._truth_sets(frame, items)

@@ -163,6 +163,24 @@ class TestTruthSets:
             truth_set(model, P)
         assert "p" in str(exc.value)
 
+    def test_unknown_world_names_the_least(self):
+        frame = context_to_frame(k0())
+        model = Model(frame, Valuation({P: {"g1", "zz", "ab"}}))
+        with pytest.raises(ValuationError, match=r"^valuation of 'p' mentions unknown world 'ab'$"):
+            truth_set(model, P)
+
+    def test_first_bad_variable_in_sort_then_name_order(self):
+        # 'a' sorts before 'p' by name, but p's sort comes first
+        a2, q1 = var2("a"), var1("q")
+        f = And(q1, And(wbox_inv(a2), P))
+        frame = context_to_frame(k0())
+        model = Model(frame, Valuation({P: {"nowhere"}}))
+        with pytest.raises(ValuationError, match=r"^valuation of 'p' mentions unknown world"):
+            truth_set(model, f)
+        model = Model(frame, Valuation({P: {"g1"}}))
+        with pytest.raises(ValuationError, match=r"^variable 'q' of sort s1 is unassigned$"):
+            truth_set(model, f)
+
     def test_satisfies(self):
         _, model = model_k0()
         assert satisfies(model, "m1", dia(P))
