@@ -11,13 +11,17 @@ The meet/join representatives combine the side that ``lattices._MEET_JOIN``
 names for the masks, conjoining where it intersects and disjoining where it
 unites, and derive the other side by the kind's modality.  The kind
 modalities are those of ``lattices._OPERATORS``, and transforms follow the
-Yao clauses of ``lattices._YAO``.  Equivalence checks always name their
-frame explicitly; nothing here assumes a single ambient context.
+Yao clauses of ``lattices._YAO``: the correspondence laws are one campaign
+per row, read off its source and target kinds, its frame and its flips.
+Equivalence checks always name their frame explicitly; nothing here assumes
+a single ambient context.  A campaign lists its checks first and decides
+each distinct one once, in one scan per frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .context import FormalContext, OperatorKind, complement_context
@@ -129,9 +133,9 @@ def member_pair(
 def generate_pair(seed: Formula, kind: ConceptKind) -> LogicalConceptPair:
     """The concept pair generated by a sort-1 seed via the class's adjunction.
 
-    The result passes ``member_pair`` on every context frame: the composite
-    of the class's forward and backward modalities is idempotent around the
-    forward image for any relation.
+    The result passes ``member_pair`` on every context frame: for any
+    relation, forward after backward after forward equals forward, so the
+    forward image is fixed by forward after backward.
     """
     if seed.sort != SORT1:
         raise SortMismatchError(SORT1, seed.sort, "generate_pair seed")
@@ -139,13 +143,16 @@ def generate_pair(seed: Formula, kind: ConceptKind) -> LogicalConceptPair:
     return _completed(kind, "intent", forward(seed))
 
 
-def _image(pair: LogicalConceptPair, clause: str) -> LogicalConceptPair:
+def _image(
+    pair: LogicalConceptPair, clause: str, rho: dict[Formula, Formula] | None = None
+) -> LogicalConceptPair:
     """A pair's image under a Yao clause: translated onto the complemented
-    context when the target lies there, then negated on each flipped side."""
+    context when the target lies there, with ``rho`` as the translation memo,
+    then negated on each flipped side."""
     _, target, complemented, (flip_extent, flip_intent) = _YAO[clause]
     ext, intent = pair.extent, pair.intent
     if complemented:
-        ext, intent = translate_rho(ext), translate_rho(intent)
+        ext, intent = translate_rho(ext, rho), translate_rho(intent, rho)
     return LogicalConceptPair(
         Neg(ext) if flip_extent else ext, Neg(intent) if flip_intent else intent, target
     )
@@ -158,15 +165,13 @@ def transform_pair(
     target_frame: SortedFrame | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> LogicalConceptPair:
-    """Map a pair across the Yao clause ``"a"``, ``"b"`` or ``"c"`` of
-    ``lattices._YAO``.
+    """Map a pair of a clause's source kind across that row of
+    ``lattices._YAO`` to its target kind.
 
     Negation swaps the property/object orientation; the window-to-diamond
-    translation moves formal pairs onto the complemented context.  Clause a
-    maps FC(K) to PC(Kc), clause c FC(K) to OC(Kc), and clause b
-    (componentwise negation) PC(K) to OC(K), on the same context.  When
-    frames are supplied, source membership and target membership are
-    verified.
+    translation moves formal pairs onto the complemented context, where the
+    row's target concepts lie.  When frames are supplied, source membership
+    and target membership are verified.
     """
     source = _YAO[clause][0]
     if pair.kind != source:
@@ -244,7 +249,9 @@ class _Campaign:
 
     ``member`` and ``equivalent`` list the checks behind one verdict and
     return it; its value can be read once ``run`` has scanned the valuations
-    of the pairs' variables.
+    of the pairs' variables.  Each distinct (f, g) is listed once and every
+    verdict reads the shared result; ``f is g`` holds without a scan, since
+    equal formulas are one node.
     """
 
     def __init__(
@@ -254,32 +261,37 @@ class _Campaign:
         for p in pairs:
             universe |= variables(p.extent) | variables(p.intent)
         self.scanner = FrameEvaluator(frame, universe, budget)
-        self.checks: list[Check] = []
-        self.failed: list[bool] = []
+        self.checks: dict[tuple[Formula, Formula], Check] = {}
+        self.failed: dict[tuple[Formula, Formula], bool] = {}
 
-    def _add(self, f: Formula, g: Formula) -> int:
-        self.checks.append(equivalence_check(f, g))
-        return len(self.checks) - 1
+    def _add(self, f: Formula, g: Formula) -> tuple[Formula, Formula]:
+        if f is not g and (f, g) not in self.checks:
+            self.checks[f, g] = equivalence_check(f, g)
+        return f, g
+
+    def _fails(self, key: tuple[Formula, Formula]) -> bool:
+        return key[0] is not key[1] and self.failed[key]
 
     def member(self, pair: LogicalConceptPair) -> Pending:
-        ids = [self._add(f, g) for f, g in _pair_conditions(pair)]
-        return lambda: not any(self.failed[i] for i in ids)
+        keys = [self._add(f, g) for f, g in _pair_conditions(pair)]
+        return lambda: not any(self._fails(k) for k in keys)
 
     def equivalent(self, a: LogicalConceptPair, b: LogicalConceptPair) -> Pending:
         by_extent = self._add(a.extent, b.extent)
         by_intent = self._add(a.intent, b.intent)
 
         def verdict() -> bool:
-            if self.failed[by_extent] != self.failed[by_intent]:
+            if self._fails(by_extent) != self._fails(by_intent):
                 raise InternalConsistencyError(
                     "extent and intent equivalence disagree; a pair is outside its class"
                 )
-            return not self.failed[by_extent]
+            return not self._fails(by_extent)
 
         return verdict
 
     def run(self) -> None:
-        self.failed = [c is not None for c in self.scanner.scan(self.checks)]
+        found = self.scanner.scan(list(self.checks.values()))
+        self.failed = {key: c is not None for key, c in zip(self.checks, found)}
 
 
 def _add_laws(report: VerificationReport, laws: Sequence[Law]) -> None:
@@ -385,89 +397,76 @@ def verify_quotient_lattice(
 
 
 def verify_isomorphisms(
-    pairs_fc: Sequence[LogicalConceptPair],
-    ctx: FormalContext,
-    budget: int = DEFAULT_BUDGET,
+    seeds: Sequence[Formula], ctx: FormalContext, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
-    """Verify the quotient-level correspondences on a generated family.
+    """Verify each Yao clause of ``lattices._YAO`` on the families the seeds
+    generate, as a correspondence of quotient lattices.
 
-    The translation-plus-negation map sends formal pairs of the context to
-    property-oriented pairs of the complement and is checked to be
-    equivalence-reflecting (hence injective on classes) and a meet/join
-    homomorphism; componentwise negation maps property-oriented pairs of the
-    complement to object-oriented pairs of the same complement, swapping
-    meets with joins; their composite therefore inverts the formal lattice
-    onto the object-oriented one.  All equivalences name their frame: the
-    original frame for formal pairs, the complemented frame for images.
+    Each clause is one campaign, read off its row: the sort-1 seeds generate
+    the source family on the context, and the family and its images must lie
+    in their kinds, the images on the complemented frame where the row says
+    so.  The image map must preserve and reflect equivalence (so it is
+    injective on classes) and preserve meets and joins, or swap them where
+    the row complements extents and so reverses the order.  The other laws
+    of a clause whose family or images leave their kinds are moot and are
+    not read.  One translation memo serves every image.
     """
     report = VerificationReport("quotient lattice correspondences")
-    if any(p.kind is not ConceptKind.FC for p in pairs_fc):
-        report.add("input kinds", False, "expected formal-concept pairs")
-        return report
-    on_k = _Campaign(context_to_frame(ctx), pairs_fc, budget)
-    on_kc = _Campaign(context_to_frame(complement_context(ctx)), pairs_fc, budget)
-    members = [on_k.member(p) for p in pairs_fc]
-    h_im = [_image(p, "a") for p in pairs_fc]
-    f_im = [_image(p, "b") for p in h_im]
-    n = len(pairs_fc)
-
-    h_into = [(f"h({i}) is not in PC", on_kc.member(p)) for i, p in enumerate(h_im)]
-    f_into = [(f"f(h({i})) is not in OC", on_kc.member(p)) for i, p in enumerate(f_im)]
-
-    injective = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    rows = [
+        (clause, row, [generate_pair(s, row[0]) for s in seeds]) for clause, row in _YAO.items()
+    ]
+    # every family has the seeds' variables
+    on = [
+        _Campaign(context_to_frame(c), rows[0][2], budget) for c in (ctx, complement_context(ctx))
+    ]
+    rho: dict[Formula, Formula] = {}
+    campaigns = []
+    for clause, (source, target, complemented, (flip_extent, _)), pairs in rows:
+        on_target = on[complemented]
+        images = [_image(p, clause, rho) for p in pairs]
+        where = " of complement" if complemented else ""
+        members = [
+            (f"pair {i} is not in {source.name}", on[0].member(p)) for i, p in enumerate(pairs)
+        ]
+        members += [
+            (f"image of {i} is not in {target.name}{where}", on_target.member(p))
+            for i, p in enumerate(images)
+        ]
+        kept = []
+        for i, j in combinations(range(len(pairs)), 2):
             verdicts = (
-                on_k.equivalent(pairs_fc[i], pairs_fc[j]),
-                on_kc.equivalent(h_im[i], h_im[j]),
-                on_kc.equivalent(f_im[i], f_im[j]),
+                on[0].equivalent(pairs[i], pairs[j]),
+                on_target.equivalent(images[i], images[j]),
             )
-            injective.append(
-                (
-                    f"equivalence of ({i},{j}) not kept by h and f",
-                    lambda vs=verdicts: len({v() for v in vs}) == 1,
-                )
+            kept.append(
+                (f"equivalence of ({i},{j}) not kept", lambda vs=verdicts: vs[0]() == vs[1]())
             )
+        homomorphism = []
+        for i, a in enumerate(pairs):
+            for j, b in enumerate(pairs):
+                for name, op, dual_name, dual in _OPS:
+                    to_name, to_op = (dual_name, dual) if flip_extent else (name, op)
+                    homomorphism.append(
+                        (
+                            f"{clause}({name}({i},{j})) != {to_name}({clause}({i}),{clause}({j}))",
+                            on_target.equivalent(
+                                _image(op(a, b), clause, rho), to_op(images[i], images[j])
+                            ),
+                        )
+                    )
+        verb = "swaps meets with joins" if flip_extent else "preserves meets and joins"
+        campaigns.append(
+            [
+                (f"{clause} maps {source.name} into {target.name}{where}", members),
+                (f"{clause} preserves and reflects equivalence", kept),
+                (f"{clause} {verb}", homomorphism),
+            ]
+        )
 
-    h_hom, f_swap, composite = [], [], []
-    for i in range(n):
-        for j in range(n):
-            a, b = pairs_fc[i], pairs_fc[j]
-            for name, op, dual_name, dual in _OPS:
-                h_hom.append(
-                    (
-                        f"h({name}({i},{j})) != {name}(h({i}),h({j}))",
-                        on_kc.equivalent(_image(op(a, b), "a"), op(h_im[i], h_im[j])),
-                    )
-                )
-                f_swap.append(
-                    (
-                        f"f({name}(h({i}),h({j}))) != {dual_name}(f(h({i})),f(h({j})))",
-                        on_kc.equivalent(_image(op(h_im[i], h_im[j]), "b"), dual(f_im[i], f_im[j])),
-                    )
-                )
-                composite.append(
-                    (
-                        f"f(h({name}({i},{j}))) != {dual_name}(f(h({i})),f(h({j})))",
-                        on_kc.equivalent(_image(_image(op(a, b), "a"), "b"), dual(f_im[i], f_im[j])),
-                    )
-                )
-
-    on_k.run()
-    for i, member in enumerate(members):
-        if not member():
-            report.add("membership", False, f"input pair {i} not in FC on the context")
-            return report
-    on_kc.run()
-    _add_laws(
-        report,
-        [
-            ("h into PC of complement", h_into),
-            ("f into OC of complement", f_into),
-            ("equivalence preserved and reflected (injectivity)", injective),
-            ("h preserves meets and joins", h_hom),
-            ("f swaps meets with joins", f_swap),
-            ("composite inverts the lattice", composite),
-        ],
-    )
+    for scan in on:
+        scan.run()
+    for membership, *laws in campaigns:
+        _add_laws(report, [membership])
+        if report.checks[-1].passed:
+            _add_laws(report, laws)
     return report

@@ -445,12 +445,6 @@ class FrameEvaluator:
             index >>= len(carrier)
         return Countermodel(tuple(reversed(assignments)), self.frame.carrier(sort)[world])
 
-    def valid(self, f: Formula) -> bool:
-        return self.scan([validity_check(f)])[0] is None
-
-    def equivalent(self, f: Formula, g: Formula) -> bool:
-        return self.scan([equivalence_check(f, g)])[0] is None
-
 
 def _one_check(
     frame: SortedFrame, formulas: Sequence[Formula], budget: int, check: Check

@@ -143,20 +143,19 @@ _SEEDS = (
 )
 
 
-def seed_pairs(kind: ConceptKind):
-    return [generate_pair(s, kind) for s in _SEEDS]
-
-
 def suite_lattice(
     ctx: FormalContext, budget: int = DEFAULT_BUDGET
 ) -> dict[ConceptKind, VerificationReport]:
     """The quotient lattice laws of each kind on the seed family, PC first."""
     frame = context_to_frame(ctx)
     return {
-        kind: verify_quotient_lattice(seed_pairs(kind), kind, frame, budget)
+        kind: verify_quotient_lattice(
+            [generate_pair(s, kind) for s in _SEEDS], kind, frame, budget
+        )
         for kind in (ConceptKind.PC, ConceptKind.OC, ConceptKind.FC)
     }
 
 
 def suite_iso(ctx: FormalContext, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    return verify_isomorphisms(seed_pairs(ConceptKind.FC), ctx, budget)
+    """Each Yao clause on the families the seeds generate."""
+    return verify_isomorphisms(_SEEDS, ctx, budget)

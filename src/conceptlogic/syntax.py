@@ -424,14 +424,16 @@ def _expand(f: Formula) -> Formula:
 _RHO_IMAGE = {WBOX.name: DIA, WBOX_INV.name: DIA_INV}
 
 
-def translate_rho(f: Formula) -> Formula:
+def translate_rho(f: Formula, images: dict[Formula, Formula] | None = None) -> Formula:
     """Translate a window-dialect formula into the diamond dialect.
 
     Variables and Boolean connectives are unchanged; the window box over
     s1 becomes box-not, and its converse becomes inverse-box-not.  The
-    result has the same sort as the input.
+    result has the same sort as the input.  A caller's ``images`` dict is
+    filled as the memo, so formulas translated with one dict translate each
+    shared subformula once.
     """
-    images: dict[Formula, Formula] = {}
+    images = {} if images is None else images
 
     def image(g: Formula) -> Formula:
         if not isinstance(g, _Modal):

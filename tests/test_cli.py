@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptlogic import FormalContext, cli, lattices, suites
+from conceptlogic import FormalContext, cli, lattices, logical, suites
 from conceptlogic.cli import _check_line, run_cli
 from conceptlogic.formats import load_context, serialize_cxt
 from conceptlogic.lattices import ConceptKind, LawCheck
@@ -647,18 +648,58 @@ class TestVerifySuites:
         assert code == 1
         assert out == line + "\n"
 
-    def test_failed_iso_law_names_its_witnesses(self, monkeypatch):
-        # with f (clause b) the identity the images stay property-oriented,
-        # so f cannot swap meets with joins
-        identity = (ConceptKind.PC, ConceptKind.PC, False, (False, False))
-        monkeypatch.setitem(lattices._YAO, "b", identity)
-        code, out, _ = invoke(["verify", "--suite", "iso", str(DATA / "k0.cxt")])
+    def test_clause_leaving_its_kind_fails_its_membership(self, monkeypatch):
+        # without its negations clause b keeps property-oriented pairs, which
+        # are not object-oriented; the clause's other laws are moot
+        unflipped = (ConceptKind.PC, ConceptKind.OC, False, (False, False))
+        monkeypatch.setitem(lattices._YAO, "b", unflipped)
+        code, out, _ = invoke(["verify", "--suite", "iso", K0])
         assert code == 1
-        assert (
-            "  f swaps meets with joins: fail (f(meet(h(0),h(1))) != "
-            "join(f(h(0)),f(h(1)));"
-        ) in out
-        assert "()" not in out
+        assert out == (
+            "iso: fail\n"
+            "  b maps PC into OC: fail (image of 0 is not in OC; "
+            "image of 1 is not in OC; image of 2 is not in OC)\n"
+        )
+
+    @pytest.mark.parametrize("suite", ["lattice", "iso"])
+    @pytest.mark.parametrize("context", ["3x2", "2x3", "k0"])
+    @pytest.mark.parametrize("kind", [ConceptKind.PC, ConceptKind.OC], ids=["pc", "oc"])
+    def test_join_conjoining_the_kernel_side_fails_with_witnesses(
+        self, monkeypatch, tmp_path, kind, context, suite
+    ):
+        # the union-closed side of PC intents and OC extents is not closed
+        # under conjunction, most plainly on the contexts of
+        # test_*_not_conjunction in test_logical
+        contexts = {
+            "3x2": (("g1", "g2", "g3"), ("m1", "m2"),
+                    [("g1", "m1"), ("g2", "m1"), ("g2", "m2"), ("g3", "m2")]),
+            "2x3": (("g1", "g2"), ("m1", "m2", "m3"),
+                    [("g1", "m1"), ("g1", "m2"), ("g2", "m2"), ("g2", "m3")]),
+        }
+        path = K0
+        if context in contexts:
+            path = tmp_path / f"{context}.cxt"
+            path.write_text(serialize_cxt(FormalContext.from_pairs(*contexts[context])))
+        meet, (side, _) = logical._MEET_JOIN[kind]
+        monkeypatch.setattr(
+            logical, "_MEET_JOIN", {**logical._MEET_JOIN, kind: (meet, (side, True))}
+        )
+        code, out, _ = invoke(["verify", "--suite", suite, str(path)])
+        assert code == 1
+        heading = f"lattice {kind.value}" if suite == "lattice" else "iso"
+        assert f"{heading}: fail\n" in out
+        failures = [line for line in out.splitlines() if line.startswith("  ")]
+        assert failures
+        for line in failures:
+            assert re.fullmatch(r"  [^:]+: fail \(.*\d.*\)", line), line
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in DATA.iterdir() if p.suffix in (".cxt", ".csv"))
+    )
+    def test_every_suite_passes_on_every_fixture(self, name):
+        code, out, _ = invoke(["verify", "--suite", "all", "--seed", "7", str(DATA / name)])
+        assert code == 0, out
+        assert "fail" not in out
 
     def test_failed_yao_clause_names_its_witness(self, monkeypatch):
         # against K itself, the complement-flipping clauses find no image

@@ -125,9 +125,9 @@ def assert_agrees(rng, frame):
 
     f2, g = draw(rng, frame, [sort, sort], 2)
     ev = FrameEvaluator(frame, variables(f2) | variables(g) | {Var("extra", sorts[0])})
-    assert ev.valid(f2) == (oracles.falsify(frame, f2) is None)
-    assert ev.equivalent(f2, g) == oracles.equivalent(frame, f2, g)
-    assert ev.equivalent(f2, f2)
+    assert (ev.scan([validity_check(f2)])[0] is None) == (oracles.falsify(frame, f2) is None)
+    assert (ev.scan([equivalence_check(f2, g)])[0] is None) == oracles.equivalent(frame, f2, g)
+    assert ev.scan([equivalence_check(f2, f2)])[0] is None
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -172,8 +172,8 @@ def test_countermodel_in_a_later_block():
     assert global_consequence(frame, [Imp(p, Neg(has_attr))], f)
     assert not global_consequence(frame, [Dia(FULL.modality("dia"), r)], f)
     ev = FrameEvaluator(frame, [p, q, r, x])
-    assert not ev.valid(f)
-    assert ev.valid(Imp(And(p, has_attr), Or(Neg(noise), Neg(f))))
+    assert ev.scan([validity_check(f)])[0] is not None
+    assert ev.scan([validity_check(Imp(And(p, has_attr), Or(Neg(noise), Neg(f))))])[0] is None
 
 
 def as_check(pair):

@@ -471,22 +471,21 @@ class TestVerifyQuotientLattice:
 
 class TestVerifyIsomorphisms:
     def test_k0(self):
-        report = verify_isomorphisms(seed_family(ConceptKind.FC), k0())
+        report = verify_isomorphisms(SEEDS, k0())
         assert report.passed, report.failures()
 
     def test_identity_seeds_trivial(self):
-        report = verify_isomorphisms(
-            [generate_pair(P, ConceptKind.FC), generate_pair(P, ConceptKind.FC)], k0()
-        )
+        report = verify_isomorphisms([P, P], k0())
         assert report.passed
 
     def test_randomized_contexts(self):
         rng = random.Random(103)
         for _ in range(5):
             ctx = oracles.random_context(rng, 4, 4)
-            report = verify_isomorphisms(seed_family(ConceptKind.FC), ctx)
+            report = verify_isomorphisms(SEEDS, ctx)
             assert report.passed, (ctx, report.failures())
 
     def test_rejects_wrong_kind(self):
-        report = verify_isomorphisms([generate_pair(P, ConceptKind.PC)], k0())
-        assert not report.passed
+        # the seeds generate the families, so a seed must be of sort 1
+        with pytest.raises(SortMismatchError):
+            verify_isomorphisms([var2("x")], k0())

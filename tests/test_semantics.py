@@ -23,12 +23,14 @@ from conceptlogic.semantics import (
     complement_frame,
     consequence_countermodel,
     context_to_frame,
+    equivalence_check,
     falsify,
     frame_to_context,
     frame_valid,
     local_consequence,
     satisfies,
     truth_set,
+    validity_check,
 )
 from conceptlogic.syntax import (
     KF,
@@ -387,15 +389,15 @@ class TestFrameEvaluator:
                     if v.sort == SORT2:
                         sub[v] = Var("x", SORT2)
                 f = substitute(f, sub) if sub else f
-                assert ev.valid(f) == frame_valid(frame, f)
+                assert (ev.scan([validity_check(f)])[0] is None) == frame_valid(frame, f)
 
     def test_equivalence(self):
         frame = context_to_frame(k0())
         ev = FrameEvaluator(frame, [P])
         f = parse_formula("box- dia (box- dia p)", SORT1)
         g = parse_formula("box- dia p", SORT1)
-        assert ev.equivalent(f, g)
-        assert not ev.equivalent(P, g)
+        assert ev.scan([equivalence_check(f, g)])[0] is None
+        assert ev.scan([equivalence_check(P, g)])[0] is not None
 
     def test_budget(self):
         ctx = FormalContext(tuple(f"g{i}" for i in range(6)), ("m1",), (0,) * 6)
