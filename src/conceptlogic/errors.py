@@ -60,24 +60,22 @@ class LatticeError(ConceptLogicError):
     """A concept set does not carry the expected lattice structure."""
 
 
-class ProofScriptError(ConceptLogicError):
+class _LineError(ConceptLogicError):
+    """An error in an input document, prefixed with its line when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class ProofScriptError(_LineError):
     """Malformed proof script file."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class CxtFormatError(ConceptLogicError):
+class CxtFormatError(_LineError):
     """Malformed context document (CXT or CSV)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class InternalConsistencyError(ConceptLogicError):

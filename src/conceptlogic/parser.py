@@ -48,6 +48,8 @@ import re
 
 from .errors import FormulaSyntaxError
 from .syntax import (
+    DIA,
+    DIA_INV,
     FULL,
     SORT1,
     SORT2,
@@ -58,20 +60,24 @@ from .syntax import (
     Formula,
     Iff,
     Imp,
+    Modality,
     Neg,
     Or,
     Signature,
     Top,
     Var,
+    WBOX,
+    WBOX_INV,
 )
 
-MODAL_TOKENS: dict[str, tuple[type, str]] = {
-    "dia": (Dia, "dia"),
-    "box": (Box, "dia"),
-    "dia-": (Dia, "dia-"),
-    "box-": (Box, "dia-"),
-    "boxm": (Box, "boxm"),
-    "boxm-": (Box, "boxm-"),
+# each modal word and the node class and modality it builds
+MODAL_TOKENS: dict[str, tuple[type, Modality]] = {
+    "dia": (Dia, DIA),
+    "box": (Box, DIA),
+    "dia-": (Dia, DIA_INV),
+    "box-": (Box, DIA_INV),
+    "boxm": (Box, WBOX),
+    "boxm-": (Box, WBOX_INV),
 }
 
 # sort digits as written in text: ``p:1``, ``var p : 1`` in scripts, ``--sort 1``
@@ -334,12 +340,11 @@ def _parse(
             continue
         elif kind == "mod":
             word = m.group(kind)
-            cls, mod_name = MODAL_TOKENS[word]
-            if not sig.has(mod_name):
+            cls, mod = MODAL_TOKENS[word]
+            if mod not in sig:
                 raise FormulaSyntaxError(
                     f"modality {word!r} is not in the signature", m.start(kind)
                 )
-            mod = sig.modality(mod_name)
             need = root_sort if want is _ROOT else want
             if need is None:
                 root_sort = mod.result_sort
@@ -443,9 +448,8 @@ def print_formula(f: Formula) -> str:
         elif cls in _BINARY_PRINT:
             symbol, level, left, right = _BINARY_PRINT[cls]
             parts = [(g.left, left), symbol, (g.right, right)]
-        else:  # a modality without a modal word shows its class and name
-            word = _MODAL_PRINT.get((cls, g.mod.name)) or f"{cls.__name__}:{g.mod.name} "
-            parts = [word, (g.arg, _PREC_UNARY)]
+        else:
+            parts = [_MODAL_PRINT[cls, g.mod], (g.arg, _PREC_UNARY)]
         if level < required:
             parts = ["(", *parts, ")"]
         stack += reversed(parts)

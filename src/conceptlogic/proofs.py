@@ -28,14 +28,13 @@ from .semantics import (
     SortedFrame,
     _index_bit,
     _Slices,
-    frame_valid,
     global_consequence,
-    local_consequence,
 )
 from .syntax import (
     DIA,
     DIA_INV,
     KF as KF_SIG,
+    MODALITIES,
     RS,
     SORT1,
     SORT2,
@@ -175,8 +174,8 @@ def _dual_scheme(mod: Modality) -> AxiomScheme:
 def system_K() -> ProofSystem:
     """The base system over the diamond dialect ``RS``."""
     schemes = [AxiomScheme("PL", None)]
-    schemes += (_k_scheme(mod) for mod in RS.modalities)
-    schemes += (_dual_scheme(mod) for mod in RS.modalities)
+    schemes += (_k_scheme(mod) for mod in RS)
+    schemes += (_dual_scheme(mod) for mod in RS)
     return ProofSystem("K", RS, tuple(schemes))
 
 
@@ -365,9 +364,9 @@ def _check_ug(
 ) -> Verdict:
     if not 1 <= j.source < index:
         return _reject(index, f"reference {j.source} is not an earlier line")
-    if not system.sig.has(j.modality):
+    mod = MODALITIES.get(j.modality)
+    if mod not in system.sig:
         return _reject(index, f"system {system.id} has no modality {j.modality!r}")
-    mod = system.sig.modality(j.modality)
     if not isinstance(nf, Box) or nf.mod != mod:
         return _reject(index, f"conclusion is not a {j.modality!r}-box formula")
     source = earlier[j.source - 1]
@@ -391,29 +390,20 @@ def soundness_probe(
 ) -> bool:
     """Check the conclusion of an accepted proof semantically on given frames.
 
-    Premise-free proofs must be frame-valid everywhere.  Proofs from
-    premises are checked as local consequences when the premises share the
-    conclusion's sort; with mixed sorts no local reading exists (the
-    premises live in the other carrier), so global consequence is used,
-    which is the notion cross-sort generalization preserves.
+    A derivation from premises is read as global consequence, the notion
+    generalization preserves: every valuation that makes all premises true
+    at every world makes the conclusion true at every world.  With no
+    premises that is frame validity.
     """
     verdict = check_proof(lines, premises, system)
     if not verdict.accepted:
         raise ProofScriptError(f"script rejected: {verdict.reason}", verdict.line)
     conclusion = lines[-1].formula
-    same_sort = all(p.sort == conclusion.sort for p in premises)
     for frame in frames:
         if not frame.bidirectional:
             raise ProofScriptError("soundness probe requires bidirectional frames")
-        if premises and same_sort:
-            if not local_consequence(frame, list(premises), conclusion, budget):
-                return False
-        elif premises:
-            if not global_consequence(frame, list(premises), conclusion, budget):
-                return False
-        else:
-            if not frame_valid(frame, conclusion, budget):
-                return False
+        if not global_consequence(frame, list(premises), conclusion, budget):
+            return False
     return True
 
 
@@ -484,7 +474,10 @@ def parse_proof_script(text: str, default_system: str = "KB2") -> ProofScript:
             if premises or lines:
                 raise ProofScriptError("system header must come first", lineno)
             system_id = stripped.split(":", 1)[1].strip()
-            sig = get_system(system_id).sig
+            try:
+                sig = get_system(system_id).sig
+            except ProofScriptError as exc:
+                raise ProofScriptError(str(exc), lineno) from None
             continue
         if stripped.lower().startswith("var "):
             m = re.match(r"var\s+(\w+)\s*:\s*([12])$", stripped)
@@ -719,6 +712,6 @@ def translate_proof(script: ProofScript) -> ProofScript:
         elif isinstance(j, MPRef):
             j = MPRef(at[j.antecedent], at[j.implication])
         elif isinstance(j, UGRef):
-            j = UGRef(_RHO_IMAGE[j.modality].name, at[j.source])
+            j = UGRef(_RHO_IMAGE[MODALITIES[j.modality]].name, at[j.source])
         at[line.index] = d.emit(translate_rho(line.formula), j)
     return ProofScript("KB2", [translate_rho(p) for p in script.premises], d.lines)

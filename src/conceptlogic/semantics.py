@@ -347,6 +347,12 @@ def _assignment_count(frame: SortedFrame, vs: Sequence[Var]) -> int:
     return count
 
 
+def _describe_valuation(assignments: Iterable[tuple[Var, Iterable[str]]]) -> str:
+    """``v(p)={a,b}; v(q)={}`` for the (variable, worlds) pairs, in order."""
+    parts = [f"v({v.name})={{{','.join(ws)}}}" for v, ws in assignments]
+    return "; ".join(parts) or "empty valuation"
+
+
 @dataclass(frozen=True)
 class Countermodel:
     """A falsifying valuation plus a world, reported on validity failure."""
@@ -355,10 +361,7 @@ class Countermodel:
     world: str
 
     def describe(self) -> str:
-        parts = [
-            f"v({v.name})={{{','.join(ws)}}}" for v, ws in self.assignments
-        ]
-        return f"{'; '.join(parts) or 'empty valuation'} falsifies at world {self.world}"
+        return f"{_describe_valuation(self.assignments)} falsifies at world {self.world}"
 
 
 # A check maps a block evaluator to one slice per world of its sort, marking

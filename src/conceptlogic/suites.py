@@ -13,7 +13,13 @@ from .context import FormalContext, complement_context, iter_bits
 from .lattices import ConceptKind, LawCheck, VerificationReport
 from .logical import generate_pair, verify_isomorphisms, verify_quotient_lattice
 from .parser import print_formula
-from .semantics import DEFAULT_BUDGET, Valuation, _truth_sets, context_to_frame
+from .semantics import (
+    DEFAULT_BUDGET,
+    Valuation,
+    _describe_valuation,
+    _truth_sets,
+    context_to_frame,
+)
 from .syntax import (
     KF,
     SORT1,
@@ -51,7 +57,7 @@ def random_formula(
 ) -> Formula:
     """Random dialect formula; variable names are disjoint per sort."""
     mods = {}
-    for m in sig.modalities:
+    for m in sig:
         forms = mods.setdefault(m.result_sort, [])
         forms += [(Box, m)] if m.window else [(Dia, m), (Box, m)]
     return _random_formula(rng, sort, max_depth, mods, n_vars)
@@ -121,14 +127,14 @@ def suite_translation(ctx: FormalContext, seed: int) -> VerificationReport:
     if bad:
         k = bad[0]
         f, val = samples[k]
-        assigned = "; ".join(
-            f"v({v.name})={{{','.join(w for w in frame.carrier(v.sort) if w in val.worlds(v))}}}"
+        assigned = _describe_valuation(
+            (v, [w for w in frame.carrier(v.sort) if w in val.worlds(v)])
             for v in sorted(variables(f), key=lambda v: (v.sort, v.name))
         )
         differ = [frame.carrier(f.sort)[i] for i in iter_bits(left[k].bits ^ right[k].bits)]
         detail += (
             f"; first disagreement: sample {k}, sort {f.sort}, {print_formula(f)}, "
-            f"{assigned or 'empty valuation'}, differs at {','.join(differ)}"
+            f"{assigned}, differs at {','.join(differ)}"
         )
     check = LawCheck("pointwise agreement", not bad, detail)
     return VerificationReport("translation semantics", [check])

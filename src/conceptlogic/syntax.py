@@ -1,4 +1,4 @@
-"""Two-sorted modal formula ASTs, signatures, and the window-to-diamond translation.
+"""Two-sorted modal formula ASTs, the four modalities, and the window-to-diamond translation.
 
 Formulas are immutable, hash-consed nodes: a constructor returns the live
 node with the same class and children when there is one, so a formula is a
@@ -11,7 +11,10 @@ formulas cannot be constructed.  Boolean connectives join formulas of one
 sort; a modality is unary and takes a formula of its argument sort to one of
 its result sort.  A modality comes in a diamond form (existential) and a box
 form (universal); *window* modalities are box-only and get the sufficiency
-semantics.
+semantics.  There are four modalities, the constants ``DIA`` and its
+converse ``DIA_INV`` of KB, and the window modality ``WBOX`` and its
+converse ``WBOX_INV`` of KF (Gargov, Passy and Tinchev, 1987); a signature
+is an ordered tuple of them (``RS``, ``KF``, ``FULL``).
 
 Every formula traversal (normalization, substitution, translation, variables,
 evaluation, tautologies) runs on one walk, ``_walk``: an explicit stack, so
@@ -21,8 +24,8 @@ visited once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 from weakref import ref
 
 from .context import SORT1, SORT2
@@ -38,9 +41,10 @@ class Modality:
     leaving ``s``, so the converse of a modality is the one of the other
     direction with the same ``window`` flag.
 
-    Modalities are interned like formula nodes: equal fields give the same
-    object, so ``==`` and ``hash`` are identity and a modal node's intern
-    key hashes without a Python-level call.
+    The logics fix the vocabulary: ``DIA``, ``DIA_INV``, ``WBOX`` and
+    ``WBOX_INV`` are the only modalities.  ``==`` and ``hash`` are
+    identity, so a modal node's intern key hashes without a Python-level
+    call.
     """
 
     name: str
@@ -48,56 +52,20 @@ class Modality:
     result_sort: str
     window: bool = False
 
-    # by their fields; a handful per signature, so held strongly
-    _interned: ClassVar[dict[tuple, "Modality"]] = {}
-
-    def __new__(cls, name, arg_sort, result_sort, window=False):
-        # an interned modality goes through ``__init__`` again, with equal fields
-        mod = cls._interned.get((name, arg_sort, result_sort, window))
-        return mod if mod is not None else super().__new__(cls)
-
-    def __post_init__(self) -> None:
-        for s in (self.arg_sort, self.result_sort):
-            if s not in (SORT1, SORT2):
-                raise SignatureError(f"modality {self.name!r} uses unknown sort {s!r}")
-        key = (self.name, self.arg_sort, self.result_sort, self.window)
-        self._interned.setdefault(key, self)
-
-    def __reduce__(self):  # a copy or an unpickled modality is the interned one
-        return Modality, (self.name, self.arg_sort, self.result_sort, self.window)
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Modality declarations; modality names are unique."""
-
-    modalities: tuple[Modality, ...]
-    _by_name: dict[str, Modality] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        names = [m.name for m in self.modalities]
-        if len(set(names)) != len(names):
-            raise SignatureError("modality names must be unique")
-        object.__setattr__(self, "_by_name", {m.name: m for m in self.modalities})
-
-    def modality(self, name: str) -> Modality:
-        mod = self._by_name.get(name)
-        if mod is None:
-            raise SignatureError(f"unknown modality {name!r}")
-        return mod
-
-    def has(self, name: str) -> bool:
-        return name in self._by_name
-
 
 DIA = Modality("dia", SORT1, SORT2)
 DIA_INV = Modality("dia-", SORT2, SORT1)
 WBOX = Modality("boxm", SORT1, SORT2, window=True)
 WBOX_INV = Modality("boxm-", SORT2, SORT1, window=True)
 
-RS = Signature((DIA, DIA_INV))
-KF = Signature((WBOX, WBOX_INV))
-FULL = Signature((DIA, DIA_INV, WBOX, WBOX_INV))
+# A signature is an ordered tuple of modalities: random draws and axiom
+# schemes follow its order.
+Signature = tuple[Modality, ...]
+RS: Signature = (DIA, DIA_INV)
+KF: Signature = (WBOX, WBOX_INV)
+FULL: Signature = RS + KF
+# the modalities by name, as proof records cite them (``ug dia 3``)
+MODALITIES = {m.name: m for m in FULL}
 
 
 class Formula:
@@ -421,7 +389,7 @@ def _expand(f: Formula) -> Formula:
     return _rebuild(f, nf)
 
 
-_RHO_IMAGE = {WBOX.name: DIA, WBOX_INV.name: DIA_INV}
+_RHO_IMAGE = {WBOX: DIA, WBOX_INV: DIA_INV}
 
 
 def translate_rho(f: Formula, images: dict[Formula, Formula] | None = None) -> Formula:
@@ -438,7 +406,7 @@ def translate_rho(f: Formula, images: dict[Formula, Formula] | None = None) -> F
     def image(g: Formula) -> Formula:
         if not isinstance(g, _Modal):
             return _rebuild(g, images)
-        target = _RHO_IMAGE.get(g.mod.name)
+        target = _RHO_IMAGE.get(g.mod)
         if target is None or isinstance(g, Dia):
             raise SignatureError(f"modality {g.mod.name!r} is not in the window dialect")
         return Box(target, Neg(images[g.arg]))

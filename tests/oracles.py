@@ -577,12 +577,11 @@ class _SortSolver:
         return None
 
     def _solve_modal(self, node: _Node, expected: str | None) -> str:
-        _, mod_name = MODAL_TOKENS[node.name]
-        if not self.sig.has(mod_name):
+        _, mod = MODAL_TOKENS[node.name]
+        if mod not in self.sig:
             raise FormulaSyntaxError(
                 f"modality {node.name!r} is not in the signature", node.pos
             )
-        mod = self.sig.modality(mod_name)
         if expected is not None and expected != mod.result_sort:
             raise FormulaSyntaxError(
                 f"{node.name!r} yields sort {mod.result_sort}, "
@@ -628,8 +627,7 @@ def _build_ast(node: _Node, sort: str, sig: Signature, table: dict[str, str]) ->
     if node.kind == "neg":
         return Neg(_build_ast(node.children[0], sort, sig, table))
     if node.kind == "modal":
-        cls, mod_name = MODAL_TOKENS[node.name]
-        mod = sig.modality(mod_name)
+        cls, mod = MODAL_TOKENS[node.name]
         arg = _build_ast(node.children[0], mod.arg_sort, sig, table)
         return cls(mod, arg)
     left = _build_ast(node.children[0], sort, sig, table)

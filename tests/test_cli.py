@@ -804,6 +804,13 @@ class TestProofScriptFuzz:
         path.write_text(text, encoding="utf-8")
         assert_exit_contract(*invoke(["check-proof", str(path)]))
 
+    def test_unknown_system_names_its_line(self, tmp_path):
+        path = tmp_path / "kq.prf"
+        path.write_text("system: KQ\nvar p : 1\n1 | p -> p | pl\n")
+        assert invoke(["check-proof", str(path)]) == (
+            2, "", "error: line 1: unknown proof system 'KQ'\n"
+        )
+
     def test_ug_with_three_operands_is_a_script_error(self, tmp_path):
         path = tmp_path / "ug3.prf"
         path.write_text("system: KB2\nvar p : 1\n1 | p -> p | pl\n2 | box (p -> p) | ug dia 1 3\n")

@@ -30,6 +30,8 @@ from conceptlogic.semantics import (
     validity_check,
 )
 from conceptlogic.syntax import (
+    DIA,
+    DIA_INV,
     FULL,
     SORT1,
     SORT2,
@@ -52,7 +54,7 @@ import oracles
 
 def random_formula(rng, sort, depth, n_vars=2):
     """Random FULL formula; window modalities are box-only."""
-    mods = [m for m in FULL.modalities if m.result_sort == sort]
+    mods = [m for m in FULL if m.result_sort == sort]
     kinds = ["var", "bot", "top"]
     if depth > 0:
         kinds += ["neg", "and", "or", "imp", "iff"] + ["mod"] * 3 * bool(mods)
@@ -156,8 +158,8 @@ def test_countermodel_in_a_later_block():
     frame = context_to_frame(ctx)
     p, q, r = (Var(n, SORT1) for n in "pqr")
     x = Var("x", SORT2)
-    noise = And(Or(q, Neg(q)), Or(r, Neg(Dia(FULL.modality("dia-"), x))))
-    has_attr = Dia(FULL.modality("dia-"), Top(SORT2))
+    noise = And(Or(q, Neg(q)), Or(r, Neg(Dia(DIA_INV, x))))
+    has_attr = Dia(DIA_INV, Top(SORT2))
     f = Neg(And(And(p, has_attr), noise))
     assert space(frame, [f]) == 1 << 19
     assert 8 << 13 == _BLOCK
@@ -170,7 +172,7 @@ def test_countermodel_in_a_later_block():
         ((p, ("g4",)), (q, ("g4",)), (r, ()), (x, ())), "g4"
     )
     assert global_consequence(frame, [Imp(p, Neg(has_attr))], f)
-    assert not global_consequence(frame, [Dia(FULL.modality("dia"), r)], f)
+    assert not global_consequence(frame, [Dia(DIA, r)], f)
     ev = FrameEvaluator(frame, [p, q, r, x])
     assert ev.scan([validity_check(f)])[0] is not None
     assert ev.scan([validity_check(Imp(And(p, has_attr), Or(Neg(noise), Neg(f))))])[0] is None
@@ -199,7 +201,7 @@ def test_multi_check_scan_fails_in_different_blocks(monkeypatch):
     )
     frame = context_to_frame(ctx)
     p, q = Var("p", SORT1), Var("q", SORT1)
-    has_attr = Dia(FULL.modality("dia-"), Top(SORT2))
+    has_attr = Dia(DIA_INV, Top(SORT2))
     pairs = [
         (Neg(And(p, has_attr)), None),  # p = {g5}: index 16 << 5, block 32
         (Neg(And(q, has_attr)), None),  # q = {g5}: index 16, block 1

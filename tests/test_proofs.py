@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conceptlogic.cli import run_cli
 from conceptlogic.errors import BudgetExceededError, ProofScriptError
+from conceptlogic.formats import load_context
 from conceptlogic.proofs import (
     AxiomRef,
     MPRef,
@@ -343,6 +344,16 @@ class TestSoundness:
             script.system(), script.lines, script.premises, self.frames()
         )
 
+    def test_generalized_premise_is_read_globally(self):
+        # ug preserves truth at every world, not at one: p entails box- box p
+        # globally but not locally, so the probe must read the premise globally
+        script = parse_proof_script(
+            "system: KB2\nvar p : 1\npremise: p\n"
+            "1 | p | premise 1\n2 | box p | ug dia 1\n3 | box- box p | ug dia- 2\n"
+        )
+        k0 = context_to_frame(load_context(str(DATA.parent / "k0.cxt")))
+        assert soundness_probe(script.system(), script.lines, script.premises, [k0])
+
     def test_axiom_instances_frame_valid(self):
         rng = random.Random(17)
         frames = self.frames(4, seed=18)
@@ -583,7 +594,7 @@ def _random_script(system_id: str, rng: random.Random) -> ProofScript:
         elif kind == 2:
             j = MPRef(rng.randint(1, 9), rng.randint(1, 9))
         else:
-            j = UGRef(rng.choice(system.sig.modalities).name, rng.randint(1, 9))
+            j = UGRef(rng.choice(system.sig).name, rng.randint(1, 9))
         lines.append(ProofLine(index, formula(), j))
     return ProofScript(system_id, [formula() for _ in range(rng.randint(0, 2))], lines)
 

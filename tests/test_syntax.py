@@ -11,24 +11,26 @@ from conceptlogic import syntax
 from conceptlogic.cli import run_cli
 from conceptlogic.errors import FormulaSyntaxError, SignatureError, SortMismatchError
 from conceptlogic.parser import parse_formula, print_formula
+from conceptlogic.proofs import system_K
+from conceptlogic.suites import random_formula as suite_random_formula
 from conceptlogic.syntax import (
     DIA,
+    DIA_INV,
     FULL,
     KF,
     RS,
     SORT1,
     SORT2,
     WBOX,
+    WBOX_INV,
     And,
     Bot,
     Box,
     Dia,
     Iff,
     Imp,
-    Modality,
     Neg,
     Or,
-    Signature,
     Top,
     Var,
     box,
@@ -77,13 +79,64 @@ class TestConstruction:
         with pytest.raises(SignatureError):
             Dia(WBOX, P)
 
-    def test_signature_validation(self):
-        with pytest.raises(SignatureError):
-            Modality("d3", SORT1, "s3")  # uses unknown sort s3
-        with pytest.raises(SignatureError):
-            Modality("d3", "s3", SORT2)
-        with pytest.raises(SignatureError):
-            Signature((DIA, DIA))
+
+# What seeds 5, 10 and 11 draw at depth 4 from each signature and sort.
+# Formulas of FULL interleave the modalities of one result sort in the
+# signature's order, so another order draws other formulas.
+PINNED_DRAWS = {
+    ("RS", SORT1): [
+        "(dia- dia p <-> q) | box- ((x | x) & box p)",
+        "(#f | box- x) & q | ~#t",
+        "box- (#f & z) & ((q | p) & (#t & r)) & box- (x | #f -> x)",
+    ],
+    ("RS", SORT2): [
+        "(dia dia- x <-> y) | box ((p | p) & box- x)",
+        "(#f | box p) & y | ~#t",
+        "box (#f & r) & ((y | x) & (#t & z)) & box (p | #f -> p)",
+    ],
+    ("KF", SORT1): [
+        "(boxm- boxm p <-> q) | boxm- ((x | x) & boxm p)",
+        "(#f | boxm- x) & q | ~#t",
+        "boxm- (#f & z) & ((q | p) & (#t & r)) & boxm- (x | #f -> x)",
+    ],
+    ("KF", SORT2): [
+        "(boxm boxm- x <-> y) | boxm ((p | p) & boxm- x)",
+        "(#f | boxm p) & y | ~#t",
+        "boxm (#f & r) & ((y | x) & (#t & z)) & boxm (p | #f -> p)",
+    ],
+    ("FULL", SORT1): [
+        "(boxm- (y -> #f) <-> #t) | p",
+        "(#f | box- x) & q | ~#t",
+        "box- (#f & z) & ((q | p) & (#t & r)) & box- (x | #f -> x)",
+    ],
+    ("FULL", SORT2): [
+        "(boxm (q -> #f) <-> #t) | x",
+        "(#f | box p) & y | ~#t",
+        "box (#f & r) & ((y | x) & (#t & z)) & box (p | #f -> p)",
+    ],
+}
+
+
+class TestVocabulary:
+    """The signatures are ordered: random draws and axiom schemes follow them."""
+
+    def test_signatures_are_ordered_tuples(self):
+        assert RS == (DIA, DIA_INV)
+        assert KF == (WBOX, WBOX_INV)
+        assert FULL == (DIA, DIA_INV, WBOX, WBOX_INV)
+
+    @pytest.mark.parametrize("name, sort", list(PINNED_DRAWS))
+    def test_random_draws_follow_the_order(self, name, sort):
+        sig = {"RS": RS, "KF": KF, "FULL": FULL}[name]
+        drawn = [
+            print_formula(suite_random_formula(random.Random(s), sort, 4, sig)) for s in (5, 10, 11)
+        ]
+        assert drawn == PINNED_DRAWS[name, sort]
+
+    def test_schemes_follow_the_order(self):
+        assert [s.name for s in system_K().schemes] == [
+            "PL", "K_dia", "K_dia-", "Dual_dia", "Dual_dia-"
+        ]
 
 
 class TestInterning:
@@ -91,7 +144,6 @@ class TestInterning:
         assert Var("p", SORT1) is Var("p", SORT1)
         assert Var("p", SORT1) is not Var("p", SORT2)
         assert Imp(P, wbox_inv(Q)) is Imp(var1("p"), wbox_inv(var2("q")))
-        assert Dia(Modality("dia", SORT1, SORT2), P) is dia(P)
         assert parse_formula("p -> boxm- q", SORT1) is Imp(P, wbox_inv(Q))
 
     def test_normalize_is_idempotent_by_identity(self):
@@ -253,7 +305,7 @@ def random_formula(rng, sort, depth, sig=FULL, n_vars=3):
     requirement that propositional variable families do not overlap.
     """
     mods_to = {}
-    for m in sig.modalities:
+    for m in sig:
         if not m.window:
             mods_to.setdefault(m.result_sort, []).append((Dia, m))
             mods_to.setdefault(m.result_sort, []).append((Box, m))
