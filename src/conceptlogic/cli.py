@@ -14,6 +14,7 @@ import functools
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+from .context import member_names
 from .errors import BudgetExceededError, ConceptLogicError
 from .formats import export_dot, load_context, read_text
 from .lattices import ConceptKind, build_lattice, enumerate_concepts, verify_yao_isomorphisms
@@ -122,16 +123,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _set_names(subset, carrier) -> str:
-    return "{" + ",".join(subset.members(carrier)) + "}"
-
-
 def _text_lines(ctx, kind: ConceptKind, concepts, lattice):
+    objects, attributes = member_names(ctx.objects), member_names(ctx.attributes)
     yield f"kind={kind.value} count={len(concepts)}\n"
     for i, c in enumerate(concepts):
         yield (
-            f"{i}: extent={_set_names(c.extent, ctx.objects)} "
-            f"intent={_set_names(c.intent, ctx.attributes)}\n"
+            f"{i}: extent={{{','.join(objects(c.extent.bits))}}} "
+            f"intent={{{','.join(attributes(c.intent.bits))}}}\n"
         )
     if lattice is not None:
         yield from (f"cover: {low} < {high}\n" for low, high in lattice.covers())
@@ -139,15 +137,16 @@ def _text_lines(ctx, kind: ConceptKind, concepts, lattice):
 
 
 def _structured_lines(ctx, kind: ConceptKind, concepts, lattice):
+    objects, attributes = member_names(ctx.objects), member_names(ctx.attributes)
     yield f"kind={kind.value}\nconcepts.count={len(concepts)}\n"
     for i, c in enumerate(concepts):
         for side, names in (
-            ("extent", c.extent.members(ctx.objects)),
-            ("intent", c.intent.members(ctx.attributes)),
+            ("extent", objects(c.extent.bits)), ("intent", attributes(c.intent.bits))
         ):
             key = f"concepts.{i}.{side}"
-            yield f"{key}.count={len(names)}\n"
-            yield from (f"{key}.{j}={name}\n" for j, name in enumerate(names))
+            yield f"{key}.count={len(names)}\n" + "".join(
+                [f"{key}.{j}={name}\n" for j, name in enumerate(names)]
+            )
     if lattice is not None:
         covers = lattice.covers()
         yield f"covers.count={len(covers)}\n"
@@ -202,7 +201,7 @@ def _cmd_eval(args: argparse.Namespace, out) -> int:
     f = parse_formula(args.formula, args.sort)
     val = _parse_assignments(args, f)
     ts = truth_set(Model(frame, val), f)
-    print(_set_names(ts, frame.carrier(f.sort)), file=out)
+    print("{" + ",".join(ts.members(frame.carrier(f.sort))) + "}", file=out)
     return EXIT_OK
 
 

@@ -2,16 +2,20 @@
 
 A context is a finite two-sorted incidence structure (G, M, I).  Subsets of
 either carrier are stored as integer bitmasks (bit i = i-th object or
-attribute), so every operator below is one OR over rows or columns, with
-complements.  Contexts and subsets are immutable and safe to share.
+attribute).  Every operator below is an OR over rows or columns, with
+complements, read one byte of the input mask at a time from tables of
+precomputed ORs that the context keeps, or one set bit at a time on input
+carriers above ``_TABLE_LIMIT`` elements.  Contexts and subsets are
+immutable and safe to share.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionError, SortMismatchError
 
@@ -35,6 +39,35 @@ def iter_bits(mask: int) -> Iterator[int]:
             yield i
         mask >>= 1
         i += 1
+
+
+def _byte_tables(units: Sequence[Any], empty: Any, add: Callable) -> tuple[list, ...]:
+    """One table per 8 units, built by doubling: entry b of table k combines,
+    by ``add`` from ``empty``, units 8k + i over the set bits i of b.  So a
+    mask's image is one lookup per byte (Arlazarov et al.'s "Four Russians"
+    tables)."""
+    tables = []
+    for base in range(0, len(units), 8):
+        table = [empty]
+        for unit in units[base : base + 8]:
+            table += [add(x, unit) for x in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+def member_names(carrier: tuple[str, ...]) -> Callable[[int], tuple[str, ...]]:
+    """Names of a mask's members in carrier order, as ``SortedSubset.members``,
+    one table lookup per byte of the mask."""
+    tables = _byte_tables([(name,) for name in carrier], (), operator.add)
+
+    def names(mask: int) -> tuple[str, ...]:
+        out: tuple[str, ...] = ()
+        for table in tables:
+            out += table[mask & 255]
+            mask >>= 8
+        return out
+
+    return names
 
 
 @dataclass(frozen=True)
@@ -165,6 +198,11 @@ class FormalContext:
                 cols[m] |= 1 << g
         return tuple(cols)
 
+    @cached_property
+    def _kernels(self) -> dict["OperatorKind", Callable[[int], int]]:
+        """Each operator's mask kernel, built by ``_kernel`` on first use."""
+        return {}
+
     @property
     def n_objects(self) -> int:
         return len(self.objects)
@@ -236,13 +274,38 @@ def apply_operator(kind: OperatorKind, subset: SortedSubset, ctx: FormalContext)
 
 
 def _or_over(vectors: Sequence[int], mask: int) -> int:
-    """The OR of ``vectors[i]`` over the set bits i of ``mask``."""
+    """The OR of ``vectors[i]`` over the set bits i of ``mask``.
+
+    ``semantics._modal`` uses it because its vectors are per-call argument
+    slices, so a byte table of them would never be reused; ``_kernel`` uses
+    it above ``_TABLE_LIMIT``.
+    """
     out = 0
     while mask:
         low = mask & -mask
         out |= vectors[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+# The largest input carrier that ``_kernel`` builds byte tables for.  A table
+# lookup costs one step per byte of the mask and the per-bit loop one per set
+# bit; on seeded square contexts of 48 elements and more, enumeration and
+# covers ran slower with tables than without.
+_TABLE_LIMIT = 40
+
+
+def _lookup(tables: tuple[list[int], ...], flip: int) -> Callable[[int], int]:
+    """``flip`` XOR the OR of one entry per byte of a mask, in ``_byte_tables``."""
+
+    def lookup(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return flip ^ out
+
+    return lookup
 
 
 def _kernel(kind: OperatorKind, ctx: FormalContext) -> Callable[[int], int]:
@@ -252,17 +315,33 @@ def _kernel(kind: OperatorKind, ctx: FormalContext) -> Callable[[int], int]:
     ``poss(A)`` ORs the rows of A; ``nec(A)`` complements the OR of the rows
     outside A; ``A+`` (the AND of the rows of A) complements the OR of their
     complements.  ``poss_inv``, ``nec_inv`` and ``-`` mirror these on columns.
+    Each kernel is built once per context and kind.  Up to ``_TABLE_LIMIT``
+    input elements n it reads the ORs from ceil(n / 8) byte tables of 256
+    output masks each; the tables of ``nec`` are those of ``poss`` reversed,
+    since entry b of a reversed table is the entry of b's complement within
+    its byte.  Above the limit it ORs one vector per set bit with
+    ``_or_over``.
     """
-    forward = kind in _FORWARD
-    vectors = ctx.rows if forward else ctx.cols
-    full_in = (1 << len(vectors)) - 1
-    full_out = (1 << (ctx.n_attributes if forward else ctx.n_objects)) - 1
-    if kind is OperatorKind.PLUS or kind is OperatorKind.MINUS:
-        negated = tuple(full_out ^ v for v in vectors)
-        return lambda mask: full_out ^ _or_over(negated, mask)
-    if kind is OperatorKind.POSS or kind is OperatorKind.POSS_INV:
-        return lambda mask: _or_over(vectors, mask)
-    return lambda mask: full_out ^ _or_over(vectors, full_in ^ mask)
+    kernel = ctx._kernels.get(kind)
+    if kernel is None:
+        forward = kind in _FORWARD
+        vectors = ctx.rows if forward else ctx.cols
+        full_out = (1 << (ctx.n_attributes if forward else ctx.n_objects)) - 1
+        if kind is OperatorKind.PLUS or kind is OperatorKind.MINUS:
+            vectors = tuple(full_out ^ v for v in vectors)
+        positive = kind is OperatorKind.POSS or kind is OperatorKind.POSS_INV
+        flip = 0 if positive else full_out
+        nec = kind is OperatorKind.NEC or kind is OperatorKind.NEC_INV
+        if len(vectors) > _TABLE_LIMIT:
+            skip = (1 << len(vectors)) - 1 if nec else 0
+            kernel = lambda mask: flip ^ _or_over(vectors, skip ^ mask)
+        else:
+            tables = _byte_tables(vectors, 0, operator.or_)
+            if nec:
+                tables = tuple(table[::-1] for table in tables)
+            kernel = _lookup(tables, flip)
+        ctx._kernels[kind] = kernel
+    return kernel
 
 
 def complement_context(ctx: FormalContext) -> FormalContext:

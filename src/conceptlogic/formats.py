@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .context import FormalContext
+from .context import FormalContext, member_names
 from .errors import ConceptLogicError, CxtFormatError
 from .lattices import ConceptLattice
 
@@ -165,11 +165,11 @@ def _dot_escape(s: str) -> str:
 
 def export_dot(lattice: ConceptLattice) -> str:
     """Hasse diagram in DOT syntax: one node per concept, covering edges only."""
-    ctx = lattice.ctx
+    objects, attributes = member_names(lattice.ctx.objects), member_names(lattice.ctx.attributes)
     out = ["digraph lattice {", "  rankdir=BT;"]
     for i, c in enumerate(lattice.concepts):
-        extent = ",".join(c.extent.members(ctx.objects))
-        intent = ",".join(c.intent.members(ctx.attributes))
+        extent = ",".join(objects(c.extent.bits))
+        intent = ",".join(attributes(c.intent.bits))
         label = _dot_escape(f"{{{extent}}} / {{{intent}}}")
         out.append(f'  n{i} [label="{label}"];')
     for low, high in lattice.covers():

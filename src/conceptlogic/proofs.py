@@ -106,9 +106,13 @@ class AxiomScheme:
 
     name: str
     pattern: Formula | None
+    # the pattern's normal form, made with the scheme: the systems are built
+    # at import, so no proof check leaves a normal form behind on a pattern
+    normal: Formula | None = field(init=False, repr=False, compare=False)
 
-    def normalized(self) -> Formula | None:
-        return None if self.pattern is None else normalize(self.pattern)
+    def __post_init__(self) -> None:
+        normal = None if self.pattern is None else normalize(self.pattern)
+        object.__setattr__(self, "normal", normal)
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,7 @@ def _matches(nf: Formula, schemes: Iterable[AxiomScheme]):
                 yield scheme, {}
             continue
         binding: dict[Var, Formula] = {}
-        if _match(scheme.normalized(), nf, binding):
+        if _match(scheme.normal, nf, binding):
             yield scheme, binding
 
 

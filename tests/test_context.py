@@ -14,7 +14,9 @@ from conceptlogic import (
     complement_context,
     duality_check,
 )
-from conceptlogic.context import SORT1
+from conceptlogic import context
+from conceptlogic.context import SORT1, SORT2, _kernel, _or_over, member_names
+from conceptlogic.lattices import ConceptKind, build_lattice, enumerate_concepts
 
 import oracles
 from oracles import k0
@@ -216,3 +218,135 @@ class TestGaloisAndAdjunction:
                 assert oracles.op_nec_inv(ctx, B) == universe_g - oracles.op_poss_inv(
                     ctx, universe_m - B
                 )
+
+
+# carrier sizes on and around the byte boundaries of the lookup tables, and
+# two above ``context._TABLE_LIMIT``, where the kernels OR one vector per bit
+TABLE_SIZES = (1, 7, 8, 9, 15, 16, 17, 24, 25, 33, 40, 41, 64)
+
+
+def _table_contexts():
+    """Seeded contexts with each ``TABLE_SIZES`` carrier as objects and as
+    attributes, the other carrier drawn from the same sizes."""
+    rng = random.Random(24)
+    for n in TABLE_SIZES:
+        other = rng.choice(TABLE_SIZES)
+        for n_g, n_m in ((n, other), (other, n)):
+            objects = tuple(f"g{i}" for i in range(n_g))
+            attributes = tuple(f"m{j}" for j in range(n_m))
+            rows = tuple(rng.getrandbits(n_m) & rng.getrandbits(n_m) for _ in range(n_g))
+            yield rng, FormalContext(objects, attributes, rows)
+
+
+def _edge_masks(rng, n):
+    """Empty, full, top bit alone and with random lower bits, and the bits on
+    each side of every byte boundary below n."""
+    full = (1 << n) - 1
+    top = 1 << n - 1
+    masks = {0, full, top, top | rng.getrandbits(n), top | rng.getrandbits(n)}
+    masks.update(full & 3 << b - 1 for b in range(8, n, 8))
+    return sorted(masks)
+
+
+def _or_over_operator(kind, ctx):
+    """``kind`` on masks through the per-bit ``_or_over``, as the table kernel
+    computes it."""
+    forward = kind.input_sort == SORT1
+    vectors = ctx.rows if forward else ctx.cols
+    full_in = (1 << len(vectors)) - 1
+    full_out = (1 << (ctx.n_attributes if forward else ctx.n_objects)) - 1
+    if kind in (OperatorKind.PLUS, OperatorKind.MINUS):
+        negated = [full_out ^ v for v in vectors]
+        return lambda mask: full_out ^ _or_over(negated, mask)
+    if kind in (OperatorKind.POSS, OperatorKind.POSS_INV):
+        return lambda mask: _or_over(vectors, mask)
+    return lambda mask: full_out ^ _or_over(vectors, full_in ^ mask)
+
+
+def _check_kernels(kind):
+    """Each table kernel of ``kind`` against ``_or_over`` and the set operator."""
+    for rng, ctx in _table_contexts():
+        forward = kind.input_sort == SORT1
+        carrier_in, carrier_out = (
+            (ctx.objects, ctx.attributes) if forward else (ctx.attributes, ctx.objects)
+        )
+        n = len(carrier_in)
+        table, per_bit = _kernel(kind, ctx), _or_over_operator(kind, ctx)
+        edges = _edge_masks(rng, n)
+        for mask in edges + [rng.getrandbits(n) for _ in range(40)]:
+            assert table(mask) == per_bit(mask), (kind, ctx.n_objects, ctx.n_attributes, mask)
+        for mask in edges:
+            names = set(SortedSubset(kind.input_sort, mask, n).members(carrier_in))
+            image = SortedSubset(kind.output_sort, table(mask), len(carrier_out))
+            assert set(image.members(carrier_out)) == OPS[kind](ctx, names)
+
+
+def _check_names():
+    """Name tables against ``SortedSubset.members``: every mask of carriers up
+    to 9 elements, edge and random masks beyond."""
+    for rng, ctx in _table_contexts():
+        for sort, carrier in ((SORT1, ctx.objects), (SORT2, ctx.attributes)):
+            n = len(carrier)
+            names = member_names(carrier)
+            every = range(1 << n) if n <= 9 else []
+            masks = [*every, *_edge_masks(rng, n), *(rng.getrandbits(n) for _ in range(200))]
+            for mask in masks:
+                assert names(mask) == SortedSubset(sort, mask, n).members(carrier), (n, mask)
+
+
+def _off_by_one_tables(units, empty, add):
+    """``context._byte_tables`` with each chunk starting one unit late."""
+    tables = []
+    for base in range(0, len(units), 8):
+        table = [empty]
+        for unit in units[base + 1 : base + 9]:
+            table += [add(x, unit) for x in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+class TestByteTables:
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_kernels_equal_or_over_and_the_set_operators(self, kind):
+        _check_kernels(kind)
+
+    def test_name_tables_equal_members(self):
+        _check_names()
+
+    def test_off_by_one_chunk_base_fails_the_checks(self, monkeypatch):
+        monkeypatch.setattr(context, "_byte_tables", _off_by_one_tables)
+        for kind in OperatorKind:
+            with pytest.raises((AssertionError, IndexError)):
+                _check_kernels(kind)
+        with pytest.raises((AssertionError, IndexError)):
+            _check_names()
+
+    def test_tables_built_once_per_context_and_operator(self, monkeypatch):
+        byte_tables, built = context._byte_tables, []
+
+        def counting(units, empty, add):
+            built.append(empty)
+            return byte_tables(units, empty, add)
+
+        monkeypatch.setattr(context, "_byte_tables", counting)
+        ctx = oracles.random_context(random.Random(25), 12, 12)
+        for _ in range(2):
+            for kind in ConceptKind:
+                build_lattice(enumerate_concepts(ctx, kind), kind, ctx)
+            for kind in OperatorKind:
+                size = ctx.n_objects if kind.input_sort == SORT1 else ctx.n_attributes
+                apply_operator(kind, SortedSubset(kind.input_sort, 0, size), ctx)
+        assert built.count(0) == len(ctx._kernels) == len(OperatorKind)
+
+    def test_no_operator_tables_above_the_limit(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(context, "_byte_tables", lambda *args: built.append(args))
+        n = context._TABLE_LIMIT + 1
+        ctx = FormalContext(
+            tuple(f"g{i}" for i in range(n)),
+            tuple(f"m{j}" for j in range(n)),
+            tuple(1 << i | 1 << (i * 7 % n) for i in range(n)),
+        )
+        for kind in OperatorKind:
+            assert _kernel(kind, ctx)(1 << n - 1) == _or_over_operator(kind, ctx)(1 << n - 1)
+        assert built == []
