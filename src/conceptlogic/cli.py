@@ -5,6 +5,8 @@ Commands: ``concepts``, ``lattice``, ``eval``, ``valid``, ``consequence``,
 output stream and diagnostics to the error stream.  Exit codes: 0 when the
 command succeeds and any checked property holds, 1 when a property fails,
 2 on usage or parse errors, 3 when an exhaustive check refuses its budget.
+``concepts`` and ``lattice`` write from the enumerated (extent, intent)
+masks and build no typed concept.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from .context import member_names
 from .errors import BudgetExceededError, ConceptLogicError
 from .formats import export_dot, load_context, read_text
-from .lattices import ConceptKind, build_lattice, enumerate_concepts, verify_yao_isomorphisms
+from .lattices import ConceptKind, ConceptLattice, _concept_masks, verify_yao_isomorphisms
 from .logical import member_class
 from .parser import parse_formula, print_formula
 from .proofs import parse_proof_script
@@ -123,26 +125,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _text_lines(ctx, kind: ConceptKind, concepts, lattice):
+def _text_lines(ctx, kind: ConceptKind, masks, lattice):
     objects, attributes = member_names(ctx.objects), member_names(ctx.attributes)
-    yield f"kind={kind.value} count={len(concepts)}\n"
-    for i, c in enumerate(concepts):
+    yield f"kind={kind.value} count={len(masks)}\n"
+    for i, (extent, intent) in enumerate(masks):
         yield (
-            f"{i}: extent={{{','.join(objects(c.extent.bits))}}} "
-            f"intent={{{','.join(attributes(c.intent.bits))}}}\n"
+            f"{i}: extent={{{','.join(objects(extent))}}} "
+            f"intent={{{','.join(attributes(intent))}}}\n"
         )
     if lattice is not None:
         yield from (f"cover: {low} < {high}\n" for low, high in lattice.covers())
         yield f"top={lattice.top} bottom={lattice.bottom}\n"
 
 
-def _structured_lines(ctx, kind: ConceptKind, concepts, lattice):
+def _structured_lines(ctx, kind: ConceptKind, masks, lattice):
     objects, attributes = member_names(ctx.objects), member_names(ctx.attributes)
-    yield f"kind={kind.value}\nconcepts.count={len(concepts)}\n"
-    for i, c in enumerate(concepts):
-        for side, names in (
-            ("extent", objects(c.extent.bits)), ("intent", attributes(c.intent.bits))
-        ):
+    yield f"kind={kind.value}\nconcepts.count={len(masks)}\n"
+    for i, (extent, intent) in enumerate(masks):
+        for side, names in (("extent", objects(extent)), ("intent", attributes(intent))):
             key = f"concepts.{i}.{side}"
             yield f"{key}.count={len(names)}\n" + "".join(
                 [f"{key}.{j}={name}\n" for j, name in enumerate(names)]
@@ -157,19 +157,17 @@ def _structured_lines(ctx, kind: ConceptKind, concepts, lattice):
 
 def _cmd_concepts(args: argparse.Namespace, out) -> int:
     """``concepts``, and ``lattice``, which adds covers, top and bottom; each
-    format is written line by line as it is produced."""
+    format is written line by line as it is produced, from the concepts'
+    (extent, intent) masks, which the enumeration already lists in order."""
     ctx = load_context(args.context)
     kind = ConceptKind(args.kind)
-    concepts = enumerate_concepts(ctx, kind)
-    lattice = None
-    if args.command == "lattice":
-        lattice = build_lattice(concepts, kind, ctx)
-        concepts = lattice.concepts
+    masks = _concept_masks(ctx, kind)
+    lattice = ConceptLattice(kind, ctx, masks) if args.command == "lattice" else None
     if args.format == "dot":
         out.write(export_dot(lattice))
     else:
         lines = _structured_lines if args.format == "structured" else _text_lines
-        out.writelines(lines(ctx, kind, concepts, lattice))
+        out.writelines(lines(ctx, kind, masks, lattice))
     return EXIT_OK
 
 

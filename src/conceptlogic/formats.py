@@ -167,11 +167,9 @@ def export_dot(lattice: ConceptLattice) -> str:
     """Hasse diagram in DOT syntax: one node per concept, covering edges only."""
     objects, attributes = member_names(lattice.ctx.objects), member_names(lattice.ctx.attributes)
     out = ["digraph lattice {", "  rankdir=BT;"]
-    for i, c in enumerate(lattice.concepts):
-        extent = ",".join(objects(c.extent.bits))
-        intent = ",".join(attributes(c.intent.bits))
-        label = _dot_escape(f"{{{extent}}} / {{{intent}}}")
-        out.append(f'  n{i} [label="{label}"];')
+    for i, (extent, intent) in enumerate(lattice.masks):
+        label = f"{{{','.join(objects(extent))}}} / {{{','.join(attributes(intent))}}}"
+        out.append(f'  n{i} [label="{_dot_escape(label)}"];')
     for low, high in lattice.covers():
         out.append(f"  n{low} -> n{high};")
     out.append("}")

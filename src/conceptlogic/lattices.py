@@ -7,8 +7,12 @@ kernel (union-closed) system; intents are closed for FC/OC and open for PC.
 Enumeration (a lectic next-closure scan), covers (upper neighbours) and the
 Yao checks run in one closure system per kind, which ``_closure_system``
 chooses on the smaller carrier, a kernel system through complements; meets
-and joins combine int masks over ``ctx.rows`` and ``ctx.cols``.  A
-brute-force fixpoint scan over ``closure`` is the oracle for small carriers.
+and joins combine int masks over ``ctx.rows`` and ``ctx.cols``.  A concept
+is an (extent, intent) pair of such masks from the scan to
+``ConceptLattice``; ``SemanticConcept`` values are built only where the API
+returns them (``enumerate_concepts``, ``ConceptLattice.concepts``) and
+checked only where it takes them (``build_lattice``).  A brute-force
+fixpoint scan over ``closure`` is the oracle for small carriers.
 """
 
 from __future__ import annotations
@@ -68,9 +72,12 @@ _YAO = {
 }
 
 
+_SIDES = ("extent", "intent")  # in the order of an (extent, intent) pair
+
+
 def _side_operators(kind: ConceptKind, side: str) -> tuple[OperatorKind, OperatorKind]:
     """The kind's two operators in the order its ``side`` composite applies them."""
-    if side not in ("extent", "intent"):
+    if side not in _SIDES:
         raise ValueError(f"side must be 'extent' or 'intent', got {side!r}")
     forward, backward = _OPERATORS[kind]
     return (forward, backward) if side == "extent" else (backward, forward)
@@ -107,24 +114,29 @@ def _kernels(kind: ConceptKind, side: str, ctx: FormalContext) -> tuple[Callable
     return tuple(_kernel(op, ctx) for op in _side_operators(kind, side))
 
 
-def _next_closure_masks(n: int, clo: Callable[[int], int]) -> list[int]:
-    """All fixpoints of a closure operator on subsets of {0..n-1}, lectic order."""
+def _next_closure_masks(
+    n: int, flip: int, other: Callable[[int], int], then: Callable[[int], int]
+) -> list[tuple[int, int]]:
+    """Ganter's NextClosure on the keys ``x ^ flip`` of the closed side sets
+    x, in lectic order of keys.  A candidate key c closes to ``x = then(y)``
+    with ``y = other(flip ^ c)``; each closed x is listed with that y, which
+    is its other side, since ``other(then(y)) == y`` by the adjunction."""
     out = []
-    current = clo(0)
+    y = other(flip)
+    x = then(y)
     while True:
-        out.append(current)
-        nxt = None
+        out.append((x, y))
+        current = flip ^ x
         for i in range(n - 1, -1, -1):
             if current >> i & 1:
                 continue
             low = (1 << i) - 1
-            candidate = clo((current & low) | (1 << i))
-            if candidate & low & ~current == 0:
-                nxt = candidate
+            y = other(flip ^ ((current & low) | (1 << i)))
+            x = then(y)
+            if (flip ^ x) & low & ~current == 0:
                 break
-        if nxt is None:
+        else:
             return out
-        current = nxt
 
 
 def _lectic_key(mask: int) -> str:
@@ -135,73 +147,83 @@ def _lectic_key(mask: int) -> str:
 
 def _closure_system(
     ctx: FormalContext, kind: ConceptKind
-) -> tuple[str, int, int, Callable[[int], int], Callable[[int], int], bool]:
-    """``(side, n, flip, other, close, reverse)``: the one closure system the
+) -> tuple[int, int, int, Callable[[int], int], Callable[[int], int], bool]:
+    """``(side, n, flip, other, then, reverse)``: the one closure system the
     kind's concepts are scanned in, on the smaller carrier (extents on a tie).
-    A side set x has the n-bit key ``x ^ flip``; a union-closed side is keyed
-    by its complements (``flip`` is all ones), which are intersection-closed.
-    ``other`` maps a side set across and ``close`` closes a key.  Key
-    inclusion is the order by extent on the meet's side and its ``reverse``
-    on the other, where FC intents and complements shrink as extents grow.
+    ``side`` is 0 for extents and 1 for intents, the place of the side set in
+    an (extent, intent) pair.  A side set x has the n-bit key ``x ^ flip``; a
+    union-closed side is keyed by its complements (``flip`` is all ones),
+    which are intersection-closed.  ``other`` maps a side set across and
+    ``then`` back, so the key c closes to ``flip ^ then(other(flip ^ c))``.
+    Key inclusion is the order by extent on the meet's side and its
+    ``reverse`` on the other, where FC intents and complements shrink as
+    extents grow.
     """
-    side = "extent" if ctx.n_objects <= ctx.n_attributes else "intent"
+    side = 0 if ctx.n_objects <= ctx.n_attributes else 1
     n = min(ctx.n_objects, ctx.n_attributes)
-    other, then = _kernels(kind, side, ctx)
+    other, then = _kernels(kind, _SIDES[side], ctx)
     meet, join = _MEET_JOIN[kind]
-    flip = 0 if (side, True) in (meet, join) else (1 << n) - 1
-    close = (lambda c: flip ^ then(other(flip ^ c))) if flip else (lambda x: then(other(x)))
-    return side, n, flip, other, close, side != meet[0]
+    flip = 0 if (_SIDES[side], True) in (meet, join) else (1 << n) - 1
+    return side, n, flip, other, then, _SIDES[side] != meet[0]
 
 
 def _concept_masks(ctx: FormalContext, kind: ConceptKind) -> list[tuple[int, int]]:
     """(extent, intent) masks of the kind's concepts, scanned in its
     ``_closure_system`` and sorted as ``enumerate_concepts`` lists them."""
-    side, n, flip, other, close, _ = _closure_system(ctx, kind)
-    closed = [key ^ flip for key in _next_closure_masks(n, close)]
-    pairs = [(x, other(x)) for x in closed] if side == "extent" else [(other(x), x) for x in closed]
+    side, n, flip, other, then, _ = _closure_system(ctx, kind)
+    pairs = _next_closure_masks(n, flip, other, then)
+    if side:
+        pairs = [(y, x) for x, y in pairs]
     return sorted(pairs, key=lambda p: _lectic_key(p[0]))
+
+
+def _typed(
+    masks: list[tuple[int, int]], kind: ConceptKind, ctx: FormalContext
+) -> list[SemanticConcept]:
+    n_g, n_m = ctx.n_objects, ctx.n_attributes
+    return [
+        SemanticConcept(SortedSubset(SORT1, e, n_g), SortedSubset(SORT2, i, n_m), kind)
+        for e, i in masks
+    ]
 
 
 def enumerate_concepts(ctx: FormalContext, kind: ConceptKind) -> list[SemanticConcept]:
     """All concepts of the kind, sorted lexicographically by extent indices."""
-    n_g, n_m = ctx.n_objects, ctx.n_attributes
-    return [
-        SemanticConcept(
-            SortedSubset(SORT1, e, n_g), SortedSubset(SORT2, i, n_m), kind
-        )
-        for e, i in _concept_masks(ctx, kind)
-    ]
+    return _typed(_concept_masks(ctx, kind), kind, ctx)
 
 
 def _upper_covers(
-    concepts: list[SemanticConcept], kind: ConceptKind, ctx: FormalContext
+    masks: list[tuple[int, int]], kind: ConceptKind, ctx: FormalContext
 ) -> list[tuple[int, int]]:
-    """Covering pairs by extent of a concept list, in the kind's ``_closure_system``.
+    """Covering pairs by extent of a list of concept masks, in the kind's
+    ``_closure_system``.
 
-    ``close(key | 1 << g)`` for each g outside a key is a candidate; it is an
-    upper cover of the key iff every g it adds produces it, and the pair is
-    flipped where keys reverse the order by extent.  A missing bottom or
-    candidate means a missing concept, since covers reach all from the bottom.
+    The closed key of ``key | 1 << g`` for each g outside a key is a
+    candidate; it is an upper cover of the key iff every g it adds produces
+    it, and the pair is flipped where keys reverse the order by extent.  A
+    missing bottom or candidate means a missing concept, since covers reach
+    all from the bottom.
     """
-    side, n, flip, _, close, reverse = _closure_system(ctx, kind)
-    keys = [getattr(c, side).bits ^ flip for c in concepts]
+    side, n, flip, other, then, reverse = _closure_system(ctx, kind)
+    keys = [pair[side] ^ flip for pair in masks]
     index = {key: i for i, key in enumerate(keys)}
 
     def locate(closed: int) -> int:
         if closed not in index:
             raise LatticeError(
-                f"{side} {list(iter_bits(closed ^ flip))} is missing: concept list incomplete"
+                f"{_SIDES[side]} {list(iter_bits(closed ^ flip))} is missing: "
+                "concept list incomplete"
             )
         return index[closed]
 
-    locate(close(0))
+    locate(flip ^ then(other(flip)))
     out = []
     for i, key in enumerate(keys):
         hits: dict[int, int] = {}
         rest = (1 << n) - 1 & ~key
         while rest:
             low = rest & -rest
-            candidate = close(key | low)
+            candidate = flip ^ then(other(flip ^ (key | low)))
             hits[candidate] = hits.get(candidate, 0) + 1
             rest ^= low
         for candidate, count in hits.items():
@@ -215,28 +237,34 @@ def _upper_covers(
 class ConceptLattice:
     """Concepts of one kind ordered by extent inclusion, with their covers.
 
-    Meets and joins combine one side of two concepts as ``_MEET_JOIN`` says
-    and look the result up among that side's sets.
+    ``masks`` holds each concept's (extent, intent) masks over ``ctx.rows``
+    and ``ctx.cols``, in the order ``enumerate_concepts`` lists them;
+    ``concepts`` is their typed view, built on first use.  Meets and joins
+    combine one side of two concepts as ``_MEET_JOIN`` says and look the
+    result up among that side's sets.
     """
 
     kind: ConceptKind
     ctx: FormalContext
-    concepts: list[SemanticConcept]
-    _index: dict[str, dict[int, int]] = field(init=False, repr=False)
+    masks: list[tuple[int, int]]
     _covers: list[tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._index = {
-            side: {getattr(c, side).bits: i for i, c in enumerate(self.concepts)}
-            for side in ("extent", "intent")
-        }
-        self._covers = _upper_covers(self.concepts, self.kind, self.ctx)
+        self._covers = _upper_covers(self.masks, self.kind, self.ctx)
+
+    @functools.cached_property
+    def concepts(self) -> list[SemanticConcept]:
+        return _typed(self.masks, self.kind, self.ctx)
+
+    @functools.cached_property
+    def _index(self) -> tuple[dict[int, int], dict[int, int]]:
+        return tuple({pair[side]: i for i, pair in enumerate(self.masks)} for side in (0, 1))
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self.masks)
 
     def leq(self, i: int, j: int) -> bool:
-        return self.concepts[i].extent.is_subset(self.concepts[j].extent)
+        return self.masks[i][0] & ~self.masks[j][0] == 0
 
     def meet(self, i: int, j: int) -> int:
         return self._combine(i, j, *_MEET_JOIN[self.kind][0])
@@ -245,17 +273,17 @@ class ConceptLattice:
         return self._combine(i, j, *_MEET_JOIN[self.kind][1])
 
     def _combine(self, i: int, j: int, side: str, intersect: bool) -> int:
-        a = getattr(self.concepts[i], side).bits
-        b = getattr(self.concepts[j], side).bits
-        return self._index[side][a & b if intersect else a | b]
+        s = _SIDES.index(side)
+        a, b = self.masks[i][s], self.masks[j][s]
+        return self._index[s][a & b if intersect else a | b]
 
     @property
     def top(self) -> int:
-        return max(range(len(self.concepts)), key=lambda i: len(self.concepts[i].extent))
+        return max(range(len(self.masks)), key=lambda i: self.masks[i][0].bit_count())
 
     @property
     def bottom(self) -> int:
-        return min(range(len(self.concepts)), key=lambda i: len(self.concepts[i].extent))
+        return min(range(len(self.masks)), key=lambda i: self.masks[i][0].bit_count())
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (i, j) with i strictly below j and nothing between."""
@@ -266,9 +294,32 @@ def build_lattice(
     concepts: Iterable[SemanticConcept], kind: ConceptKind, ctx: FormalContext
 ) -> ConceptLattice:
     """Order the full concept list and find its covers by upper neighbours in
-    the kind's ``_closure_system``.  Raises ``LatticeError`` when the list
-    misses a concept."""
-    return ConceptLattice(kind, ctx, sorted(concepts, key=lambda c: _lectic_key(c.extent.bits)))
+    the kind's ``_closure_system``.  Raises ``LatticeError`` naming the entry
+    that is not over the context's carriers, whose side set in that system is
+    not closed, whose other side is not the image of that set, or that
+    repeats an earlier entry, and when the list misses a concept."""
+    side, _, _, other, then, _ = _closure_system(ctx, kind)
+    carriers = ((SORT1, ctx.n_objects), (SORT2, ctx.n_attributes))
+    masks: list[tuple[int, int]] = []
+    seen: dict[int, int] = {}
+    for i, c in enumerate(concepts):
+        sets = (c.extent, c.intent)
+        if tuple((s.sort, s.size) for s in sets) != carriers:
+            raise LatticeError(f"entry {i} is not over the context's carriers")
+        x, y = sets[side].bits, sets[1 - side].bits
+        image = other(x)
+        if then(image) != x:
+            raise LatticeError(f"entry {i}: {_SIDES[side]} {list(iter_bits(x))} is not closed")
+        if image != y:
+            raise LatticeError(
+                f"entry {i}: {_SIDES[1 - side]} {list(iter_bits(y))} is not "
+                f"{list(iter_bits(image))}, the image of its {_SIDES[side]}"
+            )
+        if x in seen:
+            raise LatticeError(f"entry {i} repeats entry {seen[x]}")
+        seen[x] = i
+        masks.append((c.extent.bits, c.intent.bits))
+    return ConceptLattice(kind, ctx, sorted(masks, key=lambda p: _lectic_key(p[0])))
 
 
 @dataclass

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conceptlogic import FormalContext, cli, lattices, logical, suites
 from conceptlogic.cli import _check_line, run_cli
+from conceptlogic.context import SortedSubset
 from conceptlogic.formats import load_context, serialize_cxt
 from conceptlogic.lattices import ConceptKind, LawCheck
 from conceptlogic.parser import parse_formula, print_formula
@@ -84,7 +85,10 @@ class TestGoldenTranscripts:
             assert done.stdout == (GOLDEN / f"{name}.txt").read_bytes(), hash_seed
             assert done.returncode == case["exit"]
 
-    @pytest.mark.parametrize("case", MANIFEST[-2:], ids=["yao", "all-seed7"])
+    @pytest.mark.parametrize(
+        "case", [c for c in MANIFEST if c["name"] in ("verify-yao-k0", "verify-all-seed7-k0")],
+        ids=["yao", "all-seed7"],
+    )
     def test_deterministic_across_runs(self, case):
         first = invoke(case["args"])
         second = invoke(case["args"])
@@ -124,6 +128,29 @@ def _structured_lattice(text):
 
 
 class TestLatticeFormats:
+    @pytest.mark.parametrize("argv", [
+        ("concepts", "text"), ("concepts", "structured"),
+        ("lattice", "text"), ("lattice", "dot"), ("lattice", "structured"),
+    ], ids="-".join)
+    def test_written_from_masks_without_typed_sets(self, argv, monkeypatch):
+        built = 0
+        post_init = SortedSubset.__post_init__
+
+        def counted(subset):
+            nonlocal built
+            built += 1
+            post_init(subset)
+
+        monkeypatch.setattr(SortedSubset, "__post_init__", counted)
+        command, fmt = argv
+        for path in (K0, str(DATA / "wide" / "wide20x18.cxt")):
+            for kind in ConceptKind:
+                code, out, _ = invoke([command, "--kind", kind.value, "--format", fmt, path])
+                assert code == 0 and out
+        assert built == 0
+        lattices.enumerate_concepts(load_context(K0), ConceptKind.FC)
+        assert built == 4  # the counter sees the typed API's two concepts
+
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(st.integers(0, 2**32 - 1))
     def test_text_and_structured_list_the_same_lattice(self, tmp_path_factory, seed):

@@ -1,6 +1,8 @@
 """Tests for concept enumeration, lattice structure, and the complement dualities."""
 
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -17,9 +19,12 @@ from conceptlogic.errors import LatticeError, SortMismatchError
 from conceptlogic.lattices import (
     ConceptKind,
     _check_bijection,
+    _closure_system,
     _concept_masks,
     _kernels,
+    _side_operators,
     _lectic_key,
+    _next_closure_masks,
     build_lattice,
     closure,
     enumerate_concepts,
@@ -228,6 +233,91 @@ def shaped_contexts(rng, shape, count):
             yield ctx
 
 
+def mask_problems(ctx, kind, masks):
+    """What is wrong with ``masks`` as ``_concept_masks(ctx, kind)``: a
+    difference from the brute-force concepts, or a pair whose other side is
+    not ``other`` of its side set in the kind's closure system."""
+    side, _, _, other, _, _ = _closure_system(ctx, kind)
+    oracle = oracles.enumerate_concepts_bruteforce(ctx, kind)
+    want = [(c.extent.bits, c.intent.bits) for c in oracle]
+    problems = [] if masks == want else [f"{len(masks)} pairs differ from {len(want)} concepts"]
+    problems += [
+        f"pair {i}: other side {pair[1 - side]:#x}, other(x) is {other(pair[side]):#x}"
+        for i, pair in enumerate(masks)
+        if pair[1 - side] != other(pair[side])
+    ]
+    return problems
+
+
+def pre_closure_mutant(n, flip, other, then):
+    """``_next_closure_masks`` returning, for each closed set after the
+    first, the candidate set it closed instead of its closure."""
+    out, previous = [], None
+    for x, y in _next_closure_masks(n, flip, other, then):
+        key = flip ^ x
+        if previous is None:
+            candidate = 0
+        else:
+            added = key & ~previous
+            bit = added & -added  # the i of NextClosure's accepted candidate
+            candidate = previous & (bit - 1) | bit
+        out.append((flip ^ candidate, y))
+        previous = key
+    return out
+
+
+class TestConceptMasks:
+    def contexts(self, seed, count):
+        rng = random.Random(seed)
+        for shape in SHAPES:
+            yield from shaped_contexts(rng, shape, count)
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_masks_equal_bruteforce_with_their_other_sides(self, kind):
+        systems = set()
+        for ctx in self.contexts(95, 8):
+            side, _, flip, _, _, _ = _closure_system(ctx, kind)
+            systems.add((side, bool(flip)))
+            assert mask_problems(ctx, kind, _concept_masks(ctx, kind)) == []
+        # both carrier orders; PC intents and OC extents are keyed by complements
+        complemented = {ConceptKind.FC: set(), ConceptKind.PC: {1}, ConceptKind.OC: {0}}[kind]
+        assert systems == {(side, side in complemented) for side in (0, 1)}
+
+    def test_pre_closure_mutant_is_caught(self, monkeypatch):
+        monkeypatch.setattr(lattices, "_next_closure_masks", pre_closure_mutant)
+        caught = [
+            (ctx, kind)
+            for ctx in self.contexts(95, 4)
+            for kind in ConceptKind
+            if mask_problems(ctx, kind, _concept_masks(ctx, kind))
+        ]
+        assert len(caught) >= 3 * 4 * len(ConceptKind) // 2
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_next_closure_calls_each_kernel_once_per_closure(self, kind, monkeypatch):
+        # the other side of each closed set is the one its closure computed,
+        # so no kernel is applied again per concept
+        calls = dict.fromkeys(OperatorKind, 0)
+
+        def counting_kernel(op, ctx):
+            kernel = _kernel(op, ctx)
+
+            def counted(mask):
+                calls[op] += 1
+                return kernel(mask)
+
+            return counted
+
+        monkeypatch.setattr(lattices, "_kernel", counting_kernel)
+        for ctx in self.contexts(96, 4):
+            side, _, _, _, _, _ = _closure_system(ctx, kind)
+            first, then = _side_operators(kind, ("extent", "intent")[side])
+            calls.update(dict.fromkeys(OperatorKind, 0))
+            concepts = _concept_masks(ctx, kind)
+            assert calls[first] == calls[then] >= len(concepts)
+            assert sum(calls.values()) == calls[first] + calls[then]
+
+
 class TestLattice:
     def test_fc_k0_is_two_chain(self):
         ctx = k0()
@@ -304,6 +394,43 @@ class TestLattice:
                 continue
             with pytest.raises(LatticeError):
                 build_lattice([c for c in concepts if c != dropped], kind, ctx)
+
+    def test_repeated_concept_reported(self):
+        ctx = k0()
+        concepts = enumerate_concepts(ctx, ConceptKind.FC)
+        with pytest.raises(LatticeError, match=r"^entry 2 repeats entry 0$"):
+            build_lattice(concepts + concepts[:1], ConceptKind.FC, ctx)
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    def test_non_concepts_reported(self, kind, shape):
+        # each check reads the side set of the closure system the kind is
+        # scanned in: the extent on a wide context, the intent on a tall one
+        rng = random.Random(97)
+        for ctx in shaped_contexts(rng, shape, 10):
+            side = "extent" if shape == "wide" else "intent"
+            other_side = "intent" if shape == "wide" else "extent"
+            concepts = enumerate_concepts(ctx, kind)
+            closed = {getattr(c, side).bits for c in concepts}
+            for i, c in enumerate(concepts):
+                with pytest.raises(LatticeError, match=rf"^entry {i + 1} repeats entry {i}$"):
+                    build_lattice(concepts[: i + 1] + concepts[i:], kind, ctx)
+                x = getattr(c, side)
+                for bit in range(x.size):
+                    moved = SortedSubset(x.sort, x.bits ^ 1 << bit, x.size)
+                    bad = dataclasses.replace(c, **{side: moved})
+                    reason = re.escape(f"{side} {list(moved.indices())} is not closed")
+                    if moved.bits in closed:
+                        reason = rf"{other_side} \[.*\] is not \[.*\], the image of its {side}"
+                    with pytest.raises(LatticeError, match=rf"^entry {i}: {reason}$"):
+                        build_lattice(concepts[:i] + [bad] + concepts[i + 1:], kind, ctx)
+
+    def test_concept_of_another_context_reported(self):
+        ctx = k0()
+        wider = FormalContext(ctx.objects, ctx.attributes + ("m3",), ctx.rows)
+        concepts = enumerate_concepts(wider, ConceptKind.FC)
+        with pytest.raises(LatticeError, match=r"^entry 0 is not over the context's carriers$"):
+            build_lattice(concepts, ConceptKind.FC, ctx)
 
     @pytest.mark.parametrize("kind", list(ConceptKind))
     def test_empty_list_reported(self, kind):
