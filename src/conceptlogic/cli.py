@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -139,14 +140,18 @@ def _text_lines(ctx, kind: ConceptKind, masks, lattice):
 
 
 def _structured_lines(ctx, kind: ConceptKind, masks, lattice):
-    objects, attributes = member_names(ctx.objects), member_names(ctx.attributes)
+    # each member's line is key + rank + name; names carry their newline
+    objects, attributes = (
+        member_names(tuple(name + "\n" for name in carrier))
+        for carrier in (ctx.objects, ctx.attributes)
+    )
+    ranks = [f".{j}=" for j in range(max(ctx.n_objects, ctx.n_attributes))]
     yield f"kind={kind.value}\nconcepts.count={len(masks)}\n"
     for i, (extent, intent) in enumerate(masks):
         for side, names in (("extent", objects(extent)), ("intent", attributes(intent))):
             key = f"concepts.{i}.{side}"
-            yield f"{key}.count={len(names)}\n" + "".join(
-                [f"{key}.{j}={name}\n" for j, name in enumerate(names)]
-            )
+            members = key + key.join(map(operator.add, ranks, names)) if names else ""
+            yield f"{key}.count={len(names)}\n{members}"
     if lattice is not None:
         covers = lattice.covers()
         yield f"covers.count={len(covers)}\n"

@@ -308,13 +308,29 @@ def _lookup(tables: tuple[list[int], ...], flip: int) -> Callable[[int], int]:
     return lookup
 
 
-def _kernel(kind: OperatorKind, ctx: FormalContext) -> Callable[[int], int]:
-    """``kind`` on bitmasks, as an OR of the rows of the input's objects (the
-    forward kinds) or of the columns of its attributes (the backward kinds).
+def _kernel_terms(kind: OperatorKind, ctx: FormalContext) -> tuple[tuple[int, ...], int, int]:
+    """``(vectors, skip, flip)``: ``kind`` maps a mask to ``flip`` XOR the OR
+    of ``vectors[i]`` over the set bits i of ``skip ^ mask``.
 
-    ``poss(A)`` ORs the rows of A; ``nec(A)`` complements the OR of the rows
-    outside A; ``A+`` (the AND of the rows of A) complements the OR of their
-    complements.  ``poss_inv``, ``nec_inv`` and ``-`` mirror these on columns.
+    The vectors are the rows (the forward kinds) or columns (the backward
+    kinds) of the context.  ``poss(A)`` ORs the rows of A; ``nec(A)``
+    complements the OR of the rows outside A; ``A+`` (the AND of the rows of
+    A) complements the OR of their complements.  ``poss_inv``, ``nec_inv``
+    and ``-`` mirror these on columns.
+    """
+    forward = kind in _FORWARD
+    vectors = ctx.rows if forward else ctx.cols
+    full_out = (1 << (ctx.n_attributes if forward else ctx.n_objects)) - 1
+    if kind is OperatorKind.PLUS or kind is OperatorKind.MINUS:
+        vectors = tuple(full_out ^ v for v in vectors)
+    positive = kind is OperatorKind.POSS or kind is OperatorKind.POSS_INV
+    nec = kind is OperatorKind.NEC or kind is OperatorKind.NEC_INV
+    return vectors, (1 << len(vectors)) - 1 if nec else 0, 0 if positive else full_out
+
+
+def _kernel(kind: OperatorKind, ctx: FormalContext) -> Callable[[int], int]:
+    """``kind`` on bitmasks, as ``_kernel_terms`` states it.
+
     Each kernel is built once per context and kind.  Up to ``_TABLE_LIMIT``
     input elements n it reads the ORs from ceil(n / 8) byte tables of 256
     output masks each; the tables of ``nec`` are those of ``poss`` reversed,
@@ -324,20 +340,12 @@ def _kernel(kind: OperatorKind, ctx: FormalContext) -> Callable[[int], int]:
     """
     kernel = ctx._kernels.get(kind)
     if kernel is None:
-        forward = kind in _FORWARD
-        vectors = ctx.rows if forward else ctx.cols
-        full_out = (1 << (ctx.n_attributes if forward else ctx.n_objects)) - 1
-        if kind is OperatorKind.PLUS or kind is OperatorKind.MINUS:
-            vectors = tuple(full_out ^ v for v in vectors)
-        positive = kind is OperatorKind.POSS or kind is OperatorKind.POSS_INV
-        flip = 0 if positive else full_out
-        nec = kind is OperatorKind.NEC or kind is OperatorKind.NEC_INV
+        vectors, skip, flip = _kernel_terms(kind, ctx)
         if len(vectors) > _TABLE_LIMIT:
-            skip = (1 << len(vectors)) - 1 if nec else 0
             kernel = lambda mask: flip ^ _or_over(vectors, skip ^ mask)
         else:
             tables = _byte_tables(vectors, 0, operator.or_)
-            if nec:
+            if skip:
                 tables = tuple(table[::-1] for table in tables)
             kernel = _lookup(tables, flip)
         ctx._kernels[kind] = kernel

@@ -4,15 +4,19 @@ Formal concepts use the derivation pair (+, -); property-oriented concepts
 the (poss, nec_inv) adjunction; object-oriented concepts the (nec, poss_inv)
 adjunction.  Extent sets of FC/PC form closure systems and OC extents a
 kernel (union-closed) system; intents are closed for FC/OC and open for PC.
-Enumeration (a lectic next-closure scan), covers (upper neighbours) and the
-Yao checks run in one closure system per kind, which ``_closure_system``
-chooses on the smaller carrier, a kernel system through complements; meets
-and joins combine int masks over ``ctx.rows`` and ``ctx.cols``.  A concept
-is an (extent, intent) pair of such masks from the scan to
-``ConceptLattice``; ``SemanticConcept`` values are built only where the API
-returns them (``enumerate_concepts``, ``ConceptLattice.concepts``) and
-checked only where it takes them (``build_lattice``).  A brute-force
-fixpoint scan over ``closure`` is the oracle for small carriers.
+Enumeration (FCbO: Outrata and Vychodil's fast Close-by-One, 2012, after
+Kuznetsov, 1993), covers (upper neighbours) and the Yao checks run in one
+closure system per kind, which ``_closure_system`` chooses on the smaller
+carrier, a kernel system through complements.  There a candidate is a
+closed key plus one element, and its other side is one OR of the key's
+other side with that element's row or column, so the scan applies one
+kernel per closure.  Meets and joins combine int masks over ``ctx.rows``
+and ``ctx.cols``.  A concept is an (extent, intent) pair of such masks
+from the scan to ``ConceptLattice``; ``SemanticConcept`` values are built
+only where the API returns them (``enumerate_concepts``,
+``ConceptLattice.concepts``) and checked only where it takes them
+(``build_lattice``).  A brute-force fixpoint scan over ``closure`` is the
+oracle for small carriers.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .context import (
     OperatorKind,
     SortedSubset,
     _kernel,
+    _kernel_terms,
     apply_operator,
     complement_context,
     iter_bits,
@@ -114,29 +119,47 @@ def _kernels(kind: ConceptKind, side: str, ctx: FormalContext) -> tuple[Callable
     return tuple(_kernel(op, ctx) for op in _side_operators(kind, side))
 
 
-def _next_closure_masks(
-    n: int, flip: int, other: Callable[[int], int], then: Callable[[int], int]
+def _fcbo_masks(
+    flip: int, vectors: tuple[int, ...], f: int, then: Callable[[int], int]
 ) -> list[tuple[int, int]]:
-    """Ganter's NextClosure on the keys ``x ^ flip`` of the closed side sets
-    x, in lectic order of keys.  A candidate key c closes to ``x = then(y)``
-    with ``y = other(flip ^ c)``; each closed x is listed with that y, which
-    is its other side, since ``other(then(y)) == y`` by the adjunction."""
-    out = []
-    y = other(flip)
+    """Outrata and Vychodil's FCbO (2012), Kuznetsov's Close-by-One with
+    inherited canonicity failures, on the keys ``x ^ flip`` of the closed
+    side sets x, over an explicit stack.
+
+    A closed key with other side y grows by each element i outside it above
+    the element that made it: ``key | 1 << i`` closes to ``x = then(y')``
+    with ``y' = f ^ (f ^ y | vectors[i])``, one OR, since ``other`` ORs
+    ``vectors`` over exactly the key.  A closure that adds an element below
+    i fails the canonicity test (its key is reached from elsewhere) and is
+    kept as ``failed[i]``.  A key's children share its ``failed`` list,
+    complete before the first child is popped; a descendant whose key lacks
+    an element below i of ``failed[i]`` would fail at i again, so it skips
+    i without closing.  Each closed x is listed once, with its other side y.
+    """
+    n = len(vectors)
+    y = f
     x = then(y)
-    while True:
-        out.append((x, y))
-        current = flip ^ x
-        for i in range(n - 1, -1, -1):
-            if current >> i & 1:
+    out = [(x, y)]
+    stack = [(flip ^ x, y, 0, [0] * n)]
+    while stack:
+        key, y, start, inherited = stack.pop()
+        z, failed = f ^ y, inherited.copy()
+        for i in range(start, n):
+            bit = 1 << i
+            if key & bit:
                 continue
-            low = (1 << i) - 1
-            y = other(flip ^ ((current & low) | (1 << i)))
+            below = bit - 1 & ~key
+            if inherited[i] & below:
+                continue
+            y = f ^ (z | vectors[i])
             x = then(y)
-            if (flip ^ x) & low & ~current == 0:
-                break
-        else:
-            return out
+            closed = flip ^ x
+            if closed & below:
+                failed[i] = closed
+            else:
+                out.append((x, y))
+                stack.append((closed, y, i + 1, failed))
+    return out
 
 
 def _lectic_key(mask: int) -> str:
@@ -147,31 +170,31 @@ def _lectic_key(mask: int) -> str:
 
 def _closure_system(
     ctx: FormalContext, kind: ConceptKind
-) -> tuple[int, int, int, Callable[[int], int], Callable[[int], int], bool]:
-    """``(side, n, flip, other, then, reverse)``: the one closure system the
-    kind's concepts are scanned in, on the smaller carrier (extents on a tie).
-    ``side`` is 0 for extents and 1 for intents, the place of the side set in
-    an (extent, intent) pair.  A side set x has the n-bit key ``x ^ flip``; a
-    union-closed side is keyed by its complements (``flip`` is all ones),
-    which are intersection-closed.  ``other`` maps a side set across and
-    ``then`` back, so the key c closes to ``flip ^ then(other(flip ^ c))``.
-    Key inclusion is the order by extent on the meet's side and its
-    ``reverse`` on the other, where FC intents and complements shrink as
-    extents grow.
+) -> tuple[int, int, tuple[int, ...], int, Callable[[int], int], bool]:
+    """``(side, flip, vectors, f, then, reverse)``: the one closure system
+    the kind's concepts are scanned in, on the smaller carrier (extents on a
+    tie).  ``side`` is 0 for extents and 1 for intents, the place of the side
+    set in an (extent, intent) pair.  The ``other`` operator maps a side set
+    x across to ``f`` XOR the OR of ``vectors`` over its key ``x ^ flip``
+    (``context._kernel_terms``), and ``then`` maps back; so the key c closes
+    to ``flip ^ then(f ^ OR(vectors over c))``.  ``flip`` is all ones
+    exactly on a union-closed side, which is keyed by its complements, an
+    intersection-closed family.  Key inclusion is the order by extent on the
+    meet's side and its ``reverse`` on the other, where FC intents and
+    complements shrink as extents grow.
     """
     side = 0 if ctx.n_objects <= ctx.n_attributes else 1
-    n = min(ctx.n_objects, ctx.n_attributes)
-    other, then = _kernels(kind, _SIDES[side], ctx)
-    meet, join = _MEET_JOIN[kind]
-    flip = 0 if (_SIDES[side], True) in (meet, join) else (1 << n) - 1
-    return side, n, flip, other, then, _SIDES[side] != meet[0]
+    other, then = _side_operators(kind, _SIDES[side])
+    vectors, flip, f = _kernel_terms(other, ctx)
+    reverse = _SIDES[side] != _MEET_JOIN[kind][0][0]
+    return side, flip, vectors, f, _kernel(then, ctx), reverse
 
 
 def _concept_masks(ctx: FormalContext, kind: ConceptKind) -> list[tuple[int, int]]:
     """(extent, intent) masks of the kind's concepts, scanned in its
     ``_closure_system`` and sorted as ``enumerate_concepts`` lists them."""
-    side, n, flip, other, then, _ = _closure_system(ctx, kind)
-    pairs = _next_closure_masks(n, flip, other, then)
+    side, flip, vectors, f, then, _ = _closure_system(ctx, kind)
+    pairs = _fcbo_masks(flip, vectors, f, then)
     if side:
         pairs = [(y, x) for x, y in pairs]
     return sorted(pairs, key=lambda p: _lectic_key(p[0]))
@@ -200,13 +223,13 @@ def _upper_covers(
 
     The closed key of ``key | 1 << g`` for each g outside a key is a
     candidate; it is an upper cover of the key iff every g it adds produces
-    it, and the pair is flipped where keys reverse the order by extent.  A
-    missing bottom or candidate means a missing concept, since covers reach
-    all from the bottom.
+    it, and the pair is flipped where keys reverse the order by extent.  As
+    in ``_fcbo_masks``, a candidate's other side is one OR from the stored
+    other side of its key.  A missing bottom or candidate means a missing
+    concept, since covers reach all from the bottom.
     """
-    side, n, flip, other, then, reverse = _closure_system(ctx, kind)
-    keys = [pair[side] ^ flip for pair in masks]
-    index = {key: i for i, key in enumerate(keys)}
+    side, flip, vectors, f, then, reverse = _closure_system(ctx, kind)
+    index = {pair[side] ^ flip: i for i, pair in enumerate(masks)}
 
     def locate(closed: int) -> int:
         if closed not in index:
@@ -216,16 +239,15 @@ def _upper_covers(
             )
         return index[closed]
 
-    locate(flip ^ then(other(flip)))
+    locate(flip ^ then(f))
     out = []
-    for i, key in enumerate(keys):
+    for i, pair in enumerate(masks):
+        key, z = pair[side] ^ flip, f ^ pair[1 - side]
         hits: dict[int, int] = {}
-        rest = (1 << n) - 1 & ~key
-        while rest:
-            low = rest & -rest
-            candidate = flip ^ then(other(flip ^ (key | low)))
-            hits[candidate] = hits.get(candidate, 0) + 1
-            rest ^= low
+        for g, vector in enumerate(vectors):
+            if not key >> g & 1:
+                candidate = flip ^ then(f ^ (z | vector))
+                hits[candidate] = hits.get(candidate, 0) + 1
         for candidate, count in hits.items():
             j = locate(candidate)
             if count == (candidate & ~key).bit_count():
@@ -298,7 +320,8 @@ def build_lattice(
     that is not over the context's carriers, whose side set in that system is
     not closed, whose other side is not the image of that set, or that
     repeats an earlier entry, and when the list misses a concept."""
-    side, _, _, other, then, _ = _closure_system(ctx, kind)
+    side = _closure_system(ctx, kind)[0]
+    other, then = _kernels(kind, _SIDES[side], ctx)
     carriers = ((SORT1, ctx.n_objects), (SORT2, ctx.n_attributes))
     masks: list[tuple[int, int]] = []
     seen: dict[int, int] = {}

@@ -290,21 +290,26 @@ def _block_slices(
 
 
 def _truth_sets(
-    frame: SortedFrame, items: Sequence[tuple[Formula, Valuation]]
+    frame: SortedFrame,
+    items: Sequence[tuple[Formula, Valuation]],
+    item_variables: Sequence[Sequence[Var]],
 ) -> list[SortedSubset]:
     """Each (formula, valuation) item's truth set, item k read off bit k.
 
-    Blocks of at most ``_BLOCK`` items share one ``_Slices`` memo, so a
-    subformula common to several items is evaluated once.  A variable's bit
-    k is item k's valuation of it, 0 if item k's formula does not use it.
-    Errors name the first bad item's first bad variable in (sort, name) order.
+    ``item_variables`` lists each item formula's variables in (sort, name)
+    order (``_sorted_variables``), so a caller that evaluates one formula
+    under several valuations or frames walks it once.  Blocks of at most
+    ``_BLOCK`` items share one ``_Slices`` memo, so a subformula common to
+    several items is evaluated once.  A variable's bit k is item k's
+    valuation of it, 0 if item k's formula does not use it.  Errors name the
+    first bad item's first bad variable in that order.
     """
     out = []
     for start in range(0, len(items), _BLOCK):
         block = items[start : start + _BLOCK]
         seeds: dict[Var, list[int]] = {}
         for k, (f, valuation) in enumerate(block):
-            for v in _sorted_variables([f]):
+            for v in item_variables[start + k]:
                 worlds, index = valuation.worlds(v), frame._index[v.sort]
                 if unknown := worlds - index.keys():
                     raise ValuationError(
@@ -324,7 +329,7 @@ def _truth_sets(
 
 def truth_set(model: Model, f: Formula) -> SortedSubset:
     """All worlds of sort(f) where the formula holds."""
-    return _truth_sets(model.frame, [(f, model.valuation)])[0]
+    return _truth_sets(model.frame, [(f, model.valuation)], [_sorted_variables([f])])[0]
 
 
 def satisfies(model: Model, world: str, f: Formula) -> bool:

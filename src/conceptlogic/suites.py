@@ -17,6 +17,7 @@ from .semantics import (
     DEFAULT_BUDGET,
     Valuation,
     _describe_valuation,
+    _sorted_variables,
     _truth_sets,
     context_to_frame,
 )
@@ -37,7 +38,6 @@ from .syntax import (
     Top,
     Var,
     translate_rho,
-    variables,
 )
 
 _VAR_POOLS = {SORT1: ("p", "q", "r"), SORT2: ("x", "y", "z")}
@@ -115,13 +115,17 @@ def suite_translation(ctx: FormalContext, seed: int) -> VerificationReport:
     rng = random.Random(seed)
     frame = context_to_frame(ctx)
     cframe = context_to_frame(complement_context(ctx))
-    samples = []
+    samples, sample_variables = [], []
     for _ in range(_TRANSLATION_SAMPLES):
         sort = rng.choice([SORT1, SORT2])
         f = random_formula(rng, sort, _TRANSLATION_DEPTH, KF, n_vars=3)
-        samples.append((f, random_valuation(rng, frame, variables(f))))
-    left = _truth_sets(frame, samples)
-    right = _truth_sets(cframe, [(translate_rho(f), val) for f, val in samples])
+        vs = _sorted_variables([f])  # translate_rho keeps the variables
+        samples.append((f, random_valuation(rng, frame, vs)))
+        sample_variables.append(vs)
+    left = _truth_sets(frame, samples, sample_variables)
+    right = _truth_sets(
+        cframe, [(translate_rho(f), val) for f, val in samples], sample_variables
+    )
     bad = [k for k, (a, b) in enumerate(zip(left, right)) if a != b]
     detail = f"{len(samples) - len(bad)}/{len(samples)} sampled formulas agree on every world"
     if bad:
@@ -129,7 +133,7 @@ def suite_translation(ctx: FormalContext, seed: int) -> VerificationReport:
         f, val = samples[k]
         assigned = _describe_valuation(
             (v, [w for w in frame.carrier(v.sort) if w in val.worlds(v)])
-            for v in sorted(variables(f), key=lambda v: (v.sort, v.name))
+            for v in sample_variables[k]
         )
         differ = [frame.carrier(f.sort)[i] for i in iter_bits(left[k].bits ^ right[k].bits)]
         detail += (

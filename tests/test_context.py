@@ -264,7 +264,8 @@ def _or_over_operator(kind, ctx):
 
 
 def _check_kernels(kind):
-    """Each table kernel of ``kind`` against ``_or_over`` and the set operator."""
+    """Each table kernel of ``kind`` against ``_or_over``, its
+    ``_kernel_terms`` and the set operator."""
     for rng, ctx in _table_contexts():
         forward = kind.input_sort == SORT1
         carrier_in, carrier_out = (
@@ -272,9 +273,11 @@ def _check_kernels(kind):
         )
         n = len(carrier_in)
         table, per_bit = _kernel(kind, ctx), _or_over_operator(kind, ctx)
+        vectors, skip, flip = context._kernel_terms(kind, ctx)
         edges = _edge_masks(rng, n)
         for mask in edges + [rng.getrandbits(n) for _ in range(40)]:
             assert table(mask) == per_bit(mask), (kind, ctx.n_objects, ctx.n_attributes, mask)
+            assert flip ^ _or_over(vectors, skip ^ mask) == per_bit(mask)
         for mask in edges:
             names = set(SortedSubset(kind.input_sort, mask, n).members(carrier_in))
             image = SortedSubset(kind.output_sort, table(mask), len(carrier_out))

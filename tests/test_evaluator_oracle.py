@@ -278,7 +278,11 @@ def test_batched_truth_sets_equal_one_by_one_and_oracle(seed, n, block):
         val = {v: {w for w in frame.carrier(v.sort) if rng.random() < 0.5} for v in variables(f)}
         items.append((f, val))
     with mock.patch.object(semantics, "_BLOCK", block):
-        got = semantics._truth_sets(frame, [(f, Valuation(val)) for f, val in items])
+        got = semantics._truth_sets(
+            frame,
+            [(f, Valuation(val)) for f, val in items],
+            [semantics._sorted_variables([f]) for f, _ in items],
+        )
     assert len(got) == n
     for (f, val), ts in zip(items, got):
         assert ts == truth_set(Model(frame, Valuation(val)), f)
@@ -295,4 +299,6 @@ def test_batch_reports_the_first_bad_item():
     ]
     with mock.patch.object(semantics, "_BLOCK", 2):
         with pytest.raises(ValuationError, match=r"^variable 'q' of sort s1 is unassigned$"):
-            semantics._truth_sets(frame, items)
+            semantics._truth_sets(
+                frame, items, [semantics._sorted_variables([f]) for f, _ in items]
+            )

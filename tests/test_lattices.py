@@ -1,6 +1,7 @@
 """Tests for concept enumeration, lattice structure, and the complement dualities."""
 
 import dataclasses
+import inspect
 import random
 import re
 
@@ -24,7 +25,6 @@ from conceptlogic.lattices import (
     _kernels,
     _side_operators,
     _lectic_key,
-    _next_closure_masks,
     build_lattice,
     closure,
     enumerate_concepts,
@@ -237,7 +237,8 @@ def mask_problems(ctx, kind, masks):
     """What is wrong with ``masks`` as ``_concept_masks(ctx, kind)``: a
     difference from the brute-force concepts, or a pair whose other side is
     not ``other`` of its side set in the kind's closure system."""
-    side, _, _, other, _, _ = _closure_system(ctx, kind)
+    side = _closure_system(ctx, kind)[0]
+    other = _kernels(kind, ("extent", "intent")[side], ctx)[0]
     oracle = oracles.enumerate_concepts_bruteforce(ctx, kind)
     want = [(c.extent.bits, c.intent.bits) for c in oracle]
     problems = [] if masks == want else [f"{len(masks)} pairs differ from {len(want)} concepts"]
@@ -249,21 +250,19 @@ def mask_problems(ctx, kind, masks):
     return problems
 
 
-def pre_closure_mutant(n, flip, other, then):
-    """``_next_closure_masks`` returning, for each closed set after the
-    first, the candidate set it closed instead of its closure."""
-    out, previous = [], None
-    for x, y in _next_closure_masks(n, flip, other, then):
-        key = flip ^ x
-        if previous is None:
-            candidate = 0
-        else:
-            added = key & ~previous
-            bit = added & -added  # the i of NextClosure's accepted candidate
-            candidate = previous & (bit - 1) | bit
-        out.append((flip ^ candidate, y))
-        previous = key
-    return out
+def over_pruning_mutant():
+    """``_fcbo_masks`` skipping i when an inherited failure has any element
+    below i, those of the key included, instead of one outside the key."""
+    source = inspect.getsource(lattices._fcbo_masks)
+    assert source.count("inherited[i] & below") == 1
+    namespace = dict(vars(lattices))
+    exec(source.replace("inherited[i] & below", "inherited[i] & (bit - 1)"), namespace)
+    return namespace["_fcbo_masks"]
+
+
+# NextClosure's closures (``then`` kernel calls) on ``contexts(96, 4)`` per
+# kind, as counted for the scan that FCbO replaced
+NEXT_CLOSURE_CLOSURES = {ConceptKind.FC: 224, ConceptKind.PC: 212, ConceptKind.OC: 212}
 
 
 class TestConceptMasks:
@@ -276,27 +275,31 @@ class TestConceptMasks:
     def test_masks_equal_bruteforce_with_their_other_sides(self, kind):
         systems = set()
         for ctx in self.contexts(95, 8):
-            side, _, flip, _, _, _ = _closure_system(ctx, kind)
+            side, flip, _, _, _, _ = _closure_system(ctx, kind)
             systems.add((side, bool(flip)))
             assert mask_problems(ctx, kind, _concept_masks(ctx, kind)) == []
         # both carrier orders; PC intents and OC extents are keyed by complements
         complemented = {ConceptKind.FC: set(), ConceptKind.PC: {1}, ConceptKind.OC: {0}}[kind]
         assert systems == {(side, side in complemented) for side in (0, 1)}
 
-    def test_pre_closure_mutant_is_caught(self, monkeypatch):
-        monkeypatch.setattr(lattices, "_next_closure_masks", pre_closure_mutant)
-        caught = [
-            (ctx, kind)
-            for ctx in self.contexts(95, 4)
-            for kind in ConceptKind
-            if mask_problems(ctx, kind, _concept_masks(ctx, kind))
-        ]
-        assert len(caught) >= 3 * 4 * len(ConceptKind) // 2
+    def test_over_pruning_mutant_is_caught(self, monkeypatch):
+        # it skips i wherever an inherited failure shares an element below i
+        # with the key, which drops concepts on 4 to 7 of these 12 small
+        # contexts per kind
+        monkeypatch.setattr(lattices, "_fcbo_masks", over_pruning_mutant())
+        for kind in ConceptKind:
+            caught = [
+                ctx
+                for ctx in self.contexts(95, 4)
+                if mask_problems(ctx, kind, _concept_masks(ctx, kind))
+            ]
+            assert len(caught) >= 3, kind
 
     @pytest.mark.parametrize("kind", list(ConceptKind))
-    def test_next_closure_calls_each_kernel_once_per_closure(self, kind, monkeypatch):
-        # the other side of each closed set is the one its closure computed,
-        # so no kernel is applied again per concept
+    def test_fcbo_closes_fewer_and_never_calls_other(self, kind, monkeypatch):
+        # each candidate's other side is one OR, so the scan and the covers
+        # apply only ``then``, once per closure, and inherited failures skip
+        # closures NextClosure made
         calls = dict.fromkeys(OperatorKind, 0)
 
         def counting_kernel(op, ctx):
@@ -309,13 +312,19 @@ class TestConceptMasks:
             return counted
 
         monkeypatch.setattr(lattices, "_kernel", counting_kernel)
+        closures = found = 0
         for ctx in self.contexts(96, 4):
-            side, _, _, _, _, _ = _closure_system(ctx, kind)
-            first, then = _side_operators(kind, ("extent", "intent")[side])
+            side = _closure_system(ctx, kind)[0]
+            then = _side_operators(kind, ("extent", "intent")[side])[1]
             calls.update(dict.fromkeys(OperatorKind, 0))
             concepts = _concept_masks(ctx, kind)
-            assert calls[first] == calls[then] >= len(concepts)
-            assert sum(calls.values()) == calls[first] + calls[then]
+            scanned = calls[then]
+            assert sum(calls.values()) == scanned >= len(concepts)
+            closures += scanned
+            found += len(concepts)
+            lattices.ConceptLattice(kind, ctx, concepts)
+            assert sum(calls.values()) == calls[then] > scanned
+        assert found <= closures < NEXT_CLOSURE_CLOSURES[kind]
 
 
 class TestLattice:
