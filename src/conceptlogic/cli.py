@@ -15,7 +15,7 @@ import argparse
 import functools
 import operator
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 
 from .context import member_names
 from .errors import BudgetExceededError, ConceptLogicError
@@ -52,6 +52,14 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def _budget(text: str) -> int:
+    """A ``--budget`` value, an int of at least 0 (0 refuses every check)."""
+    with suppress(ValueError):
+        if (value := int(text)) >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"budget must be an int of at least 0, got {text!r}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command parser, built on the first ``run_cli`` call of a process.
@@ -78,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kind = ("--kind", dict(choices=["fc", "pc", "oc"], required=True))
     formula = ("--formula", dict(required=True))
     sort = ("--sort", dict(choices=["1", "2"], required=True))
-    budget = ("--budget", dict(type=int, default=DEFAULT_BUDGET))
+    budget = ("--budget", dict(type=_budget, default=DEFAULT_BUDGET))
     context = ("context", dict(help="context file (.cxt or .csv)"))
 
     command(

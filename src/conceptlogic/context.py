@@ -32,13 +32,12 @@ def _mask_from_indices(indices: Iterable[int]) -> int:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    i = 0
+    """Yield the set bit positions of ``mask`` in increasing order, taking the
+    lowest set bit and clearing it, as ``_or_over`` walks a mask."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _byte_tables(units: Sequence[Any], empty: Any, add: Callable) -> tuple[list, ...]:
@@ -170,23 +169,6 @@ class FormalContext:
             if m not in mi:
                 raise DimensionError(f"unknown attribute {m!r} in incidence")
             rows[gi[g]] |= 1 << mi[m]
-        return cls(objects, attributes, tuple(rows))
-
-    @classmethod
-    def from_bools(
-        cls,
-        objects: Iterable[str],
-        attributes: Iterable[str],
-        matrix: Iterable[Iterable[bool]],
-    ) -> "FormalContext":
-        objects = tuple(objects)
-        attributes = tuple(attributes)
-        rows = []
-        for row in matrix:
-            cells = list(row)
-            if len(cells) != len(attributes):
-                raise DimensionError("incidence row length does not match attributes")
-            rows.append(_mask_from_indices(i for i, c in enumerate(cells) if c))
         return cls(objects, attributes, tuple(rows))
 
     @cached_property

@@ -9,7 +9,8 @@ column, and cells ``1``/``0`` or ``X``/``.``; the serializer always emits
 byte-for-byte (CXT) or normalizes the cell style (CSV).  Serializing then
 parsing gives the same context: a serializer raises ``CxtFormatError`` for a
 name its format cannot carry, which is one with a line break, or in CSV one
-with a comma or with leading or trailing white space.
+with a comma or with leading or trailing white space.  An incidence row is
+read into and written from its row mask directly: cell m is bit m.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .errors import ConceptLogicError, CxtFormatError
 from .lattices import ConceptLattice
 
 _COUNT = re.compile(r"[0-9]+")  # counts are ASCII digits only, as serialized
+# CXT cells to the binary digits of a row mask's reversed string, and back
+_CXT_BITS, _CXT_CELLS = str.maketrans("X.", "10"), str.maketrans("10", "X.")
 
 
 def parse_cxt(text: str) -> FormalContext:
@@ -49,23 +52,17 @@ def parse_cxt(text: str) -> FormalContext:
     attributes = tuple(get(base + n_objects + i) for i in range(n_attributes))
     row_base = base + n_objects + n_attributes
     rows = []
-    for i in range(n_objects):
-        row = get(row_base + i).rstrip()
+    for line in range(row_base + 1, row_base + n_objects + 1):
+        row = get(line - 1).rstrip()
         if len(row) != n_attributes:
-            raise CxtFormatError(
-                f"incidence row has {len(row)} cells, expected {n_attributes}",
-                row_base + i + 1,
-            )
-        for c in row:
-            if c not in "X.":
-                raise CxtFormatError(
-                    f"incidence cells are 'X' or '.', found {c!r}", row_base + i + 1
-                )
-        rows.append([c == "X" for c in row])
+            raise CxtFormatError(f"incidence row has {len(row)} cells, expected {n_attributes}", line)
+        if bad := row.replace("X", "").replace(".", ""):
+            raise CxtFormatError(f"incidence cells are 'X' or '.', found {bad[0]!r}", line)
+        rows.append(int(row[::-1].translate(_CXT_BITS), 2))
     tail = lines[row_base + n_objects :]
     if any(t.strip() for t in tail):
         raise CxtFormatError("trailing content after incidence rows", row_base + n_objects + 1)
-    return FormalContext.from_bools(objects, attributes, rows)
+    return FormalContext(objects, attributes, tuple(rows))
 
 
 def _check_names(ctx: FormalContext, fmt: str, cannot_carry) -> None:
@@ -83,11 +80,8 @@ def serialize_cxt(ctx: FormalContext) -> str:
     lines = ["B", "", str(ctx.n_objects), str(ctx.n_attributes), ""]
     lines.extend(ctx.objects)
     lines.extend(ctx.attributes)
-    for g in range(ctx.n_objects):
-        row = ctx.rows[g]
-        lines.append(
-            "".join("X" if row >> m & 1 else "." for m in range(ctx.n_attributes))
-        )
+    for row in ctx.rows:
+        lines.append(f"{row:0{ctx.n_attributes}b}"[::-1].translate(_CXT_CELLS))
     return "\n".join(lines) + "\n"
 
 
@@ -107,7 +101,7 @@ def parse_csv(text: str) -> FormalContext:
     if not attributes:
         raise CxtFormatError("header row has no attribute names", 1)
     objects = []
-    matrix = []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(attributes) + 1:
@@ -115,30 +109,24 @@ def parse_csv(text: str) -> FormalContext:
                 f"row has {len(cells) - 1} cells, expected {len(attributes)}", lineno
             )
         objects.append(cells[0])
-        row = []
-        for c in cells[1:]:
+        row = 0
+        for m, c in enumerate(cells[1:]):
             low = c.lower()
             if low in _TRUE_CELLS:
-                row.append(True)
-            elif low in _FALSE_CELLS:
-                row.append(False)
-            else:
-                raise CxtFormatError(
-                    f"cells are 1/0 or X/., found {c!r}", lineno
-                )
-        matrix.append(row)
+                row |= 1 << m
+            elif low not in _FALSE_CELLS:
+                raise CxtFormatError(f"cells are 1/0 or X/., found {c!r}", lineno)
+        rows.append(row)
     if not objects:
         raise CxtFormatError("no object rows", 2)
-    return FormalContext.from_bools(objects, attributes, matrix)
+    return FormalContext(tuple(objects), attributes, tuple(rows))
 
 
 def serialize_csv(ctx: FormalContext) -> str:
     _check_names(ctx, "CSV", lambda n: _breaks_line(n) or "," in n or n != n.strip())
     lines = ["," + ",".join(ctx.attributes)]
-    for g, name in enumerate(ctx.objects):
-        row = ctx.rows[g]
-        cells = ["1" if row >> m & 1 else "0" for m in range(ctx.n_attributes)]
-        lines.append(name + "," + ",".join(cells))
+    for name, row in zip(ctx.objects, ctx.rows):
+        lines.append(name + "," + ",".join(f"{row:0{ctx.n_attributes}b}"[::-1]))
     return "\n".join(lines) + "\n"
 
 

@@ -34,6 +34,7 @@ from .context import (
     SortedSubset,
     _kernel,
     _kernel_terms,
+    _or_over,
     apply_operator,
     complement_context,
     iter_bits,
@@ -109,14 +110,6 @@ class SemanticConcept:
     extent: SortedSubset
     intent: SortedSubset
     kind: ConceptKind
-
-
-# --- mask kernels -------------------------------------------------------------
-
-
-def _kernels(kind: ConceptKind, side: str, ctx: FormalContext) -> tuple[Callable[[int], int], ...]:
-    """``_side_operators`` on masks."""
-    return tuple(_kernel(op, ctx) for op in _side_operators(kind, side))
 
 
 def _fcbo_masks(
@@ -319,9 +312,9 @@ def build_lattice(
     the kind's ``_closure_system``.  Raises ``LatticeError`` naming the entry
     that is not over the context's carriers, whose side set in that system is
     not closed, whose other side is not the image of that set, or that
-    repeats an earlier entry, and when the list misses a concept."""
-    side = _closure_system(ctx, kind)[0]
-    other, then = _kernels(kind, _SIDES[side], ctx)
+    repeats an earlier entry, and when the list misses a concept.  The image
+    is one OR of the system's vectors over the key, as in ``_fcbo_masks``."""
+    side, flip, vectors, f, then, _ = _closure_system(ctx, kind)
     carriers = ((SORT1, ctx.n_objects), (SORT2, ctx.n_attributes))
     masks: list[tuple[int, int]] = []
     seen: dict[int, int] = {}
@@ -330,7 +323,7 @@ def build_lattice(
         if tuple((s.sort, s.size) for s in sets) != carriers:
             raise LatticeError(f"entry {i} is not over the context's carriers")
         x, y = sets[side].bits, sets[1 - side].bits
-        image = other(x)
+        image = f ^ _or_over(vectors, flip ^ x)
         if then(image) != x:
             raise LatticeError(f"entry {i}: {_SIDES[side]} {list(iter_bits(x))} is not closed")
         if image != y:

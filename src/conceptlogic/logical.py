@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .context import FormalContext, OperatorKind, complement_context
+from .context import FormalContext, OperatorKind
 from .errors import InternalConsistencyError, SortMismatchError
 from .lattices import (
     _MEET_JOIN,
@@ -39,6 +39,7 @@ from .semantics import (
     Check,
     FrameEvaluator,
     SortedFrame,
+    complement_frame,
     context_to_frame,
     equivalence_check,
     frame_valid,
@@ -416,9 +417,8 @@ def verify_isomorphisms(
         (clause, row, [generate_pair(s, row[0]) for s in seeds]) for clause, row in _YAO.items()
     ]
     # every family has the seeds' variables
-    on = [
-        _Campaign(context_to_frame(c), rows[0][2], budget) for c in (ctx, complement_context(ctx))
-    ]
+    frame = context_to_frame(ctx)
+    on = [_Campaign(f, rows[0][2], budget) for f in (frame, complement_frame(frame))]
     rho: dict[Formula, Formula] = {}
     campaigns = []
     for clause, (source, target, complemented, (flip_extent, _)), pairs in rows:

@@ -1,8 +1,10 @@
 """Two-sorted relational frames, models, truth sets, and exhaustive validity.
 
-A frame is the paper's two-sorted bidirectional frame: a carrier per sort
-and one relation leaving each sort, which every modality into that sort
-reads, so the diamond and window dialects evaluate on every frame.
+A frame is the paper's two-sorted frame: a carrier per sort and one
+relation leaving each sort, held as one successor mask per world, which
+every modality into that sort reads, so the diamond and window dialects
+evaluate on every frame.  A context's frame takes its rows and columns as
+those masks; ``SortedFrame.relations``, as name pairs, is a view of them.
 
 One evaluator computes every truth value here, bit-sliced over valuations:
 a formula's truth is one int per world of its sort, whose bit k is its
@@ -11,10 +13,11 @@ operations; a diamond is the OR of the argument slices over a world's
 successors, a box is its dual, and a window box is the complement of the OR
 of the argument slices over non-successors.  A batch of (formula,
 valuation) items is one block with item k's valuation at bit k, and each
-truth set is read off its item's bit (``_truth_sets``); ``truth_set`` is
-its one-item case.  A tautology test (``proofs``) is a one-world frame
-whose memo is seeded with the atoms' truth-table columns.  Evaluation runs
-on ``syntax._walk``: children first, each shared node once, no recursion.
+truth set is a mask read off its item's bit (``_truth_sets``); ``truth_set``
+is its one-item case, typed as a ``SortedSubset``.  A tautology test
+(``proofs``) is a one-world frame whose memo is seeded with the atoms'
+truth-table columns.  Evaluation runs on ``syntax._walk``: children first,
+each shared node once, no recursion.
 
 Every exhaustive check runs on one scanner, ``FrameEvaluator``: it
 enumerates all valuations of a variable set, refusing explicitly when the
@@ -31,7 +34,6 @@ pure and immutable-by-convention; models can be shared freely.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -62,17 +64,19 @@ from .syntax import (
 
 DEFAULT_BUDGET = 1 << 20
 
+_DIRECTIONS = ((SORT1, SORT2), (SORT2, SORT1))
+
 
 class SortedFrame:
     """Finite carriers per sort plus one relation leaving each sort.
 
-    ``relations[s]`` is a set of pairs ``(w, u)`` of a world ``w`` of sort
-    ``s`` and a world ``u`` of the other sort; every modality whose result
-    sort is ``s`` (diamond, box and window alike) reads it.  The frame is
-    ``bidirectional`` when the two relations are each other's converse, as
-    on the frame of a formal context.  A sort missing from ``relations``
-    relates nothing.  Carriers are disjoint by sort tagging, so equal world
-    names in different sorts are allowed.
+    A frame is its successor masks: ``_succ[s][i]`` is the mask of the worlds
+    of the other sort that world i of sort ``s`` relates to, which every
+    modality whose result sort is ``s`` (diamond, box and window alike)
+    reads.  The constructor takes each relation as pairs ``(w, u)``, and a
+    sort missing from ``relations`` relates nothing; ``relations`` reads the
+    pairs back off the masks.  Carriers are disjoint by sort tagging, so
+    equal world names in different sorts are allowed.
     """
 
     def __init__(
@@ -89,31 +93,47 @@ class SortedFrame:
                 raise FrameError(f"unknown sort {s!r}: carriers are for {SORT1!r} and {SORT2!r}")
             if len(set(ws)) != len(ws):
                 raise FrameError(f"carrier for sort {s!r} has duplicate worlds")
-        self._index = {
-            s: {w: i for i, w in enumerate(ws)} for s, ws in self.carriers.items()
-        }
         for s in relations:
             if s not in (SORT1, SORT2):
                 raise FrameError(f"unknown sort {s!r}: relations leave {SORT1!r} and {SORT2!r}")
-        self.relations: dict[str, frozenset[tuple[str, str]]] = {}
-        # per sort and world of it: the mask of its related worlds of the other sort
-        self._succ: dict[str, list[int]] = {}
-        for s, other in ((SORT1, SORT2), (SORT2, SORT1)):
-            table = frozenset((w, u) for w, u in relations.get(s, ()))
+        self._succ: dict[str, tuple[int, ...]] = {}
+        for s, other in _DIRECTIONS:
             source, target = self._index[s], self._index[other]
             masks = [0] * len(source)
-            for w, u in table:
+            for w, u in relations.get(s, ()):
                 if w not in source or u not in target:
                     unknown = u if w in source else w
                     raise FrameError(f"unknown world {unknown!r} in the relation from {s!r}")
                 masks[source[w]] |= 1 << target[u]
-            self.relations[s] = table
-            self._succ[s] = masks
+            self._succ[s] = tuple(masks)
+
+    @classmethod
+    def _from_masks(cls, carriers: dict, succ: dict[str, tuple[int, ...]]) -> "SortedFrame":
+        """The frame of well-formed carriers and successor masks, unchecked."""
+        frame = cls.__new__(cls)
+        frame.carriers, frame._succ = carriers, succ
+        return frame
+
+    @functools.cached_property
+    def _index(self) -> dict[str, dict[str, int]]:
+        return {s: {w: i for i, w in enumerate(ws)} for s, ws in self.carriers.items()}
+
+    @property
+    def relations(self) -> dict[str, frozenset[tuple[str, str]]]:
+        """Each sort's relation as (world, world) name pairs, a view of the masks."""
+        out = {}
+        for s, other in _DIRECTIONS:
+            targets, pairs = self.carriers[other], zip(self.carriers[s], self._succ[s])
+            out[s] = frozenset((w, targets[u]) for w, mask in pairs for u in iter_bits(mask))
+        return out
 
     @functools.cached_property
     def bidirectional(self) -> bool:
-        """Whether the two relations are each other's converse."""
-        return self.relations[SORT1] == {(u, w) for w, u in self.relations[SORT2]}
+        """Whether the two relations are each other's converse: the masks
+        leaving sort 2 are the columns of the context whose rows are those
+        leaving sort 1."""
+        ctx = FormalContext(self.carriers[SORT1], self.carriers[SORT2], self._succ[SORT1])
+        return ctx.cols == self._succ[SORT2]
 
     def carrier(self, sort: str) -> tuple[str, ...]:
         try:
@@ -161,16 +181,11 @@ def context_to_frame(ctx: FormalContext) -> SortedFrame:
 
     The relation leaving the objects is the incidence and the one leaving
     the attributes its converse, so diamond/box and window formulas evaluate
-    over one frame.
+    over one frame: the context's rows and columns are its successor masks.
     """
-    carriers = {SORT1: ctx.objects, SORT2: ctx.attributes}
-    incidence = [
-        (ctx.objects[g], ctx.attributes[m])
-        for g in range(ctx.n_objects)
-        for m in iter_bits(ctx.rows[g])
-    ]
-    converse = [(b, a) for a, b in incidence]
-    return SortedFrame(carriers, {SORT1: incidence, SORT2: converse})
+    return SortedFrame._from_masks(
+        {SORT1: ctx.objects, SORT2: ctx.attributes}, {SORT1: ctx.rows, SORT2: ctx.cols}
+    )
 
 
 def frame_to_context(frame: SortedFrame) -> FormalContext:
@@ -178,18 +193,14 @@ def frame_to_context(frame: SortedFrame) -> FormalContext:
     leaving the objects."""
     if not frame.bidirectional:
         raise FrameError("only bidirectional frames correspond to contexts")
-    return FormalContext.from_pairs(
-        frame.carrier(SORT1), frame.carrier(SORT2), frame.relations[SORT1]
-    )
+    return FormalContext(frame.carrier(SORT1), frame.carrier(SORT2), frame._succ[SORT1])
 
 
 def complement_frame(frame: SortedFrame) -> SortedFrame:
     """Complement both relations; preserves bidirectionality."""
-    relations = {
-        s: set(itertools.product(frame.carrier(s), frame.carrier(other))) - frame.relations[s]
-        for s, other in ((SORT1, SORT2), (SORT2, SORT1))
-    }
-    return SortedFrame(frame.carriers, relations)
+    full = {s: (1 << len(ws)) - 1 for s, ws in frame.carriers.items()}
+    succ = {s: tuple(full[other] ^ m for m in frame._succ[s]) for s, other in _DIRECTIONS}
+    return SortedFrame._from_masks(dict(frame.carriers), succ)
 
 
 # Valuations per slice block when a scan streams the valuation space.
@@ -293,8 +304,9 @@ def _truth_sets(
     frame: SortedFrame,
     items: Sequence[tuple[Formula, Valuation]],
     item_variables: Sequence[Sequence[Var]],
-) -> list[SortedSubset]:
-    """Each (formula, valuation) item's truth set, item k read off bit k.
+) -> list[int]:
+    """Each (formula, valuation) item's truth set as a mask over its sort's
+    carrier, item k read off bit k.
 
     ``item_variables`` lists each item formula's variables in (sort, name)
     order (``_sorted_variables``), so a caller that evaluates one formula
@@ -320,16 +332,14 @@ def _truth_sets(
                     column[index[w]] |= 1 << k
         ev = _Slices(frame, len(block), seeds)
         for k, (f, _) in enumerate(block):
-            mask = 0
-            for i, s in enumerate(ev(f)):
-                mask |= (s >> k & 1) << i
-            out.append(SortedSubset(f.sort, mask, frame.carrier_size(f.sort)))
+            out.append(sum((s >> k & 1) << i for i, s in enumerate(ev(f))))
     return out
 
 
 def truth_set(model: Model, f: Formula) -> SortedSubset:
     """All worlds of sort(f) where the formula holds."""
-    return _truth_sets(model.frame, [(f, model.valuation)], [_sorted_variables([f])])[0]
+    mask = _truth_sets(model.frame, [(f, model.valuation)], [_sorted_variables([f])])[0]
+    return SortedSubset(f.sort, mask, model.frame.carrier_size(f.sort))
 
 
 def satisfies(model: Model, world: str, f: Formula) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .context import FormalContext, complement_context, iter_bits
+from .context import FormalContext, iter_bits
 from .lattices import ConceptKind, LawCheck, VerificationReport
 from .logical import generate_pair, verify_isomorphisms, verify_quotient_lattice
 from .parser import print_formula
@@ -19,6 +19,7 @@ from .semantics import (
     _describe_valuation,
     _sorted_variables,
     _truth_sets,
+    complement_frame,
     context_to_frame,
 )
 from .syntax import (
@@ -114,7 +115,7 @@ def suite_translation(ctx: FormalContext, seed: int) -> VerificationReport:
     """
     rng = random.Random(seed)
     frame = context_to_frame(ctx)
-    cframe = context_to_frame(complement_context(ctx))
+    cframe = complement_frame(frame)
     samples, sample_variables = [], []
     for _ in range(_TRANSLATION_SAMPLES):
         sort = rng.choice([SORT1, SORT2])
@@ -135,7 +136,7 @@ def suite_translation(ctx: FormalContext, seed: int) -> VerificationReport:
             (v, [w for w in frame.carrier(v.sort) if w in val.worlds(v)])
             for v in sample_variables[k]
         )
-        differ = [frame.carrier(f.sort)[i] for i in iter_bits(left[k].bits ^ right[k].bits)]
+        differ = [frame.carrier(f.sort)[i] for i in iter_bits(left[k] ^ right[k])]
         detail += (
             f"; first disagreement: sample {k}, sort {f.sort}, {print_formula(f)}, "
             f"{assigned}, differs at {','.join(differ)}"

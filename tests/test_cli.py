@@ -20,7 +20,7 @@ from conceptlogic.context import SortedSubset
 from conceptlogic.formats import load_context, serialize_cxt
 from conceptlogic.lattices import ConceptKind, LawCheck
 from conceptlogic.parser import parse_formula, print_formula
-from conceptlogic.semantics import context_to_frame
+from conceptlogic.semantics import SortedFrame, context_to_frame
 from conceptlogic.suites import random_valuation
 from conceptlogic.syntax import (
     SORT1,
@@ -93,6 +93,23 @@ class TestGoldenTranscripts:
         first = invoke(case["args"])
         second = invoke(case["args"])
         assert first == second
+
+
+def test_modal_commands_read_frames_as_masks_only(monkeypatch):
+    # with the name-pair view of a frame unavailable, every modal command on
+    # k0 still prints its golden: frames reach the evaluator as masks
+    def unavailable(frame):
+        raise AssertionError("SortedFrame.relations was read")
+
+    monkeypatch.setattr(SortedFrame, "relations", property(unavailable))
+    modal = ("eval", "valid", "consequence", "member", "verify")
+    cases = [c for c in MANIFEST if c["args"][0] in modal and c["args"][-1].endswith("/k0.cxt")]
+    assert {c["args"][0] for c in cases} == set(modal)
+    assert "verify-all-seed7-k0" in [c["name"] for c in cases]
+    for case in cases:
+        code, out, _ = invoke(case["args"])
+        assert out == (GOLDEN / f"{case['name']}.txt").read_text(), case["name"]
+        assert code == case["exit"]
 
 
 def _text_lattice(text):
@@ -211,6 +228,17 @@ class TestExitCodes:
             ]
         )
         assert code == 3 and out == "" and "budget" in err
+
+    def test_negative_budget_is_a_usage_error(self):
+        code, out, err = invoke(["valid", "--formula", "p", "--sort", "1", "--budget", "-1", K0])
+        assert code == 2 and out == ""
+        assert err.startswith("usage: conceptlogic valid")
+        assert "argument --budget: budget must be an int of at least 0, got '-1'" in err
+
+    def test_zero_budget_is_a_refusal(self):
+        code, out, err = invoke(["valid", "--formula", "p", "--sort", "1", "--budget", "0", K0])
+        assert code == 3 and out == ""
+        assert err == "budget refused: exhaustive check needs 4 valuations, budget is 0\n"
 
     def test_property_failure_is_exit_1(self):
         code, out, _ = invoke(

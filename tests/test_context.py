@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptlogic import (
     DimensionError,
@@ -15,7 +17,7 @@ from conceptlogic import (
     duality_check,
 )
 from conceptlogic import context
-from conceptlogic.context import SORT1, SORT2, _kernel, _or_over, member_names
+from conceptlogic.context import SORT1, SORT2, _kernel, _or_over, iter_bits, member_names
 from conceptlogic.lattices import ConceptKind, build_lattice, enumerate_concepts
 
 import oracles
@@ -72,6 +74,12 @@ class TestConstruction:
     def test_subset_size_validated(self):
         with pytest.raises(DimensionError):
             SortedSubset(SORT1, 4, 2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 1 << 130) | st.sampled_from([0, 1, (1 << 64) - 1, 1 << 64]))
+def test_iter_bits_lists_the_set_bits_in_increasing_order(m):
+    assert list(iter_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 class TestOperatorExamples:

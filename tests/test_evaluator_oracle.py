@@ -5,6 +5,7 @@ oracle's answer, including which countermodel is reported: the first
 failing valuation in product order, then the first failing world.
 """
 
+import itertools
 import random
 from unittest import mock
 
@@ -21,6 +22,7 @@ from conceptlogic.semantics import (
     Model,
     SortedFrame,
     Valuation,
+    complement_frame,
     consequence_countermodel,
     context_to_frame,
     equivalence_check,
@@ -145,6 +147,51 @@ def test_polyadic_frame(seed):
     the other's converse and every modality reads a non-converse frame."""
     rng = random.Random(1000 + seed)
     assert_agrees(rng, random_independent_frame(rng))
+
+
+def _edge_or_random_context(rng, seed):
+    """1x1 contexts empty and full, an empty incidence, or a random context."""
+    if seed < 2:
+        return FormalContext(("g1",), ("m1",), (seed,))
+    return oracles.random_context(rng, 4, 4, density=0.0 if seed % 5 == 2 else None)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_frame_from_pairs_equals_the_context_frame(seed):
+    """The checked constructor on a context's pairs and their converse, and
+    the mask path of ``context_to_frame``, give the same frame."""
+    rng = random.Random(3000 + seed)
+    ctx = _edge_or_random_context(rng, seed)
+    pairs = ctx.pairs()
+    built = SortedFrame(
+        {SORT1: ctx.objects, SORT2: ctx.attributes},
+        {SORT1: pairs, SORT2: [(m, g) for g, m in pairs]},
+    )
+    frame = context_to_frame(ctx)
+    assert built.relations == frame.relations == {
+        SORT1: frozenset(pairs), SORT2: frozenset((m, g) for g, m in pairs)
+    }
+    assert built.bidirectional and frame.bidirectional
+    for f in draw(rng, frame, [SORT1, SORT2] * 4, 8):
+        val = {v: {w for w in frame.carrier(v.sort) if rng.random() < 0.5} for v in variables(f)}
+        got = truth_set(Model(frame, Valuation(val)), f)
+        assert got == truth_set(Model(built, Valuation(val)), f)
+        assert set(got.members(frame.carrier(f.sort))) == oracles.extension(frame, val, f)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_complement_frame_complements_each_relation(seed):
+    """On frames whose two relations are drawn independently, each relation
+    of the complement is the set-product complement of the original."""
+    rng = random.Random(4000 + seed)
+    frame = random_independent_frame(rng)
+    cframe = complement_frame(frame)
+    assert cframe.carriers == frame.carriers
+    for s, other in ((SORT1, SORT2), (SORT2, SORT1)):
+        product = set(itertools.product(frame.carrier(s), frame.carrier(other)))
+        assert cframe.relations[s] == product - frame.relations[s]
+    assert cframe.bidirectional == frame.bidirectional
+    assert complement_frame(cframe).relations == frame.relations
 
 
 def test_countermodel_in_a_later_block():
@@ -284,8 +331,10 @@ def test_batched_truth_sets_equal_one_by_one_and_oracle(seed, n, block):
             [semantics._sorted_variables([f]) for f, _ in items],
         )
     assert len(got) == n
-    for (f, val), ts in zip(items, got):
-        assert ts == truth_set(Model(frame, Valuation(val)), f)
+    for (f, val), mask in zip(items, got):
+        assert type(mask) is int
+        ts = truth_set(Model(frame, Valuation(val)), f)
+        assert mask == ts.bits
         assert set(ts.members(frame.carrier(f.sort))) == oracles.extension(frame, val, f)
 
 

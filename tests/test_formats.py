@@ -1,5 +1,6 @@
 """Tests for context document parsing/serialization and lattice export."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,20 @@ class TestCxt:
             parse_cxt(doc)
         assert exc.value.line == 11
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("X?X\n...\n", "line 11: incidence cells are 'X' or '.', found '?'"),
+            ("X.X\n..x\n", "line 12: incidence cells are 'X' or '.', found 'x'"),
+            ("X.X\n.y?\n", "line 12: incidence cells are 'X' or '.', found 'y'"),
+        ],
+        ids=["middle", "end", "first-of-two"],
+    )
+    def test_bad_cell_names_its_character_and_line(self, rows, message):
+        doc = "B\n\n2\n3\n\ng1\ng2\nm1\nm2\nm3\n" + rows
+        with pytest.raises(CxtFormatError, match=f"^{re.escape(message)}$"):
+            parse_cxt(doc)
+
     def test_bad_header(self):
         with pytest.raises(CxtFormatError):
             parse_cxt("A\n\n1\n1\n\ng\nm\nX\n")
@@ -83,6 +98,10 @@ class TestCsv:
         with pytest.raises(CxtFormatError) as exc:
             parse_csv(",m1\ng1,2\n")
         assert exc.value.line == 2
+
+    def test_bad_cell_names_its_cell_and_line(self):
+        with pytest.raises(CxtFormatError, match=r"^line 3: cells are 1/0 or X/\., found 'y'$"):
+            parse_csv(",m1,m2,m3\ng1,1,0,X\ng2,1, y ,z\n")
 
     def test_ragged_row(self):
         with pytest.raises(CxtFormatError):
@@ -149,7 +168,7 @@ class TestDot:
         assert dot.count("->") == 2
 
     def test_single_concept_no_edges(self):
-        ctx = FormalContext.from_bools(("g1",), ("m1",), [[True]])
+        ctx = FormalContext(("g1",), ("m1",), (1,))
         lat = build_lattice(enumerate_concepts(ctx, ConceptKind.FC), ConceptKind.FC, ctx)
         dot = export_dot(lat)
         assert dot.count("[label=") == 1
@@ -161,7 +180,7 @@ class TestDot:
         assert a == b
 
     def test_label_escaping(self):
-        ctx = FormalContext.from_bools(('g"1',), ("m1",), [[True]])
+        ctx = FormalContext(('g"1',), ("m1",), (1,))
         lat = build_lattice(enumerate_concepts(ctx, ConceptKind.FC), ConceptKind.FC, ctx)
         assert '\\"' in export_dot(lat)
 

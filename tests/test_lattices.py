@@ -22,7 +22,6 @@ from conceptlogic.lattices import (
     _check_bijection,
     _closure_system,
     _concept_masks,
-    _kernels,
     _side_operators,
     _lectic_key,
     build_lattice,
@@ -147,7 +146,7 @@ class TestMaskKernels:
         forward_op, backward_op = OPERATORS[kind]
         for _ in range(25):
             ctx = oracles.random_context(rng, 5, 5)
-            forward, backward = _kernels(kind, "extent", ctx)
+            forward, backward = (_kernel(op, ctx) for op in _side_operators(kind, "extent"))
             for mask in range(1 << ctx.n_objects):
                 sub = SortedSubset(SORT1, mask, ctx.n_objects)
                 image = forward_op(ctx, set(sub.members(ctx.objects)))
@@ -238,7 +237,7 @@ def mask_problems(ctx, kind, masks):
     difference from the brute-force concepts, or a pair whose other side is
     not ``other`` of its side set in the kind's closure system."""
     side = _closure_system(ctx, kind)[0]
-    other = _kernels(kind, ("extent", "intent")[side], ctx)[0]
+    other = _kernel(_side_operators(kind, ("extent", "intent")[side])[0], ctx)
     oracle = oracles.enumerate_concepts_bruteforce(ctx, kind)
     want = [(c.extent.bits, c.intent.bits) for c in oracle]
     problems = [] if masks == want else [f"{len(masks)} pairs differ from {len(want)} concepts"]
@@ -325,6 +324,16 @@ class TestConceptMasks:
             lattices.ConceptLattice(kind, ctx, concepts)
             assert sum(calls.values()) == calls[then] > scanned
         assert found <= closures < NEXT_CLOSURE_CLOSURES[kind]
+
+    @pytest.mark.parametrize("kind", list(ConceptKind))
+    def test_build_lattice_builds_only_the_then_kernel(self, kind):
+        # the entries' other sides are checked by one OR, not an ``other`` kernel
+        ctx = oracles.random_context(random.Random(61), 6, 6)
+        concepts = enumerate_concepts(ctx, kind)
+        fresh = FormalContext(ctx.objects, ctx.attributes, ctx.rows)
+        build_lattice(concepts, kind, fresh)
+        side = _closure_system(fresh, kind)[0]
+        assert list(fresh._kernels) == [_side_operators(kind, ("extent", "intent")[side])[1]]
 
 
 class TestLattice:
@@ -527,9 +536,7 @@ class TestYao:
         assert len(fc) == len(pc_c) == 2
 
     def test_full_incidence_degenerate(self):
-        ctx = FormalContext.from_bools(
-            ("g1", "g2"), ("m1",), [[True], [True]]
-        )
+        ctx = FormalContext(("g1", "g2"), ("m1",), (1, 1))
         fc = enumerate_concepts(ctx, ConceptKind.FC)
         assert len(fc) == 1
         assert verify_yao_isomorphisms(ctx).passed
