@@ -194,9 +194,11 @@ class FormalContext:
         return len(self.attributes)
 
     def incidence(self, g: str, m: str) -> bool:
-        gi = self.objects.index(g)
-        mi = self.attributes.index(m)
-        return bool(self.rows[gi] >> mi & 1)
+        if g not in self.objects:
+            raise DimensionError(f"unknown object {g!r}")
+        if m not in self.attributes:
+            raise DimensionError(f"unknown attribute {m!r}")
+        return bool(self.rows[self.objects.index(g)] >> self.attributes.index(m) & 1)
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(

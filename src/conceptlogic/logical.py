@@ -250,9 +250,9 @@ class _Campaign:
 
     ``member`` and ``equivalent`` list the checks behind one verdict and
     return it; its value can be read once ``run`` has scanned the valuations
-    of the pairs' variables.  Each distinct (f, g) is listed once and every
-    verdict reads the shared result; ``f is g`` holds without a scan, since
-    equal formulas are one node.
+    of the pairs' variables.  A check is its own key, so each distinct one is
+    listed once and every verdict reads the shared result; ``(f, f)`` holds
+    without a scan, since equal formulas are one node.
     """
 
     def __init__(
@@ -262,20 +262,21 @@ class _Campaign:
         for p in pairs:
             universe |= variables(p.extent) | variables(p.intent)
         self.scanner = FrameEvaluator(frame, universe, budget)
-        self.checks: dict[tuple[Formula, Formula], Check] = {}
-        self.failed: dict[tuple[Formula, Formula], bool] = {}
+        # whether each listed check fails; ``run`` decides what it lists
+        self.failed: dict[Check, bool] = {}
 
-    def _add(self, f: Formula, g: Formula) -> tuple[Formula, Formula]:
-        if f is not g and (f, g) not in self.checks:
-            self.checks[f, g] = equivalence_check(f, g)
-        return f, g
+    def _add(self, f: Formula, g: Formula) -> Check:
+        check = equivalence_check(f, g)
+        if f is not g:
+            self.failed[check] = True
+        return check
 
-    def _fails(self, key: tuple[Formula, Formula]) -> bool:
-        return key[0] is not key[1] and self.failed[key]
+    def _fails(self, check: Check) -> bool:
+        return check[0] is not check[1] and self.failed[check]
 
     def member(self, pair: LogicalConceptPair) -> Pending:
-        keys = [self._add(f, g) for f, g in _pair_conditions(pair)]
-        return lambda: not any(self._fails(k) for k in keys)
+        checks = [self._add(f, g) for f, g in _pair_conditions(pair)]
+        return lambda: not any(self._fails(c) for c in checks)
 
     def equivalent(self, a: LogicalConceptPair, b: LogicalConceptPair) -> Pending:
         by_extent = self._add(a.extent, b.extent)
@@ -291,8 +292,8 @@ class _Campaign:
         return verdict
 
     def run(self) -> None:
-        found = self.scanner.scan(list(self.checks.values()))
-        self.failed = {key: c is not None for key, c in zip(self.checks, found)}
+        found = self.scanner.scan(list(self.failed))
+        self.failed = {check: c is not None for check, c in zip(self.failed, found)}
 
 
 def _add_laws(report: VerificationReport, laws: Sequence[Law]) -> None:

@@ -23,19 +23,23 @@ Every exhaustive check runs on one scanner, ``FrameEvaluator``: it
 enumerates all valuations of a variable set, refusing explicitly when the
 assignment count exceeds the budget.  Valuations are numbered in
 ``itertools.product`` order over the variables sorted by (sort, name), each
-ranging over its world masks, so the last variable takes the low bits.  The
-space is streamed in fixed-size blocks, each evaluated once for a whole list
-of checks; a check's reported countermodel is its lowest failing valuation,
+ranging over its world masks, so the last variable takes the low bits.  A
+check is a pair of formulas of one sort, which fails where the two differ:
+validity of ``f`` is ``(f, Top)``, equivalence is ``(f, g)``, and local
+consequence is the validity of the premises' implication.  The space is
+streamed in fixed-size blocks, each evaluated once for a whole list of
+checks; a check's reported countermodel is its lowest failing valuation,
 then its lowest failing world, and the scan stops once every check has
-failed.  Validity and consequence are one-check scans.  Everything here is
-pure and immutable-by-convention; models can be shared freely.
+failed.  Validity and local consequence are one-check scans; global
+consequence reads its formulas' validity checks block by block.  Everything
+here is pure and immutable-by-convention; models can be shared freely.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .context import FormalContext, SortedSubset, _or_over, iter_bits
 from .errors import (
@@ -309,7 +313,7 @@ def _truth_sets(
     carrier, item k read off bit k.
 
     ``item_variables`` lists each item formula's variables in (sort, name)
-    order (``_sorted_variables``), so a caller that evaluates one formula
+    order (``_valuation_order``), so a caller that evaluates one formula
     under several valuations or frames walks it once.  Blocks of at most
     ``_BLOCK`` items share one ``_Slices`` memo, so a subformula common to
     several items is evaluated once.  A variable's bit k is item k's
@@ -338,7 +342,7 @@ def _truth_sets(
 
 def truth_set(model: Model, f: Formula) -> SortedSubset:
     """All worlds of sort(f) where the formula holds."""
-    mask = _truth_sets(model.frame, [(f, model.valuation)], [_sorted_variables([f])])[0]
+    mask = _truth_sets(model.frame, [(f, model.valuation)], [_valuation_order(variables(f))])[0]
     return SortedSubset(f.sort, mask, model.frame.carrier_size(f.sort))
 
 
@@ -348,18 +352,11 @@ def satisfies(model: Model, world: str, f: Formula) -> bool:
     return bool(truth_set(model, f).bits >> idx & 1)
 
 
-def _sorted_variables(formulas: Iterable[Formula]) -> list[Var]:
-    vs: set[Var] = set()
-    for f in formulas:
-        vs |= variables(f)
-    return sorted(vs, key=lambda v: (v.sort, v.name))
-
-
-def _assignment_count(frame: SortedFrame, vs: Sequence[Var]) -> int:
-    count = 1
-    for v in vs:
-        count *= 1 << frame.carrier_size(v.sort)
-    return count
+def _valuation_order(vs: Iterable[Var]) -> list[Var]:
+    """The distinct variables by (sort, name).  This order numbers a scan's
+    valuations, so it fixes the countermodel reported, and the suites draw
+    random valuations in it."""
+    return sorted(set(vs), key=lambda v: (v.sort, v.name))
 
 
 def _describe_valuation(assignments: Iterable[tuple[Var, Iterable[str]]]) -> str:
@@ -379,35 +376,34 @@ class Countermodel:
         return f"{_describe_valuation(self.assignments)} falsifies at world {self.world}"
 
 
-# A check maps a block evaluator to one slice per world of its sort, marking
-# the valuations of the block that fail there.  ``_Slices`` is named by a
-# string: typing caches subscripted ``Callable``s, and a cached class would
-# keep this module alive after it is imported afresh.
-Check = tuple[str, Callable[["_Slices"], list[int]]]
+# A check is a pair of formulas of one sort; it fails at each (valuation,
+# world) where its two formulas differ.
+Check = tuple[Formula, Formula]
 
 
 def validity_check(f: Formula) -> Check:
     """Fails where ``f`` is false."""
-    return f.sort, lambda ev: [ev.full ^ a for a in ev(f)]
+    return f, Top(f.sort)
 
 
 def equivalence_check(f: Formula, g: Formula) -> Check:
     """Fails where ``f`` and ``g`` differ."""
     if f.sort != g.sort:
         raise SortMismatchError(f.sort, g.sort, "equivalence check")
-    return f.sort, lambda ev: [a ^ b for a, b in zip(ev(f), ev(g))]
+    return f, g
 
 
 class FrameEvaluator:
     """The exhaustive scanner: decides a list of checks over every valuation.
 
-    For a frame and a variable universe, ``scan(checks)`` streams the space
-    of all valuations of the universe in blocks of ``_BLOCK``, with one
-    ``_Slices`` memo per block shared by every check, and returns for each
-    check its lowest failing valuation, then its lowest failing world, or
-    ``None`` if it never fails.  A check that has failed is not evaluated
-    again, and the scan stops once every check has failed.  The budget
-    refusal happens at construction.
+    A check is a pair of formulas of one sort, and it fails at each
+    valuation and world where the two differ.  For a frame and a variable
+    universe, ``scan(checks)`` streams the space of all valuations of the
+    universe in blocks of ``_BLOCK``, with one ``_Slices`` memo per block
+    shared by every check, and returns for each check its lowest failing
+    valuation, then its lowest failing world, or ``None`` if it never fails.
+    A check that has failed is not evaluated again, and the scan stops once
+    every check has failed.  The budget refusal happens at construction.
     """
 
     def __init__(
@@ -417,8 +413,9 @@ class FrameEvaluator:
         budget: int = DEFAULT_BUDGET,
     ):
         self.frame = frame
-        self.vars = sorted(set(variable_universe), key=lambda v: (v.sort, v.name))
-        self.count = _assignment_count(frame, self.vars)
+        self.vars = _valuation_order(variable_universe)
+        # each world of each variable is one bit of a valuation's index
+        self.count = 1 << sum(frame.carrier_size(v.sort) for v in self.vars)
         if self.count > budget:
             raise BudgetExceededError(self.count, budget)
         self.width = min(self.count, _BLOCK)
@@ -436,18 +433,19 @@ class FrameEvaluator:
                 for b in slices:
                     any_bad |= b
                 if any_bad:
-                    found[i] = self._countermodel(checks[i][0], base, slices, any_bad)
+                    found[i] = self._countermodel(checks[i][0].sort, base, slices, any_bad)
                 else:
                     still.append(i)
             pending = still
         return found
 
     def signature(self, base: int, checks: Sequence[Check]) -> list[list[int]]:
-        """Each check's failure slices on the block of valuations from ``base``."""
+        """Each check's failure slices on the block of valuations from ``base``:
+        one int per world, the XOR of its two formulas' slices there."""
         ev = _Slices(
             self.frame, self.width, _block_slices(self.frame, self.vars, base, self.width)
         )
-        return [failures(ev) for _, failures in checks]
+        return [[a ^ b for a, b in zip(ev(f), ev(g))] for f, g in checks]
 
     def _countermodel(
         self, sort: str, base: int, bad: list[int], any_bad: int
@@ -464,18 +462,11 @@ class FrameEvaluator:
         return Countermodel(tuple(reversed(assignments)), self.frame.carrier(sort)[world])
 
 
-def _one_check(
-    frame: SortedFrame, formulas: Sequence[Formula], budget: int, check: Check
-) -> Countermodel | None:
-    """Scan the valuations of the formulas' variables for one check."""
-    return FrameEvaluator(frame, _sorted_variables(formulas), budget).scan([check])[0]
-
-
 def falsify(
     frame: SortedFrame, f: Formula, budget: int = DEFAULT_BUDGET
 ) -> Countermodel | None:
     """Search all valuations for a countermodel; None means frame-valid."""
-    return _one_check(frame, [f], budget, validity_check(f))
+    return FrameEvaluator(frame, variables(f), budget).scan([validity_check(f)])[0]
 
 
 def frame_valid(frame: SortedFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
@@ -489,18 +480,15 @@ def consequence_countermodel(
     conclusion: Formula,
     budget: int = DEFAULT_BUDGET,
 ) -> Countermodel | None:
-    """Counterexample to local consequence on this frame, if any."""
-    for p in premises:
+    """Counterexample to local consequence on this frame, if any: a
+    countermodel to ``p1 -> (p2 -> ... -> conclusion)``, which fails exactly
+    where every premise holds and the conclusion does not."""
+    implication = conclusion
+    for p in reversed(premises):
         if p.sort != conclusion.sort:
             raise SortMismatchError(conclusion.sort, p.sort, "local consequence")
-
-    def failures(ev: _Slices) -> list[int]:
-        held = [ev.full] * frame.carrier_size(conclusion.sort)
-        for p in premises:
-            held = [h & a for h, a in zip(held, ev(p))]
-        return [h & ~c for h, c in zip(held, ev(conclusion))]
-
-    return _one_check(frame, [*premises, conclusion], budget, (conclusion.sort, failures))
+        implication = Imp(p, implication)
+    return falsify(frame, implication, budget)
 
 
 def local_consequence(
@@ -523,15 +511,18 @@ def global_consequence(
 
     Unlike local consequence this allows premises of either sort; it is the
     notion preserved by derivations that generalize over premise-derived
-    lines (generalization moves between the sorts).
+    lines (generalization moves between the sorts).  It is not one check: a
+    valuation is read off the premises' validity checks at every world.
     """
-
-    def failures(ev: _Slices) -> list[int]:
-        held = ev.full
-        for p in premises:
-            for a in ev(p):
-                held &= a
-        return [held & ~c for c in ev(conclusion)]
-
-    check = (conclusion.sort, failures)
-    return _one_check(frame, [*premises, conclusion], budget, check) is None
+    formulas = [*premises, conclusion]
+    scanner = FrameEvaluator(frame, (v for f in formulas for v in variables(f)), budget)
+    checks = [validity_check(f) for f in formulas]
+    for base in range(0, scanner.count, scanner.width):
+        *premise_failures, conclusion_failures = scanner.signature(base, checks)
+        broken = 0  # the valuations under which some premise fails somewhere
+        for slices in premise_failures:
+            for b in slices:
+                broken |= b
+        if any(b & ~broken for b in conclusion_failures):
+            return False
+    return True

@@ -17,8 +17,8 @@ from .semantics import (
     DEFAULT_BUDGET,
     Valuation,
     _describe_valuation,
-    _sorted_variables,
     _truth_sets,
+    _valuation_order,
     complement_frame,
     context_to_frame,
 )
@@ -39,6 +39,7 @@ from .syntax import (
     Top,
     Var,
     translate_rho,
+    variables,
 )
 
 _VAR_POOLS = {SORT1: ("p", "q", "r"), SORT2: ("x", "y", "z")}
@@ -92,11 +93,11 @@ def _random_formula(rng: random.Random, sort: str, max_depth: int, mods, n_vars:
 
 
 def random_valuation(rng: random.Random, frame, vs) -> Valuation:
-    """Random world sets, drawn for the variables in (sort, name) order."""
+    """Random world sets, drawn for the variables in valuation order."""
     return Valuation(
         {
             v: {w for w in frame.carrier(v.sort) if rng.random() < 0.5}
-            for v in sorted(vs, key=lambda v: (v.sort, v.name))
+            for v in _valuation_order(vs)
         }
     )
 
@@ -120,7 +121,7 @@ def suite_translation(ctx: FormalContext, seed: int) -> VerificationReport:
     for _ in range(_TRANSLATION_SAMPLES):
         sort = rng.choice([SORT1, SORT2])
         f = random_formula(rng, sort, _TRANSLATION_DEPTH, KF, n_vars=3)
-        vs = _sorted_variables([f])  # translate_rho keeps the variables
+        vs = _valuation_order(variables(f))  # translate_rho keeps the variables
         samples.append((f, random_valuation(rng, frame, vs)))
         sample_variables.append(vs)
     left = _truth_sets(frame, samples, sample_variables)

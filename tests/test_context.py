@@ -71,6 +71,15 @@ class TestConstruction:
         ctx = FormalContext.from_pairs(("x",), ("x",), [("x", "x")])
         assert ctx.incidence("x", "x")
 
+    def test_incidence_names_an_unknown_element(self):
+        ctx = k0()
+        with pytest.raises(DimensionError, match="unknown object 'g9'"):
+            ctx.incidence("g9", "m1")
+        with pytest.raises(DimensionError, match="unknown attribute 'm9'"):
+            ctx.incidence("g1", "m9")
+        with pytest.raises(DimensionError, match="unknown object 'm1'"):
+            ctx.incidence("m1", "g1")
+
     def test_subset_size_validated(self):
         with pytest.raises(DimensionError):
             SortedSubset(SORT1, 4, 2)

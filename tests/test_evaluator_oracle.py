@@ -328,7 +328,7 @@ def test_batched_truth_sets_equal_one_by_one_and_oracle(seed, n, block):
         got = semantics._truth_sets(
             frame,
             [(f, Valuation(val)) for f, val in items],
-            [semantics._sorted_variables([f]) for f, _ in items],
+            [semantics._valuation_order(variables(f)) for f, _ in items],
         )
     assert len(got) == n
     for (f, val), mask in zip(items, got):
@@ -349,5 +349,5 @@ def test_batch_reports_the_first_bad_item():
     with mock.patch.object(semantics, "_BLOCK", 2):
         with pytest.raises(ValuationError, match=r"^variable 'q' of sort s1 is unassigned$"):
             semantics._truth_sets(
-                frame, items, [semantics._sorted_variables([f]) for f, _ in items]
+                frame, items, [semantics._valuation_order(variables(f)) for f, _ in items]
             )

@@ -1,9 +1,15 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module imports a name it never uses, and no private definition is orphaned.
 
 Deleting code leaves imports behind that nothing reads.  These tests parse
 every module except ``__init__.py``, which imports to re-export, and fail
 on a name an ``import`` or ``from ... import`` binds that no expression in
 the module reads.  ``from __future__`` imports are directives, not names.
+
+Deleting code also leaves private helpers behind that nothing calls.  A
+module-level ``_name`` that a module of the package defines (by ``def``,
+``class`` or assignment) must be read, as a name or an attribute, by some
+module of the package; a use in the tests alone does not count.  Dunder
+names are left out.
 """
 
 import ast
@@ -34,6 +40,30 @@ def unused_imports(package: Path = PACKAGE) -> set[tuple[str, str]]:
     return found
 
 
+def _private_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def orphaned_definitions(package: Path = PACKAGE) -> set[tuple[str, str]]:
+    defined, loaded = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined.update((path.stem, name) for name in _private_definitions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return {(module, name) for module, name in defined if name not in loaded}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports() == set()
 
@@ -57,3 +87,33 @@ def test_detector_sees_each_form_of_import(tmp_path):
     assert unused_imports(tmp_path) == {
         ("m", "os"), ("m", "osp"), ("m", "It"), ("m", "spare"),
     }
+
+
+def test_no_private_definition_is_orphaned():
+    assert orphaned_definitions() == set()
+
+
+def test_detector_sees_each_form_of_definition(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import _orphan\n__all__ = []\n")
+    (tmp_path / "a.py").write_text(
+        "_CONST = 1\n"
+        "_typed: int = 2\n"
+        "_x, _y = 3, 4\n"
+        "def _helper():\n"
+        "    return _CONST\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "class _Shape:\n"
+        "    def _method(self):\n"
+        "        pass\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "public = _typed\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import _helper\n"
+        "_helper(a._Shape, a._x)\n"
+        "a._y = 5\n"
+    )
+    assert orphaned_definitions(tmp_path) == {("a", "_orphan"), ("a", "_y"), ("a", "_Unused")}

@@ -19,11 +19,12 @@ from conceptlogic.logical import (
     verify_isomorphisms,
     verify_quotient_lattice,
 )
-from conceptlogic.semantics import Model, Valuation, context_to_frame, truth_set
+from conceptlogic.semantics import FrameEvaluator, Model, Valuation, context_to_frame, truth_set
 from conceptlogic.syntax import (
     SORT1,
     And,
     Bot,
+    Formula,
     Neg,
     Or,
     Top,
@@ -489,3 +490,30 @@ class TestVerifyIsomorphisms:
         # the seeds generate the families, so a seed must be of sort 1
         with pytest.raises(SortMismatchError):
             verify_isomorphisms([var2("x")], k0())
+
+
+def test_a_campaign_lists_each_distinct_check_once_as_a_formula_pair(monkeypatch):
+    """The lattice campaigns of each kind and the correspondence campaigns on
+    k0 (one block each) hand the scanner formula pairs of one sort, each
+    once, and never a pair that holds by identity."""
+    calls = []
+    signature = FrameEvaluator.signature
+
+    def recorded(self, base, checks):
+        calls.append(list(checks))
+        return signature(self, base, checks)
+
+    monkeypatch.setattr(FrameEvaluator, "signature", recorded)
+    frame = context_to_frame(k0())
+    for kind in ConceptKind:
+        assert verify_quotient_lattice(seed_family(kind), kind, frame).passed
+    assert verify_isomorphisms(SEEDS, k0()).passed
+    # three lattice campaigns, then one per frame for the correspondences
+    assert len(calls) == 5
+    for checks in calls:
+        assert len(set(checks)) == len(checks)
+        for check in checks:
+            assert type(check) is tuple and len(check) == 2
+            f, g = check
+            assert isinstance(f, Formula) and isinstance(g, Formula)
+            assert f.sort == g.sort and f is not g
