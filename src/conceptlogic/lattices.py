@@ -39,7 +39,7 @@ from .context import (
     complement_context,
     iter_bits,
 )
-from .errors import LatticeError, SortMismatchError
+from .errors import ConceptLogicError, LatticeError, SortMismatchError
 
 
 class ConceptKind(Enum):
@@ -84,7 +84,7 @@ _SIDES = ("extent", "intent")  # in the order of an (extent, intent) pair
 def _side_operators(kind: ConceptKind, side: str) -> tuple[OperatorKind, OperatorKind]:
     """The kind's two operators in the order its ``side`` composite applies them."""
     if side not in _SIDES:
-        raise ValueError(f"side must be 'extent' or 'intent', got {side!r}")
+        raise ConceptLogicError(f"side must be 'extent' or 'intent', got {side!r}")
     forward, backward = _OPERATORS[kind]
     return (forward, backward) if side == "extent" else (backward, forward)
 

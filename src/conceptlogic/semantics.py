@@ -11,10 +11,12 @@ a formula's truth is one int per world of its sort, whose bit k is its
 truth at that world under the k-th valuation.  Connectives are word
 operations; a diamond is the OR of the argument slices over a world's
 successors, a box is its dual, and a window box is the complement of the OR
-of the argument slices over non-successors.  A batch of (formula,
-valuation) items is one block with item k's valuation at bit k, and each
-truth set is a mask read off its item's bit (``_truth_sets``); ``truth_set``
-is its one-item case, typed as a ``SortedSubset``.  A tautology test
+of the argument slices over non-successors.  Inside the package a valuation
+is a dict from variables to world masks.  A batch of (formula, valuation)
+items is one block with item k's valuation at bit k, and each truth set is
+a mask read off its item's bit (``_truth_sets``).  ``truth_set`` is the one
+place a ``Valuation`` of world names is checked and turned into masks, for a
+one-item batch whose mask it returns as a ``SortedSubset``.  A tautology test
 (``proofs``) is a one-world frame whose memo is seeded with the atoms'
 truth-table columns.  Evaluation runs on ``syntax._walk``: children first,
 each shared node once, no recursion.
@@ -147,14 +149,6 @@ class SortedFrame:
 
     def carrier_size(self, sort: str) -> int:
         return len(self.carrier(sort))
-
-    def world_index(self, sort: str, world: str) -> int:
-        try:
-            return self._index[sort][world]
-        except KeyError:
-            raise SortMismatchError(
-                f"world of sort {sort}", repr(world), "world lookup"
-            )
 
 
 class Valuation:
@@ -304,36 +298,26 @@ def _block_slices(
     return out
 
 
-def _truth_sets(
-    frame: SortedFrame,
-    items: Sequence[tuple[Formula, Valuation]],
-    item_variables: Sequence[Sequence[Var]],
-) -> list[int]:
+def _truth_sets(frame: SortedFrame, items: Sequence[tuple[Formula, Mapping[Var, int]]]) -> list[int]:
     """Each (formula, valuation) item's truth set as a mask over its sort's
     carrier, item k read off bit k.
 
-    ``item_variables`` lists each item formula's variables in (sort, name)
-    order (``_valuation_order``), so a caller that evaluates one formula
-    under several valuations or frames walks it once.  Blocks of at most
-    ``_BLOCK`` items share one ``_Slices`` memo, so a subformula common to
-    several items is evaluated once.  A variable's bit k is item k's
-    valuation of it, 0 if item k's formula does not use it.  Errors name the
-    first bad item's first bad variable in that order.
+    A valuation maps each variable of its formula to a world mask of the
+    variable's sort.  Blocks of at most ``_BLOCK`` items share one
+    ``_Slices`` memo, so a subformula common to several items is evaluated
+    once.  A variable's bit k is item k's valuation of it, 0 if item k's
+    formula does not use it.
     """
     out = []
     for start in range(0, len(items), _BLOCK):
         block = items[start : start + _BLOCK]
         seeds: dict[Var, list[int]] = {}
-        for k, (f, valuation) in enumerate(block):
-            for v in item_variables[start + k]:
-                worlds, index = valuation.worlds(v), frame._index[v.sort]
-                if unknown := worlds - index.keys():
-                    raise ValuationError(
-                        f"valuation of {v.name!r} mentions unknown world {min(unknown)!r}"
-                    )
-                column = seeds.setdefault(v, [0] * len(index))
-                for w in worlds:
-                    column[index[w]] |= 1 << k
+        for k, (_, valuation) in enumerate(block):
+            bit = 1 << k
+            for v, mask in valuation.items():
+                column = seeds.setdefault(v, [0] * len(frame.carriers[v.sort]))
+                for i in iter_bits(mask):
+                    column[i] |= bit
         ev = _Slices(frame, len(block), seeds)
         for k, (f, _) in enumerate(block):
             out.append(sum((s >> k & 1) << i for i, s in enumerate(ev(f))))
@@ -341,15 +325,29 @@ def _truth_sets(
 
 
 def truth_set(model: Model, f: Formula) -> SortedSubset:
-    """All worlds of sort(f) where the formula holds."""
-    mask = _truth_sets(model.frame, [(f, model.valuation)], [_valuation_order(variables(f))])[0]
-    return SortedSubset(f.sort, mask, model.frame.carrier_size(f.sort))
+    """All worlds of sort(f) where the formula holds.
+
+    The model's valuation becomes world masks here, for ``f``'s variables in
+    (sort, name) order; an error names the first variable that is unassigned
+    or mentions a world outside its sort's carrier.
+    """
+    frame, masks = model.frame, {}
+    for v in _valuation_order(variables(f)):
+        worlds, index = model.valuation.worlds(v), frame._index[v.sort]
+        if unknown := worlds - index.keys():
+            raise ValuationError(f"valuation of {v.name!r} mentions unknown world {min(unknown)!r}")
+        masks[v] = sum(1 << index[w] for w in worlds)
+    return SortedSubset(f.sort, _truth_sets(frame, [(f, masks)])[0], frame.carrier_size(f.sort))
 
 
 def satisfies(model: Model, world: str, f: Formula) -> bool:
     """Truth at a single world; the world must inhabit the formula's sort."""
-    idx = model.frame.world_index(f.sort, world)
-    return bool(truth_set(model, f).bits >> idx & 1)
+    index, other = model.frame._index, dict(_DIRECTIONS)[f.sort]
+    if world not in index[f.sort]:
+        if world not in index[other]:
+            raise FrameError(f"unknown world {world!r}")
+        raise SortMismatchError(f.sort, other, f"world {world!r}")
+    return bool(truth_set(model, f).bits >> index[f.sort][world] & 1)
 
 
 def _valuation_order(vs: Iterable[Var]) -> list[Var]:

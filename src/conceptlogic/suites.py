@@ -15,7 +15,6 @@ from .logical import generate_pair, verify_isomorphisms, verify_quotient_lattice
 from .parser import print_formula
 from .semantics import (
     DEFAULT_BUDGET,
-    Valuation,
     _describe_valuation,
     _truth_sets,
     _valuation_order,
@@ -92,14 +91,13 @@ def _random_formula(rng: random.Random, sort: str, max_depth: int, mods, n_vars:
     )
 
 
-def random_valuation(rng: random.Random, frame, vs) -> Valuation:
-    """Random world sets, drawn for the variables in valuation order."""
-    return Valuation(
-        {
-            v: {w for w in frame.carrier(v.sort) if rng.random() < 0.5}
-            for v in _valuation_order(vs)
-        }
-    )
+def random_valuation(rng: random.Random, frame, vs) -> dict[Var, int]:
+    """Random world masks, drawn for the variables in valuation order and,
+    for each, its worlds in carrier order."""
+    return {
+        v: sum(1 << i for i in range(frame.carrier_size(v.sort)) if rng.random() < 0.5)
+        for v in _valuation_order(vs)
+    }
 
 
 _TRANSLATION_SAMPLES = 100
@@ -113,29 +111,26 @@ def suite_translation(ctx: FormalContext, seed: int) -> VerificationReport:
     context's frame; decides all samples in one batch on the frame and all
     translations in one batch on the complemented frame.  A failure names
     the first disagreeing sample and the worlds where its truth sets differ.
+    Samples are masks; names are read off them only for that failure detail.
     """
     rng = random.Random(seed)
     frame = context_to_frame(ctx)
     cframe = complement_frame(frame)
-    samples, sample_variables = [], []
+    samples = []
     for _ in range(_TRANSLATION_SAMPLES):
         sort = rng.choice([SORT1, SORT2])
         f = random_formula(rng, sort, _TRANSLATION_DEPTH, KF, n_vars=3)
-        vs = _valuation_order(variables(f))  # translate_rho keeps the variables
-        samples.append((f, random_valuation(rng, frame, vs)))
-        sample_variables.append(vs)
-    left = _truth_sets(frame, samples, sample_variables)
-    right = _truth_sets(
-        cframe, [(translate_rho(f), val) for f, val in samples], sample_variables
-    )
+        samples.append((f, random_valuation(rng, frame, variables(f))))
+    left = _truth_sets(frame, samples)
+    # translate_rho keeps the variables, so each valuation serves both sides
+    right = _truth_sets(cframe, [(translate_rho(f), val) for f, val in samples])
     bad = [k for k, (a, b) in enumerate(zip(left, right)) if a != b]
     detail = f"{len(samples) - len(bad)}/{len(samples)} sampled formulas agree on every world"
     if bad:
         k = bad[0]
         f, val = samples[k]
         assigned = _describe_valuation(
-            (v, [w for w in frame.carrier(v.sort) if w in val.worlds(v)])
-            for v in sample_variables[k]
+            (v, [frame.carrier(v.sort)[i] for i in iter_bits(m)]) for v, m in val.items()
         )
         differ = [frame.carrier(f.sort)[i] for i in iter_bits(left[k] ^ right[k])]
         detail += (

@@ -15,6 +15,7 @@ import pytest
 
 from conceptlogic import FormalContext, OperatorKind, apply_operator
 from conceptlogic.cli import run_cli
+from conceptlogic.context import iter_bits
 from conceptlogic.errors import FrameError, ProofScriptError
 from conceptlogic.formats import parse_csv, parse_cxt, serialize_csv, serialize_cxt
 from conceptlogic.lattices import (
@@ -32,6 +33,7 @@ from conceptlogic.proofs import (
 from conceptlogic.semantics import (
     Model,
     SortedFrame,
+    Valuation,
     context_to_frame,
     frame_to_context,
     frame_valid,
@@ -77,6 +79,11 @@ def report(n: int, passed: bool, detail: str) -> None:
 
 def k0() -> FormalContext:
     return parse_cxt((DATA / "k0.cxt").read_text())
+
+
+def named(frame, masks) -> Valuation:
+    """The valuation of world names that a valuation of world masks stands for."""
+    return Valuation({v: [frame.carrier(v.sort)[i] for i in iter_bits(m)] for v, m in masks.items()})
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +181,7 @@ def test_criterion_4_truth_set_identities():
         frame = context_to_frame(ctx)
         sort = rng.choice([SORT1, SORT2])
         f = random_formula(rng, sort, 4, FULL, n_vars=3)
-        model = Model(frame, random_valuation(rng, frame, variables(f)))
+        model = Model(frame, named(frame, random_valuation(rng, frame, variables(f))))
         inner = truth_set(model, f)
         for wrap, kind in _IDENTITY_CASES[sort]:
             if truth_set(model, wrap(f)) != apply_operator(kind, inner, ctx):
@@ -198,7 +205,7 @@ def test_criterion_5_translation_semantics():
         cframe = context_to_frame(complement_context(ctx))
         sort = rng.choice([SORT1, SORT2])
         f = random_formula(rng, sort, 4, KF, n_vars=3)
-        val = random_valuation(rng, frame, variables(f))
+        val = named(frame, random_valuation(rng, frame, variables(f)))
         rho_f = translate_rho(f)
         model, cmodel = Model(frame, val), Model(cframe, val)
         for w in frame.carrier(sort):

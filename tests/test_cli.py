@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptlogic import FormalContext, cli, lattices, logical, suites
+from conceptlogic import FormalContext, cli, lattices, logical, semantics, suites
 from conceptlogic.cli import _check_line, run_cli
 from conceptlogic.context import SortedSubset
 from conceptlogic.formats import load_context, serialize_cxt
 from conceptlogic.lattices import ConceptKind, LawCheck
 from conceptlogic.parser import parse_formula, print_formula
-from conceptlogic.semantics import SortedFrame, context_to_frame
+from conceptlogic.semantics import Model, SortedFrame, Valuation, context_to_frame, truth_set
 from conceptlogic.suites import random_valuation
 from conceptlogic.syntax import (
     SORT1,
@@ -31,6 +31,7 @@ from conceptlogic.syntax import (
     dia_inv,
     translate_rho,
     var1,
+    variables,
     wbox,
     wbox_inv,
 )
@@ -94,6 +95,11 @@ class TestGoldenTranscripts:
         second = invoke(case["args"])
         assert first == second
 
+    def test_manifest_lists_every_golden(self):
+        # CI replays the manifest's entries only: a golden missing from it
+        # would never be checked, and an entry without its file fails there
+        assert sorted(c["name"] for c in MANIFEST) == sorted(g.stem for g in GOLDEN.glob("*.txt"))
+
 
 def test_modal_commands_read_frames_as_masks_only(monkeypatch):
     # with the name-pair view of a frame unavailable, every modal command on
@@ -110,6 +116,29 @@ def test_modal_commands_read_frames_as_masks_only(monkeypatch):
         code, out, _ = invoke(case["args"])
         assert out == (GOLDEN / f"{case['name']}.txt").read_text(), case["name"]
         assert code == case["exit"]
+
+
+def test_truth_sets_receive_mask_valuations(monkeypatch):
+    # the translation suite, eval and truth_set hand the evaluator one world
+    # mask per variable of each item's formula, and nothing else
+    seen = []
+    batch = semantics._truth_sets
+
+    def recording(frame, items):
+        seen.extend(items)
+        return batch(frame, items)
+
+    monkeypatch.setattr(semantics, "_truth_sets", recording)
+    monkeypatch.setattr(suites, "_truth_sets", recording)
+    assert invoke(["verify", "--suite", "translation", "--seed", "7", K0])[0] == 0
+    assert invoke(["eval", "--formula", "dia p", "--sort", "2", "--assign", "p=g1", K0])[0] == 0
+    frame = context_to_frame(load_context(K0))
+    p, q = var1("p"), var1("q")
+    assert truth_set(Model(frame, Valuation({p: {"g1"}, q: {"g2"}})), p).bits == 0b1
+    assert len(seen) == 2 * 100 + 2
+    for f, valuation in seen:
+        assert type(valuation) is dict and set(valuation) == variables(f)
+        assert all(type(mask) is int for mask in valuation.values())
 
 
 def _text_lattice(text):
@@ -668,7 +697,7 @@ class TestVerifySuites:
         p, q = var1("p"), var1("q")
         first = random_valuation(random.Random(0), frame, [p, q])
         second = random_valuation(random.Random(0), frame, [q, p])
-        assert {v: first.worlds(v) for v in (p, q)} == {v: second.worlds(v) for v in (p, q)}
+        assert {v: first[v] for v in (p, q)} == {v: second[v] for v in (p, q)}
 
     @pytest.mark.parametrize("suite", ["yao", "translation", "lattice", "iso"])
     def test_individual_suites_pass_on_k0(self, suite):
@@ -679,27 +708,37 @@ class TestVerifySuites:
         assert "fail" not in out
 
     @pytest.mark.parametrize(
-        "rho, line",
+        "path, rho, line",
         [
             (
+                K0,
                 lambda f: f,
                 "translation pointwise agreement: fail (81/100 sampled formulas agree on "
                 "every world; first disagreement: sample 0, sort s2, boxm (r -> r), "
                 "v(r)={g1}, differs at m1)",
             ),
             (
+                K0,
                 lambda f: Neg(Neg(translate_rho(f))) if f.sort == SORT1 else Neg(translate_rho(f)),
                 "translation pointwise agreement: fail (48/100 sampled formulas agree on "
                 "every world; first disagreement: sample 0, sort s2, boxm (r -> r), "
                 "v(r)={g1}, differs at m1,m2)",
             ),
+            (
+                str(DATA / "mixed5.cxt"),
+                lambda f: f,
+                "translation pointwise agreement: fail (91/100 sampled formulas agree on "
+                "every world; first disagreement: sample 7, sort s1, boxm- y, "
+                "v(y)={attr3,attr4}, differs at obj5)",
+            ),
         ],
-        ids=["identity", "negated-on-sort-2"],
+        ids=["identity", "negated-on-sort-2", "identity-mixed5"],
     )
-    def test_failed_translation_names_its_witness(self, monkeypatch, rho, line):
-        # boxm (r -> r) holds at m1 alone on K; ~K relates m1 to no object
+    def test_failed_translation_names_its_witness(self, monkeypatch, path, rho, line):
+        # on k0, boxm (r -> r) holds at m1 alone on K; ~K relates m1 to no
+        # object.  The 5x4 case pins the draws over larger carriers.
         monkeypatch.setattr(suites, "translate_rho", rho)
-        code, out, _ = invoke(["verify", "--suite", "translation", "--seed", "7", K0])
+        code, out, _ = invoke(["verify", "--suite", "translation", "--seed", "7", path])
         assert code == 1
         assert out == line + "\n"
 

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from conceptlogic import FormalContext, complement_context
-from conceptlogic.errors import InternalConsistencyError, SortMismatchError
-from conceptlogic.lattices import _YAO, ConceptKind, build_lattice, enumerate_concepts
+from conceptlogic.errors import ConceptLogicError, InternalConsistencyError, SortMismatchError
+from conceptlogic.lattices import _YAO, ConceptKind, _concept_masks, build_lattice, enumerate_concepts
 from conceptlogic.logical import (
     LogicalConceptPair,
     equiv_pairs,
@@ -19,7 +19,14 @@ from conceptlogic.logical import (
     verify_isomorphisms,
     verify_quotient_lattice,
 )
-from conceptlogic.semantics import FrameEvaluator, Model, Valuation, context_to_frame, truth_set
+from conceptlogic.semantics import (
+    FrameEvaluator,
+    Model,
+    Valuation,
+    _truth_sets,
+    context_to_frame,
+    truth_set,
+)
 from conceptlogic.syntax import (
     SORT1,
     And,
@@ -89,7 +96,7 @@ class TestMemberClass:
 
     def test_unknown_side(self):
         frame = context_to_frame(k0())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConceptLogicError, match=r"^side must be 'extent' or 'intent', got 'ext'$"):
             member_class(P, ConceptKind.PC, "ext", frame)
 
 
@@ -185,6 +192,22 @@ class TestBridgeToSemanticConcepts:
             ext = truth_set(model, pair.extent).bits
             intent = truth_set(model, pair.intent).bits
             assert (ext, intent) in concepts
+
+    def test_every_concept_is_captured(self):
+        # the converse: each concept (E, I) is the truth-set pair of the
+        # generated pair under p := E, checked as masks in one batch per
+        # context and kind, also on contexts of 11 to 14 objects, whose
+        # quotient lattice suite exceeds the valuation budget
+        rng = random.Random(72)
+        for n_g, n_m in [(g, m) for g in (3, 5, 8, 11, 12, 14) for m in (3, 4, 6)]:
+            rows = [rng.getrandbits(n_m) for _ in range(n_g)]
+            ctx = FormalContext([f"g{i}" for i in range(n_g)], [f"m{j}" for j in range(n_m)], rows)
+            frame = context_to_frame(ctx)
+            for kind in ConceptKind:
+                pair, concepts = generate_pair(P, kind), _concept_masks(ctx, kind)
+                items = [(f, {P: e}) for e, _ in concepts for f in (pair.extent, pair.intent)]
+                got = _truth_sets(frame, items)
+                assert list(zip(got[::2], got[1::2])) == concepts, (n_g, n_m, kind)
 
 
 def random_seed_model(rng, frame):

@@ -189,8 +189,11 @@ class TestTruthSets:
         assert not satisfies(model, "m2", dia(P))
         assert satisfies(model, "g1", Top(SORT1))
         assert not satisfies(model, "g2", And(P, Neg(P)))
-        with pytest.raises(SortMismatchError):
-            satisfies(model, "g1", dia(P))  # g1 is not an s2 world
+        # g1 is not an s2 world
+        with pytest.raises(SortMismatchError, match=r"^expected sort 's2', got 's1' in world 'g1'$"):
+            satisfies(model, "g1", dia(P))
+        with pytest.raises(FrameError, match=r"^unknown world 'nowhere'$"):
+            satisfies(model, "nowhere", P)
 
 
 class TestOperatorIdentities:
