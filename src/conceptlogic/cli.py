@@ -2,11 +2,13 @@
 
 Commands: ``concepts``, ``lattice``, ``eval``, ``valid``, ``consequence``,
 ``translate``, ``member``, ``check-proof``, ``verify``.  Results go to the
-output stream and diagnostics to the error stream.  Exit codes: 0 when the
-command succeeds and any checked property holds, 1 when a property fails,
-2 on usage or parse errors, 3 when an exhaustive check refuses its budget.
-``concepts`` and ``lattice`` write from the enumerated (extent, intent)
-masks and build no typed concept.
+output stream and diagnostics to the error stream.  Each handler returns
+whether the property it checks holds (True where it checks none), and
+``run_cli`` alone turns that and the errors into exit codes: 0 when the
+property holds, 1 when it fails, 2 on usage or parse errors, 3 when an
+exhaustive check refuses its budget.  ``concepts`` and ``lattice`` write
+from one ``ConceptLattice`` of the enumerated (extent, intent) masks and
+build no typed concept; only ``lattice`` reads, and so computes, covers.
 """
 
 from __future__ import annotations
@@ -134,54 +136,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _text_lines(ctx, kind: ConceptKind, masks, lattice):
+def _text_lines(lattice: ConceptLattice, covers):
+    ctx = lattice.ctx
     objects, attributes = member_names(ctx.objects), member_names(ctx.attributes)
-    yield f"kind={kind.value} count={len(masks)}\n"
-    for i, (extent, intent) in enumerate(masks):
+    yield f"kind={lattice.kind.value} count={len(lattice)}\n"
+    for i, (extent, intent) in enumerate(lattice.masks):
         yield (
             f"{i}: extent={{{','.join(objects(extent))}}} "
             f"intent={{{','.join(attributes(intent))}}}\n"
         )
-    if lattice is not None:
-        yield from (f"cover: {low} < {high}\n" for low, high in lattice.covers())
+    if covers is not None:
+        yield from (f"cover: {low} < {high}\n" for low, high in covers)
         yield f"top={lattice.top} bottom={lattice.bottom}\n"
 
 
-def _structured_lines(ctx, kind: ConceptKind, masks, lattice):
+def _structured_lines(lattice: ConceptLattice, covers):
     # each member's line is key + rank + name; names carry their newline
+    ctx = lattice.ctx
     objects, attributes = (
         member_names(tuple(name + "\n" for name in carrier))
         for carrier in (ctx.objects, ctx.attributes)
     )
     ranks = [f".{j}=" for j in range(max(ctx.n_objects, ctx.n_attributes))]
-    yield f"kind={kind.value}\nconcepts.count={len(masks)}\n"
-    for i, (extent, intent) in enumerate(masks):
+    yield f"kind={lattice.kind.value}\nconcepts.count={len(lattice)}\n"
+    for i, (extent, intent) in enumerate(lattice.masks):
         for side, names in (("extent", objects(extent)), ("intent", attributes(intent))):
             key = f"concepts.{i}.{side}"
             members = key + key.join(map(operator.add, ranks, names)) if names else ""
             yield f"{key}.count={len(names)}\n{members}"
-    if lattice is not None:
-        covers = lattice.covers()
+    if covers is not None:
         yield f"covers.count={len(covers)}\n"
         for i, (low, high) in enumerate(covers):
             yield f"covers.{i}.count=2\ncovers.{i}.0={low}\ncovers.{i}.1={high}\n"
         yield f"top={lattice.top}\nbottom={lattice.bottom}\n"
 
 
-def _cmd_concepts(args: argparse.Namespace, out) -> int:
+def _cmd_concepts(args: argparse.Namespace, out) -> bool:
     """``concepts``, and ``lattice``, which adds covers, top and bottom; each
     format is written line by line as it is produced, from the concepts'
     (extent, intent) masks, which the enumeration already lists in order."""
     ctx = load_context(args.context)
     kind = ConceptKind(args.kind)
-    masks = _concept_masks(ctx, kind)
-    lattice = ConceptLattice(kind, ctx, masks) if args.command == "lattice" else None
+    lattice = ConceptLattice(kind, ctx, _concept_masks(ctx, kind))
     if args.format == "dot":
         out.write(export_dot(lattice))
     else:
         lines = _structured_lines if args.format == "structured" else _text_lines
-        out.writelines(lines(ctx, kind, masks, lattice))
-    return EXIT_OK
+        out.writelines(lines(lattice, lattice.covers() if args.command == "lattice" else None))
+    return True
 
 
 def _parse_assignments(args: argparse.Namespace, f):
@@ -206,70 +208,59 @@ def _parse_assignments(args: argparse.Namespace, f):
     return Valuation(assignments)
 
 
-def _cmd_eval(args: argparse.Namespace, out) -> int:
-    ctx = load_context(args.context)
-    frame = context_to_frame(ctx)
+def _frame(args: argparse.Namespace):
+    return context_to_frame(load_context(args.context))
+
+
+def _cmd_eval(args: argparse.Namespace, out) -> bool:
+    frame = _frame(args)
     f = parse_formula(args.formula, args.sort)
-    val = _parse_assignments(args, f)
-    ts = truth_set(Model(frame, val), f)
+    ts = truth_set(Model(frame, _parse_assignments(args, f)), f)
     print("{" + ",".join(ts.members(frame.carrier(f.sort))) + "}", file=out)
-    return EXIT_OK
+    return True
 
 
-def _cmd_valid(args: argparse.Namespace, out) -> int:
-    ctx = load_context(args.context)
-    frame = context_to_frame(ctx)
-    f = parse_formula(args.formula, args.sort)
-    counter = falsify(frame, f, args.budget)
-    if counter is None:
-        print("valid", file=out)
-        return EXIT_OK
-    print(f"invalid: {counter.describe()}", file=out)
-    return EXIT_PROPERTY_FAILED
+def _cmd_valid(args: argparse.Namespace, out) -> bool:
+    frame = _frame(args)
+    counter = falsify(frame, parse_formula(args.formula, args.sort), args.budget)
+    print("valid" if counter is None else f"invalid: {counter.describe()}", file=out)
+    return counter is None
 
 
-def _cmd_consequence(args: argparse.Namespace, out) -> int:
-    ctx = load_context(args.context)
-    frame = context_to_frame(ctx)
+def _cmd_consequence(args: argparse.Namespace, out) -> bool:
+    frame = _frame(args)
     premises = [parse_formula(p, args.sort) for p in args.premises]
     conclusion = parse_formula(args.conclusion, args.sort)
     counter = consequence_countermodel(frame, premises, conclusion, args.budget)
-    if counter is None:
-        print("holds", file=out)
-        return EXIT_OK
-    print(f"fails: {counter.describe()}", file=out)
-    return EXIT_PROPERTY_FAILED
+    print("holds" if counter is None else f"fails: {counter.describe()}", file=out)
+    return counter is None
 
 
-def _cmd_translate(args: argparse.Namespace, out) -> int:
+def _cmd_translate(args: argparse.Namespace, out) -> bool:
     f = parse_formula(args.formula, args.sort)
     print(print_formula(translate_rho(f)), file=out)
-    return EXIT_OK
+    return True
 
 
-def _cmd_member(args: argparse.Namespace, out) -> int:
-    ctx = load_context(args.context)
-    frame = context_to_frame(ctx)
+def _cmd_member(args: argparse.Namespace, out) -> bool:
+    frame = _frame(args)
     side, sort = ("extent", "1") if args.side == "ext" else ("intent", "2")
     f = parse_formula(args.formula, sort)
-    ok = member_class(f, ConceptKind(args.cls), side, frame, args.budget)
-    print("true" if ok else "false", file=out)
-    return EXIT_OK if ok else EXIT_PROPERTY_FAILED
+    holds = member_class(f, ConceptKind(args.cls), side, frame, args.budget)
+    print("true" if holds else "false", file=out)
+    return holds
 
 
-def _cmd_check_proof(args: argparse.Namespace, out) -> int:
+def _cmd_check_proof(args: argparse.Namespace, out) -> bool:
     script = parse_proof_script(read_text(args.script), default_system=args.system or "KB2")
     if args.system and script.system_id.upper() != args.system.upper():
         raise ConceptLogicError(
             f"script declares system {script.system_id}, --system says {args.system}"
         )
     verdict = script.check()
-    if verdict.accepted:
-        print("accepted", file=out)
-        return EXIT_OK
     where = "" if verdict.line is None else f" at line {verdict.line}"
-    print(f"rejected{where}: {verdict.reason}", file=out)
-    return EXIT_PROPERTY_FAILED
+    print("accepted" if verdict.accepted else f"rejected{where}: {verdict.reason}", file=out)
+    return verdict.accepted
 
 
 def _check_line(check) -> str:
@@ -283,28 +274,28 @@ def _print_failures(heading: str, report, out) -> None:
         print(f"  {_check_line(check)}", file=out)
 
 
-def _cmd_verify(args: argparse.Namespace, out) -> int:
+def _cmd_verify(args: argparse.Namespace, out) -> bool:
     ctx = load_context(args.context)
-    failed = False
+    passed = True
     if args.suite in ("yao", "all"):
         report = verify_yao_isomorphisms(ctx)
         for check in report.checks:
             print(_check_line(check), file=out)
-        failed |= not report.passed
+        passed &= report.passed
     if args.suite in ("translation", "all"):
         report = suite_translation(ctx, args.seed)
         for check in report.checks:
             print(f"translation {_check_line(check)}", file=out)
-        failed |= not report.passed
+        passed &= report.passed
     if args.suite in ("lattice", "all"):
         for kind, report in suite_lattice(ctx, args.budget).items():
             _print_failures(f"lattice {kind.value}", report, out)
-            failed |= not report.passed
+            passed &= report.passed
     if args.suite in ("iso", "all"):
         report = suite_iso(ctx, args.budget)
         _print_failures("iso", report, out)
-        failed |= not report.passed
-    return EXIT_PROPERTY_FAILED if failed else EXIT_OK
+        passed &= report.passed
+    return passed
 
 
 def run_cli(argv, out=None, err=None) -> int:
@@ -318,13 +309,14 @@ def run_cli(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.handler(args, out)
+        holds = args.handler(args, out)
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=err)
         return EXIT_BUDGET
     except (ConceptLogicError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
+    return EXIT_OK if holds else EXIT_PROPERTY_FAILED
 
 
 def main() -> None:

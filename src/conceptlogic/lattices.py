@@ -113,30 +113,31 @@ class SemanticConcept:
 
 
 def _fcbo_masks(
-    flip: int, vectors: tuple[int, ...], f: int, then: Callable[[int], int]
+    skip: int, vectors: tuple[int, ...], flip: int, then: Callable[[int], int]
 ) -> list[tuple[int, int]]:
     """Outrata and Vychodil's FCbO (2012), Kuznetsov's Close-by-One with
-    inherited canonicity failures, on the keys ``x ^ flip`` of the closed
+    inherited canonicity failures, on the keys ``x ^ skip`` of the closed
     side sets x, over an explicit stack.
 
     A closed key with other side y grows by each element i outside it above
     the element that made it: ``key | 1 << i`` closes to ``x = then(y')``
-    with ``y' = f ^ (f ^ y | vectors[i])``, one OR, since ``other`` ORs
-    ``vectors`` over exactly the key.  A closure that adds an element below
-    i fails the canonicity test (its key is reached from elsewhere) and is
-    kept as ``failed[i]``.  A key's children share its ``failed`` list,
-    complete before the first child is popped; a descendant whose key lacks
-    an element below i of ``failed[i]`` would fail at i again, so it skips
-    i without closing.  Each closed x is listed once, with its other side y.
+    with ``y' = flip ^ (flip ^ y | vectors[i])``, one OR, since ``other``
+    ORs ``vectors`` over exactly the key.  A closure that adds an element
+    below i fails the canonicity test (its key is reached from elsewhere)
+    and is kept as ``failed[i]``.  A key's children share its ``failed``
+    list, complete before the first child is popped; a descendant whose key
+    lacks an element below i of ``failed[i]`` would fail at i again, so it
+    skips i without closing.  Each closed x is listed once, with its other
+    side y.
     """
     n = len(vectors)
-    y = f
+    y = flip
     x = then(y)
     out = [(x, y)]
-    stack = [(flip ^ x, y, 0, [0] * n)]
+    stack = [(skip ^ x, y, 0, [0] * n)]
     while stack:
         key, y, start, inherited = stack.pop()
-        z, failed = f ^ y, inherited.copy()
+        z, failed = flip ^ y, inherited.copy()
         for i in range(start, n):
             bit = 1 << i
             if key & bit:
@@ -144,9 +145,9 @@ def _fcbo_masks(
             below = bit - 1 & ~key
             if inherited[i] & below:
                 continue
-            y = f ^ (z | vectors[i])
+            y = flip ^ (z | vectors[i])
             x = then(y)
-            closed = flip ^ x
+            closed = skip ^ x
             if closed & below:
                 failed[i] = closed
             else:
@@ -164,13 +165,13 @@ def _lectic_key(mask: int) -> str:
 def _closure_system(
     ctx: FormalContext, kind: ConceptKind
 ) -> tuple[int, int, tuple[int, ...], int, Callable[[int], int], bool]:
-    """``(side, flip, vectors, f, then, reverse)``: the one closure system
+    """``(side, skip, vectors, flip, then, reverse)``: the one closure system
     the kind's concepts are scanned in, on the smaller carrier (extents on a
     tie).  ``side`` is 0 for extents and 1 for intents, the place of the side
     set in an (extent, intent) pair.  The ``other`` operator maps a side set
-    x across to ``f`` XOR the OR of ``vectors`` over its key ``x ^ flip``
+    x across to ``flip`` XOR the OR of ``vectors`` over its key ``x ^ skip``
     (``context._kernel_terms``), and ``then`` maps back; so the key c closes
-    to ``flip ^ then(f ^ OR(vectors over c))``.  ``flip`` is all ones
+    to ``skip ^ then(flip ^ OR(vectors over c))``.  ``skip`` is all ones
     exactly on a union-closed side, which is keyed by its complements, an
     intersection-closed family.  Key inclusion is the order by extent on the
     meet's side and its ``reverse`` on the other, where FC intents and
@@ -178,16 +179,16 @@ def _closure_system(
     """
     side = 0 if ctx.n_objects <= ctx.n_attributes else 1
     other, then = _side_operators(kind, _SIDES[side])
-    vectors, flip, f = _kernel_terms(other, ctx)
+    vectors, skip, flip = _kernel_terms(other, ctx)
     reverse = _SIDES[side] != _MEET_JOIN[kind][0][0]
-    return side, flip, vectors, f, _kernel(then, ctx), reverse
+    return side, skip, vectors, flip, _kernel(then, ctx), reverse
 
 
 def _concept_masks(ctx: FormalContext, kind: ConceptKind) -> list[tuple[int, int]]:
     """(extent, intent) masks of the kind's concepts, scanned in its
     ``_closure_system`` and sorted as ``enumerate_concepts`` lists them."""
-    side, flip, vectors, f, then, _ = _closure_system(ctx, kind)
-    pairs = _fcbo_masks(flip, vectors, f, then)
+    side, skip, vectors, flip, then, _ = _closure_system(ctx, kind)
+    pairs = _fcbo_masks(skip, vectors, flip, then)
     if side:
         pairs = [(y, x) for x, y in pairs]
     return sorted(pairs, key=lambda p: _lectic_key(p[0]))
@@ -216,30 +217,30 @@ def _upper_covers(
 
     The closed key of ``key | 1 << g`` for each g outside a key is a
     candidate; it is an upper cover of the key iff every g it adds produces
-    it, and the pair is flipped where keys reverse the order by extent.  As
+    it, and the pair is swapped where keys reverse the order by extent.  As
     in ``_fcbo_masks``, a candidate's other side is one OR from the stored
     other side of its key.  A missing bottom or candidate means a missing
     concept, since covers reach all from the bottom.
     """
-    side, flip, vectors, f, then, reverse = _closure_system(ctx, kind)
-    index = {pair[side] ^ flip: i for i, pair in enumerate(masks)}
+    side, skip, vectors, flip, then, reverse = _closure_system(ctx, kind)
+    index = {pair[side] ^ skip: i for i, pair in enumerate(masks)}
 
     def locate(closed: int) -> int:
         if closed not in index:
             raise LatticeError(
-                f"{_SIDES[side]} {list(iter_bits(closed ^ flip))} is missing: "
+                f"{_SIDES[side]} {list(iter_bits(closed ^ skip))} is missing: "
                 "concept list incomplete"
             )
         return index[closed]
 
-    locate(flip ^ then(f))
+    locate(skip ^ then(flip))
     out = []
     for i, pair in enumerate(masks):
-        key, z = pair[side] ^ flip, f ^ pair[1 - side]
+        key, z = pair[side] ^ skip, flip ^ pair[1 - side]
         hits: dict[int, int] = {}
         for g, vector in enumerate(vectors):
             if not key >> g & 1:
-                candidate = flip ^ then(f ^ (z | vector))
+                candidate = skip ^ then(flip ^ (z | vector))
                 hits[candidate] = hits.get(candidate, 0) + 1
         for candidate, count in hits.items():
             j = locate(candidate)
@@ -253,23 +254,24 @@ class ConceptLattice:
     """Concepts of one kind ordered by extent inclusion, with their covers.
 
     ``masks`` holds each concept's (extent, intent) masks over ``ctx.rows``
-    and ``ctx.cols``, in the order ``enumerate_concepts`` lists them;
-    ``concepts`` is their typed view, built on first use.  Meets and joins
-    combine one side of two concepts as ``_MEET_JOIN`` says and look the
-    result up among that side's sets.
+    and ``ctx.cols``, in the order ``enumerate_concepts`` lists them.  The
+    covers, the meet/join index and ``concepts``, the masks' typed view, are
+    each computed on first read, so a lattice whose covers are never read
+    costs no closure.  Meets and joins combine one side of two concepts as
+    ``_MEET_JOIN`` says and look the result up among that side's sets.
     """
 
     kind: ConceptKind
     ctx: FormalContext
     masks: list[tuple[int, int]]
-    _covers: list[tuple[int, int]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._covers = _upper_covers(self.masks, self.kind, self.ctx)
 
     @functools.cached_property
     def concepts(self) -> list[SemanticConcept]:
         return _typed(self.masks, self.kind, self.ctx)
+
+    @functools.cached_property
+    def _covers(self) -> list[tuple[int, int]]:
+        return _upper_covers(self.masks, self.kind, self.ctx)
 
     @functools.cached_property
     def _index(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -314,7 +316,7 @@ def build_lattice(
     not closed, whose other side is not the image of that set, or that
     repeats an earlier entry, and when the list misses a concept.  The image
     is one OR of the system's vectors over the key, as in ``_fcbo_masks``."""
-    side, flip, vectors, f, then, _ = _closure_system(ctx, kind)
+    side, skip, vectors, flip, then, _ = _closure_system(ctx, kind)
     carriers = ((SORT1, ctx.n_objects), (SORT2, ctx.n_attributes))
     masks: list[tuple[int, int]] = []
     seen: dict[int, int] = {}
@@ -323,7 +325,7 @@ def build_lattice(
         if tuple((s.sort, s.size) for s in sets) != carriers:
             raise LatticeError(f"entry {i} is not over the context's carriers")
         x, y = sets[side].bits, sets[1 - side].bits
-        image = f ^ _or_over(vectors, flip ^ x)
+        image = flip ^ _or_over(vectors, skip ^ x)
         if then(image) != x:
             raise LatticeError(f"entry {i}: {_SIDES[side]} {list(iter_bits(x))} is not closed")
         if image != y:
@@ -335,7 +337,9 @@ def build_lattice(
             raise LatticeError(f"entry {i} repeats entry {seen[x]}")
         seen[x] = i
         masks.append((c.extent.bits, c.intent.bits))
-    return ConceptLattice(kind, ctx, sorted(masks, key=lambda p: _lectic_key(p[0])))
+    lattice = ConceptLattice(kind, ctx, sorted(masks, key=lambda p: _lectic_key(p[0])))
+    lattice.covers()  # the neighbour scan raises for a missing concept
+    return lattice
 
 
 @dataclass

@@ -408,7 +408,10 @@ def translate_rho(f: Formula, images: dict[Formula, Formula] | None = None) -> F
             return _rebuild(g, images)
         target = _RHO_IMAGE.get(g.mod)
         if target is None or isinstance(g, Dia):
-            raise SignatureError(f"modality {g.mod.name!r} is not in the window dialect")
+            from .parser import MODAL_TOKENS  # the one table of modal words
+
+            word = next(w for w, node in MODAL_TOKENS.items() if node == (type(g), g.mod))
+            raise SignatureError(f"modality {word!r} is not in the window dialect")
         return Box(target, Neg(images[g.arg]))
 
     return _walk(f, images, image)

@@ -1,6 +1,7 @@
 """CLI tests: golden transcripts, exit-code contract, and error channels."""
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -197,6 +198,19 @@ class TestLatticeFormats:
         lattices.enumerate_concepts(load_context(K0), ConceptKind.FC)
         assert built == 4  # the counter sees the typed API's two concepts
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_concepts_computes_no_covers(self, fmt, monkeypatch):
+        def refused(*args):
+            raise AssertionError("covers were computed")
+
+        monkeypatch.setattr(lattices, "_upper_covers", refused)
+        for case in MANIFEST:
+            if case["args"][0] == "concepts":
+                code, out, _ = invoke([*case["args"][:-1], "--format", fmt, case["args"][-1]])
+                assert code == 0 and out.startswith("kind=")
+        with pytest.raises(AssertionError, match="covers were computed"):
+            invoke(["lattice", "--kind", "fc", K0])
+
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(st.integers(0, 2**32 - 1))
     def test_text_and_structured_list_the_same_lattice(self, tmp_path_factory, seed):
@@ -312,6 +326,105 @@ class TestExitCodes:
         script = DATA / "proofs" / "kf_b1.prf"
         code, _, err = invoke(["check-proof", str(script), "--system", "KB2"])
         assert code == 2 and "declares system" in err
+
+
+# Each command's reachable outcomes from files: (argv, exit code, stdout).
+# ``{wide}`` is a 25-atom tautology, one atom past the truth-table limit;
+# ``{mutant}`` is antitone_kb2.prf with its last mp's references swapped.
+OUTCOMES = [
+    (["concepts", "--kind", "oc", K0], 0,
+     "kind=oc count=3\n0: extent={} intent={}\n1: extent={g1,g2} intent={m1,m2}\n"
+     "2: extent={g2} intent={m2}\n"),
+    (["concepts", "--kind", "fc", "nope.cxt"], 2, ""),
+    (["lattice", "--kind", "pc", K0], 0,
+     "kind=pc count=3\n0: extent={} intent={}\n1: extent={g1} intent={m1}\n"
+     "2: extent={g1,g2} intent={m1,m2}\ncover: 0 < 1\ncover: 1 < 2\ntop=2 bottom=0\n"),
+    (["lattice", "--kind", "pc", "--format", "dot", "nope.cxt"], 2, ""),
+    (["eval", "--formula", "dia p", "--sort", "2", "--assign", "p=g1", K0], 0, "{m1}\n"),
+    (["eval", "--formula", "p", "--sort", "1", "--assign", "p", K0], 2, ""),
+    (["valid", "--formula", "p -> box- dia p", "--sort", "1", K0], 0, "valid\n"),
+    (["valid", "--formula", "p", "--sort", "1", K0], 1,
+     "invalid: v(p)={} falsifies at world g1\n"),
+    (["valid", "--formula", "p &", "--sort", "1", K0], 2, ""),
+    (["valid", "--formula", "p -> p", "--sort", "1", "--budget", "0", K0], 3, ""),
+    (["consequence", "--premise", "p", "--conclusion", "dia- dia p", "--sort", "1", K0], 0,
+     "holds\n"),
+    (["consequence", "--premise", "p", "--conclusion", "q", "--sort", "1", K0], 1,
+     "fails: v(p)={g1}; v(q)={} falsifies at world g1\n"),
+    (["consequence", "--conclusion", "q &", "--sort", "1", K0], 2, ""),
+    (["consequence", "--conclusion", "q", "--sort", "1", "--budget", "0", K0], 3, ""),
+    (["translate", "--formula", "boxm- boxm p", "--sort", "1"], 0, "box- ~box ~p\n"),
+    (["translate", "--formula", "p &", "--sort", "1"], 2, ""),
+    (["member", "--class", "pc", "--side", "int", "--formula", "dia p", K0], 0, "true\n"),
+    (["member", "--class", "fc", "--side", "ext", "--formula", "#f", K0], 1, "false\n"),
+    (["member", "--class", "fc", "--side", "ext", "--formula", "p &", K0], 2, ""),
+    (["member", "--class", "fc", "--side", "ext", "--formula", "p", "--budget", "0", K0], 3,
+     ""),
+    (["check-proof", str(DATA / "proofs" / "antitone_kb2.prf")], 0, "accepted\n"),
+    (["check-proof", "{mutant}"], 1,
+     "rejected at line 6: line 4 is not (line 5) -> (this line)\n"),
+    (["check-proof", str(DATA / "proofs" / "kf_b1.prf"), "--system", "KB2"], 2, ""),
+    (["check-proof", "{wide}"], 3, ""),
+    (["verify", "--suite", "yao", K0], 0, "a: pass\nb: pass\nc: pass\n"),
+    (["verify", "--suite", "yao", "nope.cxt"], 2, ""),
+    (["verify", "--suite", "lattice", "--budget", "0", K0], 3, ""),
+]
+
+VERDICTS = [outcome for outcome in OUTCOMES if outcome[1] < 2]
+
+
+@pytest.fixture(scope="module")
+def outcome_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("outcomes")
+    atoms = " & ".join(f"a{i}:1" for i in range(25))
+    (base / "wide.prf").write_text(f"system: KB2\n1 | ({atoms}) -> a0:1 | pl\n")
+    antitone = (DATA / "proofs" / "antitone_kb2.prf").read_text()
+    (base / "mutant.prf").write_text(antitone.replace("mp 4 5", "mp 5 4"))
+    return {"{wide}": str(base / "wide.prf"), "{mutant}": str(base / "mutant.prf")}
+
+
+class TestOutcomes:
+    def test_every_command_reaches_each_listed_outcome(self):
+        reached = {(argv[0], code) for argv, code, _ in OUTCOMES}
+        assert {command for command, _ in reached} == set(FULL_RUNS)
+        assert {code for command, code in reached if command == "verify"} == {0, 2, 3}
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout", OUTCOMES, ids=[f"{a[0]}-{c}" for a, c, _ in OUTCOMES]
+    )
+    def test_exit_code_and_stdout(self, argv, code, stdout, outcome_files):
+        argv = [outcome_files.get(arg, arg) for arg in argv]
+        assert invoke(argv)[:2] == (code, stdout)
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout", VERDICTS, ids=[f"{a[0]}-{c}" for a, c, _ in VERDICTS]
+    )
+    def test_handlers_return_whether_the_property_holds(self, argv, code, stdout, outcome_files):
+        args = cli._build_parser().parse_args([outcome_files.get(a, a) for a in argv])
+        out = io.StringIO()
+        assert args.handler(args, out) is (code == 0)
+        assert out.getvalue() == stdout
+
+    def test_only_run_cli_names_the_verdict_exit_codes(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        users = {
+            node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            for name in ast.walk(node)
+            if isinstance(name, ast.Name) and name.id in ("EXIT_OK", "EXIT_PROPERTY_FAILED")
+        }
+        assert users == {"run_cli"}
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--formula", "p &", "--sort", "1", "--assign", "p=g1"],
+        ["valid", "--formula", "p &", "--sort", "1"],
+        ["consequence", "--conclusion", "p &", "--sort", "1"],
+        ["member", "--class", "fc", "--side", "ext", "--formula", "p &"],
+    ], ids=lambda argv: argv[0])
+    def test_context_is_read_before_the_formula(self, argv):
+        # with both bad, the missing file is the error reported
+        code, out, err = invoke([*argv, "nope.cxt"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "nope.cxt" in err and err.count("\n") == 1
 
 
 # One run per command that reaches every read of its arguments.
@@ -664,6 +777,10 @@ class TestEvalAssignments:
             ]
         )
         assert code == 2 and "does not occur" in err
+
+    def test_assignment_without_equals_rejected(self):
+        code, out, err = invoke(["eval", "--formula", "p", "--sort", "1", "--assign", "p", K0])
+        assert (code, out, err) == (2, "", "error: assignment 'p' is not VAR=worlds\n")
 
     def test_repeated_assignment_rejected(self):
         code, out, err = invoke(

@@ -1,6 +1,7 @@
 """Tests for contexts, sorted subsets, and the six set operators."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,26 @@ class TestConstruction:
     def test_subset_size_validated(self):
         with pytest.raises(DimensionError):
             SortedSubset(SORT1, 4, 2)
+
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: SortedSubset(SORT1, 0, -1), "negative carrier size -1"),
+        (lambda: k0().object_subset(["zz"]), "unknown element 'zz'"),
+        (
+            lambda: SortedSubset(SORT1, 1, 2).members(("a", "b", "c")),
+            "carrier has 3 elements, subset sized for 2",
+        ),
+        (
+            lambda: FormalContext.from_pairs(("g",), ("m",), [("x", "m")]),
+            "unknown object 'x' in incidence",
+        ),
+        (
+            lambda: FormalContext.from_pairs(("g",), ("m",), [("g", "y")]),
+            "unknown attribute 'y' in incidence",
+        ),
+    ], ids=["negative-size", "unknown-element", "members-carrier", "pair-object", "pair-attribute"])
+    def test_refusal_names_its_cause(self, refused, message):
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            refused()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

@@ -65,6 +65,10 @@ class TestCxt:
         with pytest.raises(CxtFormatError):
             parse_cxt("B\n\nzero\n1\n\ng\nm\nX\n")
 
+    def test_fifth_line_must_be_blank(self):
+        with pytest.raises(CxtFormatError, match="^line 5: fifth line must be blank$"):
+            parse_cxt("B\n\n1\n1\ng\nm\nX\n")
+
     @pytest.mark.parametrize("count", ["1_0", "\uff12", "+3"])
     def test_count_is_ascii_digits_only(self, count):
         # int() reads each of these as a number; the serializer writes none

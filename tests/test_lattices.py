@@ -274,8 +274,8 @@ class TestConceptMasks:
     def test_masks_equal_bruteforce_with_their_other_sides(self, kind):
         systems = set()
         for ctx in self.contexts(95, 8):
-            side, flip, _, _, _, _ = _closure_system(ctx, kind)
-            systems.add((side, bool(flip)))
+            side, skip, _, _, _, _ = _closure_system(ctx, kind)
+            systems.add((side, bool(skip)))
             assert mask_problems(ctx, kind, _concept_masks(ctx, kind)) == []
         # both carrier orders; PC intents and OC extents are keyed by complements
         complemented = {ConceptKind.FC: set(), ConceptKind.PC: {1}, ConceptKind.OC: {0}}[kind]
@@ -321,7 +321,9 @@ class TestConceptMasks:
             assert sum(calls.values()) == scanned >= len(concepts)
             closures += scanned
             found += len(concepts)
-            lattices.ConceptLattice(kind, ctx, concepts)
+            lattice = lattices.ConceptLattice(kind, ctx, concepts)
+            assert sum(calls.values()) == scanned  # covers are computed on first read
+            lattice.covers()
             assert sum(calls.values()) == calls[then] > scanned
         assert found <= closures < NEXT_CLOSURE_CLOSURES[kind]
 

@@ -1,6 +1,7 @@
 """Tests for formula-level concepts, quotient operations, and isomorphisms."""
 
 import random
+import re
 
 import pytest
 
@@ -261,6 +262,34 @@ class TestFormulaAndMaskLevelsAgree:
                     source_set = truth_set(model, f)
                     want = source_set.complement() if flip else source_set
                     assert truth_set(target, g) == want, (ctx, seed)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("extent, intent, message", [
+        (var2("x"), var2("y"), "expected sort 's1', got 's2' in pair extent"),
+        (P, Q, "expected sort 's2', got 's1' in pair intent"),
+    ], ids=["extent", "intent"])
+    def test_pair_sides_have_their_sorts(self, extent, intent, message):
+        with pytest.raises(SortMismatchError, match=f"^{re.escape(message)}$"):
+            LogicalConceptPair(extent, intent, ConceptKind.FC)
+
+    def test_transform_checks_the_source_pair(self):
+        pair = LogicalConceptPair(P, wbox(P), ConceptKind.FC)
+        frame = context_to_frame(k0())
+        with pytest.raises(InternalConsistencyError, match="^pair is not in FC on the source frame$"):
+            transform_pair(pair, "a", source_frame=frame)
+
+    def test_equivalence_across_kinds(self):
+        a, b = generate_pair(P, ConceptKind.PC), generate_pair(P, ConceptKind.OC)
+        with pytest.raises(SortMismatchError, match="^expected sort 'PC', got 'OC' in equiv_pairs$"):
+            equiv_pairs(a, b, context_to_frame(k0()))
+
+    def test_quotient_lattice_of_another_kind_fails_its_input_check(self):
+        pairs = [generate_pair(P, ConceptKind.PC)]
+        report = verify_quotient_lattice(pairs, ConceptKind.FC, context_to_frame(k0()))
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+            ("input kinds", False, "pair of a different class supplied")
+        ]
 
 
 class TestTransform:

@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from conceptlogic.proofs import (
     ProofLine,
     ProofScript,
     UGRef,
+    Verdict,
     _fields,
     check_proof,
     get_system,
@@ -421,6 +423,44 @@ class TestTranslation:
         script = load("antitone_kb2.prf")
         with pytest.raises(ProofScriptError):
             translate_proof(script)
+
+
+KB2_HEAD = "system: KB2\nvar p : 1\n1 | p -> p | pl\n"
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("record, reason", [
+        ("2 | box (p -> p) | ug dia 3", "reference 3 is not an earlier line"),
+        ("2 | box (p -> p) | ug boxm 1", "system KB2 has no modality 'boxm'"),
+    ], ids=["ug-reference", "ug-modality"])
+    def test_rejected_line_names_its_reason(self, record, reason):
+        assert parse_proof_script(KB2_HEAD + record + "\n").check() == Verdict(False, 2, reason)
+
+    @pytest.mark.parametrize("record, message", [
+        ("2 | p -> p |  ", "line 4: missing rule"),
+        ("2 | p -> p | axiom PL | ph p", "line 4: substitution items look like 'mv = FORMULA'"),
+        (
+            "2 | p -> p | axiom PL | ph = p &",
+            "line 4: bad substitution formula: unexpected end of input (at column 4)",
+        ),
+    ], ids=["rule", "subst-item", "subst-body"])
+    def test_script_error_names_its_line(self, record, message):
+        with pytest.raises(ProofScriptError, match=f"^{re.escape(message)}$"):
+            parse_proof_script(KB2_HEAD + record + "\n")
+
+    @pytest.mark.parametrize("use", [
+        lambda s: soundness_probe(s.system(), s.lines, s.premises, []),
+        translate_proof,
+    ], ids=["soundness-probe", "translate-proof"])
+    def test_rejected_script_is_refused(self, use):
+        script = parse_proof_script("system: KF\nvar p : 1\n1 | p | pl\n")
+        message = "line 1: script rejected: not a propositional tautology"
+        with pytest.raises(ProofScriptError, match=f"^{re.escape(message)}$"):
+            use(script)
+
+    def test_rejected_verdict_is_false(self):
+        # callers test verdicts for truth: a rejection must read False
+        assert not Verdict(False, 1, "r") and Verdict(True)
 
 
 class TestScriptParsing:

@@ -1,6 +1,7 @@
 """Tests for frames, models, truth sets, validity, and local consequence."""
 
 import random
+import re
 
 import pytest
 
@@ -119,6 +120,24 @@ class TestContextFrameCorrespondence:
     def test_empty_carrier_rejected(self):
         with pytest.raises(FrameError):
             SortedFrame({SORT1: (), SORT2: ("b",)}, {})
+
+    def test_duplicate_world_rejected(self):
+        with pytest.raises(FrameError, match="^carrier for sort 's1' has duplicate worlds$"):
+            SortedFrame({SORT1: ("a", "a"), SORT2: ("b",)}, {})
+
+    @pytest.mark.parametrize("refused, message", [
+        (
+            lambda: context_to_frame(k0()).carrier("s3"),
+            "expected sort 's1|s2', got 's3' in frame carrier",
+        ),
+        (
+            lambda: equivalence_check(var1("p"), var2("x")),
+            "expected sort 's1', got 's2' in equivalence check",
+        ),
+    ], ids=["carrier", "equivalence"])
+    def test_sort_refusal_names_both_sorts(self, refused, message):
+        with pytest.raises(SortMismatchError, match=f"^{re.escape(message)}$"):
+            refused()
 
     def test_third_sort_carrier_rejected(self):
         with pytest.raises(FrameError, match="unknown sort 's3'"):

@@ -3,6 +3,7 @@
 import gc
 import io
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,14 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p & q", None)
 
+    @pytest.mark.parametrize("text, sort, message", [
+        ("p", "s3", "unknown sort 's3'"),
+        ("\u00b2", 1, "unexpected character '\u00b2' (at column 1)"),
+    ], ids=["sort", "superscript"])
+    def test_refusal_names_its_cause(self, text, sort, message):
+        with pytest.raises(FormulaSyntaxError, match=f"^{re.escape(message)}$"):
+            parse_formula(text, sort)
+
     def test_expected_sort_fills_in(self):
         assert parse_formula("p", 1) == var1("p")
         assert parse_formula("p", 2) == var2("p")
@@ -374,6 +383,17 @@ class TestRho:
     def test_rejects_foreign_modalities(self):
         with pytest.raises(SignatureError):
             translate_rho(dia(P))
+
+    @pytest.mark.parametrize("word, sort", [
+        ("box", "2"), ("box-", "1"), ("dia", "2"), ("dia-", "1"),
+    ])
+    def test_refusal_names_the_word_given(self, word, sort):
+        # a box over the diamond's relation is named by its own word
+        out, err = io.StringIO(), io.StringIO()
+        variable = "p" if sort == "2" else "x"
+        code = run_cli(["translate", "--formula", f"{word} {variable}", "--sort", sort], out, err)
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"error: modality '{word}' is not in the window dialect\n"
 
 
 class TestHelpers:
